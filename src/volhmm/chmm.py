@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EnumerationCapError, ValidationError, ZeroLikelihoodError
-from .specfun import gaussian_cdf
 from .volgrid import (
     ObservationScheme,
     SpotGrid,
@@ -191,10 +190,20 @@ def _path_layout(n_states: int, k: int, mode: str):
     )
 
 
-def _path_probs(a_hf: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """(n_states, n_paths) probability of each substep path from each start state."""
-    chain = a_hf[paths[:, :-1], paths[:, 1:]].prod(axis=1) if paths.shape[1] > 1 else 1.0
-    return a_hf[:, paths[:, 0]] * chain
+def _path_probs(a_hf: np.ndarray, k: int) -> np.ndarray:
+    """(n_states, n_paths) probability of each substep path from each start state.
+
+    Paths are in lexicographic order, as in ``_path_layout``. The chain
+    product a[p0,p1] a[p1,p2] ... is built one outer product per substep, left
+    to right, and the start-state factor a[i,p0] multiplies it last.
+    """
+    if k == 1:
+        return a_hf.copy()
+    n = a_hf.shape[0]
+    chain = a_hf
+    for _ in range(k - 2):
+        chain = chain[..., None] * a_hf
+    return (a_hf[:, :, None] * chain.reshape(1, n, -1)).reshape(n, -1)
 
 
 def build_integrated_table(
@@ -207,7 +216,7 @@ def build_integrated_table(
         raise ValidationError("transition matrix and grid disagree on the state count")
     n = grid.n_states
     paths, group_ids, n_groups, member_counts, reps = _path_layout(n, k, mode)
-    probs = _path_probs(a_hf.probs, paths)  # (n, n_paths)
+    probs = _path_probs(a_hf.probs, k)  # (n, n_paths)
 
     # Group probability mass per start state in one flattened bincount.
     flat_ids = (group_ids[None, :] + n_groups * np.arange(n)[:, None]).ravel()
@@ -224,23 +233,35 @@ def build_integrated_table(
     return IntegratedVolTable(vbar_values=vbar, g=g, k=k, mode=mode)
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _bin_masses(vbar: np.ndarray, scheme: ObservationScheme) -> np.ndarray:
+    """(n_vbar, n_bins) symbol distribution when the period return is N(0, vbar[v]).
+
+    The edge CDFs are ``specfun.gaussian_cdf(edge / sd)`` for all values at
+    once, with ``math.erfc`` applied elementwise so every value is the same
+    float as the scalar call.
+    """
+    z = scheme.edges[None, :] / np.sqrt(vbar)[:, None]
+    cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
+    out = np.empty((vbar.size, scheme.n_bins))
+    out[:, 0] = cdf[:, 0]
+    out[:, 1:-1] = np.diff(cdf, axis=1)
+    out[:, -1] = 1.0 - cdf[:, -1]
+    return out
+
+
 def emission_given_vbar(vbar: float, scheme: ObservationScheme) -> np.ndarray:
     """Distribution of the return symbol when the period return is N(0, vbar)."""
     if not (vbar > 0.0):
         raise ValidationError(f"vbar must be positive, got {vbar}")
-    sd = math.sqrt(vbar)
-    cdf = np.array([gaussian_cdf(e / sd) for e in scheme.edges])
-    out = np.empty(scheme.n_bins)
-    out[0] = cdf[0]
-    out[1:-1] = np.diff(cdf)
-    out[-1] = 1.0 - cdf[-1]
-    return out
+    return _bin_masses(np.array([vbar], dtype=float), scheme)[0]
 
 
 def build_emission_matrix(table: IntegratedVolTable, scheme: ObservationScheme) -> EmissionMatrix:
     """Mix the Gaussian bin masses over the integrated-variance distribution."""
-    per_vbar = np.stack([emission_given_vbar(v, scheme) for v in table.vbar_values])
-    return EmissionMatrix(probs=table.g @ per_vbar)
+    return EmissionMatrix(probs=table.g @ _bin_masses(table.vbar_values, scheme))
 
 
 def build_classical_hmm(
@@ -304,21 +325,29 @@ def log_likelihood_binned(hmm: ClassicalHmm, obs, order: str = WEIGHT_FIRST) -> 
     return total
 
 
-def _continuous_state_weights(hmm: ClassicalHmm, dy: float):
-    """Per-state weights sum_j g[i,j] phi(dy; 0, Vbar_j), returned as (weights, log shift)."""
+def _continuous_state_weights(hmm: ClassicalHmm, returns):
+    """Per step, the per-state weights sum_j g[i,j] phi(dy; 0, Vbar_j) and their log shift.
+
+    Yields (weights, shift) for each return dy; the Gaussian log-normalizers
+    and variances are formed once for the whole sequence, and each step works
+    in one reused buffer.
+    """
     vbar = hmm.table.vbar_values
-    logphi = -0.5 * (math.log(2.0 * math.pi) + np.log(vbar)) - (dy * dy) / (2.0 * vbar)
-    shift = logphi.max()
-    return hmm.table.g @ np.exp(logphi - shift), shift
+    g = hmm.table.g
+    log_norm = -0.5 * (math.log(2.0 * math.pi) + np.log(vbar))
+    two_vbar = 2.0 * vbar
+    logphi = np.empty_like(vbar)
+    for dy in np.asarray(returns, dtype=float).tolist():
+        np.subtract(log_norm, np.divide(dy * dy, two_vbar, out=logphi), out=logphi)
+        shift = logphi.max()
+        yield g @ np.exp(np.subtract(logphi, shift, out=logphi), out=logphi), shift
 
 
 def log_likelihood_continuous(hmm: ClassicalHmm, returns) -> float:
     """Log-likelihood of raw returns under the Gaussian-mixture emission densities."""
-    returns = np.asarray(returns, dtype=float)
     x = hmm.x0
     total = 0.0
-    for dy in returns:
-        e, shift = _continuous_state_weights(hmm, float(dy))
+    for e, shift in _continuous_state_weights(hmm, returns):
         w = x * e
         s = w.sum()
         total += math.log(s) + shift
@@ -347,6 +376,7 @@ def filter_path(
     incs = np.empty(n_steps)
     fvbar = np.empty(n_steps)
     x = hmm.x0
+    weights = _continuous_state_weights(hmm, returns) if returns is not None else None
     for t in range(n_steps):
         fvbar[t] = float(x @ expected_vbar)
         if obs is not None:
@@ -355,7 +385,7 @@ def filter_path(
             except ZeroLikelihoodError as exc:
                 raise ZeroLikelihoodError(f"zero likelihood at step {t}: {exc}", step=t) from None
         else:
-            e, shift = _continuous_state_weights(hmm, float(seq[t]))
+            e, shift = next(weights)
             w = x * e
             s = w.sum()
             incs[t] = math.log(s) + shift

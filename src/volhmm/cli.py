@@ -8,8 +8,9 @@ derive_seed(seed, purpose, trial, ...), so rerunning a command with the same
 config and seed reproduces every output file byte for byte regardless of the
 worker count.
 
-Exit codes: 0 success, 2 validation error (arguments, config, or input files),
-3 numerical failure.
+Exit codes: 0 success, 2 validation error (arguments, config, input files, or
+output paths, which fit and llr check before any computation), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ import numpy as np
 from . import analysis, chmm, estimate, qhmm, serialize
 from .errors import NumericalError, ValidationError
 from .seeds import derive_seed
-from .volgrid import CirParams, SpotGrid, build_observation_scheme, cir_spot_grid
+from .volgrid import (
+    CirParams,
+    SpotGrid,
+    build_observation_scheme,
+    cir_spot_grid,
+    cir_transition_matrix,
+)
 
 _FIT_KINDS = (estimate.KIND_CIR, estimate.KIND_NONPARAM, estimate.KIND_QHMM)
 
@@ -197,17 +204,30 @@ def parse_fit_section(section: dict, path: str):
     return kind, section["n_states"], ansatz, section["data_kind"], cfg
 
 
-def build_dgp(dgp_cfg: dict) -> chmm.ClassicalHmm:
-    params = CirParams(alpha=dgp_cfg["alpha"], beta=dgp_cfg["beta"], sigma=dgp_cfg["sigma"])
+def dgp_scheme(dgp_cfg: dict):
+    """Return bins of the DGP section; ``half_width`` defaults to 4 sqrt(beta)."""
     half_width = dgp_cfg["half_width"]
     if half_width is None:
-        half_width = 4.0 * math.sqrt(params.beta)
-    scheme = build_observation_scheme(dgp_cfg["n_obs"], half_width)
-    grid = cir_spot_grid(params, dgp_cfg["n_states"])
-    from .volgrid import cir_transition_matrix
+        half_width = 4.0 * math.sqrt(dgp_cfg["beta"])
+    return build_observation_scheme(dgp_cfg["n_obs"], half_width)
 
+
+def build_dgp(dgp_cfg: dict) -> chmm.ClassicalHmm:
+    params = CirParams(alpha=dgp_cfg["alpha"], beta=dgp_cfg["beta"], sigma=dgp_cfg["sigma"])
+    grid = cir_spot_grid(params, dgp_cfg["n_states"])
     a_hf = cir_transition_matrix(params, grid, dgp_cfg["delta"] / dgp_cfg["k"])
-    return chmm.build_classical_hmm(grid, a_hf, dgp_cfg["k"], scheme, mode=dgp_cfg["mode"])
+    return chmm.build_classical_hmm(
+        grid, a_hf, dgp_cfg["k"], dgp_scheme(dgp_cfg), mode=dgp_cfg["mode"]
+    )
+
+
+def check_out_base(base: str):
+    """Fail before any computation if files named ``base + suffix`` cannot be created."""
+    parent = os.path.dirname(os.path.abspath(base))
+    if not os.path.isdir(parent):
+        raise ValidationError(f"--out: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ValidationError(f"--out: directory {parent} is not writable")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +298,7 @@ def _grid_for_nonparam(config: dict, n_states: int) -> SpotGrid:
 
 
 def cmd_fit(args) -> int:
+    check_out_base(args.out)
     config = load_config(args.config)
     dgp_cfg = get_section(config, "dgp")
     fit_section = get_section(config, "fit")
@@ -289,10 +310,11 @@ def cmd_fit(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     rets, symbols = read_data_csv(args.data)
-    half_width = dgp_cfg["half_width"]
-    if half_width is None:
-        half_width = 4.0 * math.sqrt(dgp_cfg["beta"])
-    scheme = build_observation_scheme(dgp_cfg["n_obs"], half_width)
+    scheme = dgp_scheme(dgp_cfg)
+    if data_kind == "symbols" and symbols.size and (
+        symbols.min() < 0 or symbols.max() >= scheme.n_bins
+    ):
+        raise ValidationError(f"data symbols out of range [0, {scheme.n_bins}) for config n_obs")
 
     if kind == estimate.KIND_QHMM:
         if data_kind != "symbols":
@@ -304,13 +326,9 @@ def cmd_fit(args) -> int:
             raise ValidationError(
                 f"ansatz observed register has {ansatz.dim_observed} outcomes, config n_obs is {n_obs}"
             )
-        if symbols.size and symbols.max() >= n_obs:
-            raise ValidationError("data symbols out of range for config n_obs")
         result, model = estimate.fit_qhmm(symbols, ansatz, cfg)
     else:
         data = symbols if data_kind == "symbols" else rets
-        if data_kind == "symbols" and symbols.size and symbols.max() >= dgp_cfg["n_obs"]:
-            raise ValidationError("data symbols out of range for config n_obs")
         grid = _grid_for_nonparam(config, n_states) if kind == estimate.KIND_NONPARAM else None
         result, model = estimate.fit_classical(
             data, kind, n_states, dgp_cfg["k"], scheme, cfg,
@@ -365,6 +383,7 @@ def _fit_spec_from_section(config, section, path):
 
 
 def cmd_llr(args) -> int:
+    check_out_base(args.out)
     config = load_config(args.config)
     dgp_cfg = get_section(config, "dgp")
     exp = get_section(config, "experiment")
@@ -576,6 +595,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

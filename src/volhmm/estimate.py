@@ -203,6 +203,14 @@ def constraint_penalty(theta, kind: str, n_states: int) -> float:
     return _BARRIER * (1.0 + violation)
 
 
+def _check_best(best: FitResult):
+    """A fit whose best value is a barrier, a failure sentinel or NaN found no feasible model."""
+    if not (best.nll < _BARRIER):
+        raise NumericalError(
+            f"no restart reached a feasible, evaluable point (best objective {best.nll})"
+        )
+
+
 def classical_model_from_theta(
     theta,
     kind: str,
@@ -264,6 +272,8 @@ def fit_classical(
         raise ValidationError("data must be nonempty")
     if data_kind not in ("symbols", "returns"):
         raise ValidationError(f"data_kind must be 'symbols' or 'returns', got {data_kind!r}")
+    if data_kind == "symbols" and (data.min() < 0 or data.max() >= scheme.n_bins):
+        raise ValidationError("data symbols out of range for the observation scheme")
 
     def objective(theta):
         penalty = constraint_penalty(theta, kind, n_states)
@@ -296,6 +306,7 @@ def fit_classical(
         result = nelder_mead(objective, x0, cfg)
         if best is None or result.nll < best.nll:
             best = result
+    _check_best(best)
     model = classical_model_from_theta(
         best.theta_hat, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode
     )
@@ -336,6 +347,7 @@ def fit_qhmm(data, spec: AnsatzSpec, cfg: FitConfig, theta0=None):
         result = nelder_mead(objective, x0, cfg)
         if best is None or result.nll < best.nll:
             best = result
+    _check_best(best)
     model = build_qhmm(spec, best.theta_hat[n_init:], best.theta_hat[:n_init])
     return best, model
 

@@ -17,6 +17,12 @@ mass by the same amount. The density uses the matching mixture of central
 chi-squared densities (term-by-term identical to the Bessel-series form of the
 kernel density), also evaluated in log space so large noncentrality cannot
 overflow.
+
+The Poisson terms (which j are visited, in what order, with what weights)
+depend on the noncentrality alone, never on x. ``poisson_mixture_terms``
+produces them once per law; the scalar CDF and density sum over them, and the
+transition-matrix builder in ``volgrid`` reuses one list for every midpoint of
+a row and one column of P(d/2 + j, x_m/2) values for every row.
 """
 
 from __future__ import annotations
@@ -180,20 +186,27 @@ def gamma_quantile(p: float, law: GammaLaw) -> float:
     )
 
 
-def _noncentral_chi2_mix(x: float, law: NoncentralChi2Law, term_fn):
-    """Poisson-mixture sum over central chi-squared terms, mode-outward in log space.
+def poisson_mixture_terms(half_lam: float):
+    """Poisson weights of the noncentral chi-squared mixture, in summation order.
 
-    ``term_fn(half_dof_plus_j)`` evaluates the central-chi-squared factor of
-    term j. Returns (value, discarded Poisson tail mass bound).
+    Returns (terms, tail): ``terms`` lists (j, w_j) with w_j = e^{-h} h^j / j!
+    for h = ``half_lam``, visited outward from the mode (j = floor(h), then
+    alternately one step down and one step up) and formed in log space; ``tail``
+    bounds the Poisson mass left out. h = 0 gives the point mass [(0, 1.0)], the
+    central law. Which terms are visited, in what order and with what weights
+    depends on h alone, so every evaluation point of one law can share the list.
     """
-    half_lam = 0.5 * law.noncentrality
+    if not (half_lam >= 0.0):
+        raise ValueError(f"poisson_mixture_terms requires half_lam >= 0, got {half_lam}")
+    if half_lam == 0.0:
+        return [(0, 1.0)], 0.0
     log_half_lam = math.log(half_lam)
 
     def log_pois(j: int) -> float:
         return -half_lam + j * log_half_lam - math.lgamma(j + 1.0)
 
     mode = int(half_lam)
-    total = 0.0
+    terms = []
     weight_acc = 0.0
     j_down, j_up = mode, mode + 1
     down_done, up_done = False, False
@@ -201,7 +214,7 @@ def _noncentral_chi2_mix(x: float, law: NoncentralChi2Law, term_fn):
         progressed = False
         if not down_done and j_down >= 0:
             w = math.exp(log_pois(j_down))
-            total += w * term_fn(0.5 * law.dof + j_down)
+            terms.append((j_down, w))
             weight_acc += w
             # Left side is finite; once weights vanish the remaining mass there
             # is dominated by the already-negligible last weight.
@@ -213,24 +226,33 @@ def _noncentral_chi2_mix(x: float, law: NoncentralChi2Law, term_fn):
             down_done = True
         if not up_done:
             w = math.exp(log_pois(j_up))
-            total += w * term_fn(0.5 * law.dof + j_up)
+            terms.append((j_up, w))
             weight_acc += w
             if w < POISSON_TAIL_TOL * 1e-3 and j_up > mode + 1:
                 up_done = True
             j_up += 1
             progressed = True
-        if 1.0 - weight_acc < POISSON_TAIL_TOL:
-            return total, max(0.0, 1.0 - weight_acc)
-        if down_done and up_done:
-            # Weights exhausted on both flanks: the unaccumulated mass is below
+        if 1.0 - weight_acc < POISSON_TAIL_TOL or (down_done and up_done):
+            # Either the accumulated mass is within the tolerance, or the weights
+            # are exhausted on both flanks: the unaccumulated mass is then below
             # the per-term cutoff times the number of skipped terms, itself
             # bounded by the tail tolerance.
-            return total, max(0.0, 1.0 - weight_acc)
+            return terms, max(0.0, 1.0 - weight_acc)
         if not progressed:  # pragma: no cover - defensive
             break
     raise NonConvergenceError(
-        f"noncentral chi-squared mixture did not converge for x={x}, {law}"
+        f"Poisson mixture weights did not converge for half noncentrality {half_lam}"
     )
+
+
+def _noncentral_chi2_mix(law: NoncentralChi2Law, term_fn):
+    """Sum of w_j * term_fn(dof/2 + j) over the law's Poisson terms; returns (value, tail)."""
+    terms, tail = poisson_mixture_terms(0.5 * law.noncentrality)
+    half_dof = 0.5 * law.dof
+    total = 0.0
+    for j, w in terms:
+        total += w * term_fn(half_dof + j)
+    return total, tail
 
 
 def noncentral_chi2_cdf_with_bound(x: float, law: NoncentralChi2Law):
@@ -239,11 +261,8 @@ def noncentral_chi2_cdf_with_bound(x: float, law: NoncentralChi2Law):
         raise ValueError(f"noncentral_chi2_cdf requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0, 0.0
-    if law.noncentrality == 0.0:
-        return reg_inc_gamma_lower(0.5 * law.dof, 0.5 * x), 0.0
-    value, tail = _noncentral_chi2_mix(
-        x, law, lambda half_dof: reg_inc_gamma_lower(half_dof, 0.5 * x)
-    )
+    half_x = 0.5 * x
+    value, tail = _noncentral_chi2_mix(law, lambda a: reg_inc_gamma_lower(a, half_x))
     return min(1.0, max(0.0, value)), tail
 
 
@@ -270,11 +289,7 @@ def noncentral_chi2_pdf(x: float, law: NoncentralChi2Law) -> float:
     """
     if not (x > 0.0):
         raise ValueError(f"noncentral_chi2_pdf requires x > 0, got {x}")
-    if law.noncentrality == 0.0:
-        return math.exp(_central_chi2_log_pdf(x, 0.5 * law.dof))
-    value, _ = _noncentral_chi2_mix(
-        x, law, lambda half_dof: math.exp(_central_chi2_log_pdf(x, half_dof))
-    )
+    value, _ = _noncentral_chi2_mix(law, lambda a: math.exp(_central_chi2_log_pdf(x, a)))
     return max(0.0, value)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .specfun import GammaLaw, NoncentralChi2Law, gamma_quantile, noncentral_chi2_cdf
+from .specfun import GammaLaw, gamma_quantile, poisson_mixture_terms, reg_inc_gamma_lower
 
 _ROW_SUM_TOL = 1e-10
 _STATIONARY_TOL = 1e-12
@@ -152,26 +152,42 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     chi-squared CDF with dof 4ab/s^2 and noncentrality 2c V_i e^{-a dt},
     c = 2a / ((1 - e^{-a dt}) s^2), and m_j are midpoints between neighboring
     grid values (+-infinity at the ends, so rows sum to exactly one).
+
+    F is the Poisson mixture of ``specfun``. Row i's Poisson terms (j, w_j)
+    come from ``poisson_mixture_terms`` once for all its midpoints, and the
+    incomplete-gamma column P(dof/2 + j, c m) over the midpoints is computed
+    once per j and shared by every row that visits j. Each row accumulates
+    w_j * column in the order of its terms, which is the same sequence of
+    floating-point operations as ``noncentral_chi2_cdf`` at each midpoint.
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt}")
     s2 = p.sigma * p.sigma
     decay = math.exp(-p.alpha * dt)
     c = 2.0 * p.alpha / ((1.0 - decay) * s2)
-    dof = 4.0 * p.alpha * p.beta / s2
+    half_dof = 0.5 * (4.0 * p.alpha * p.beta / s2)
     values = grid.values
     n = values.size
     midpoints = 0.5 * (values[:-1] + values[1:])
-    probs = np.empty((n, n))
+    half_x = (0.5 * (2.0 * c * midpoints)).tolist()  # x/2 at x = 2c m, as the scalar CDF forms it
+    columns = {}
+    cdf = np.empty((n, n - 1))
     for i in range(n):
-        law = NoncentralChi2Law(dof=dof, noncentrality=2.0 * c * values[i] * decay)
-        cdf_at_mid = np.array([noncentral_chi2_cdf(2.0 * c * m, law) for m in midpoints])
-        row = np.empty(n)
-        row[0] = cdf_at_mid[0] if n > 1 else 1.0
-        if n > 1:
-            row[1:-1] = np.diff(cdf_at_mid)
-            row[-1] = 1.0 - cdf_at_mid[-1]
-        probs[i] = row
+        terms, _ = poisson_mixture_terms(0.5 * (2.0 * c * float(values[i]) * decay))
+        total = np.zeros(n - 1)
+        for j, w in terms:
+            col = columns.get(j)
+            if col is None:
+                col = columns[j] = np.array([reg_inc_gamma_lower(half_dof + j, x) for x in half_x])
+            total += w * col
+        cdf[i] = np.minimum(1.0, np.maximum(0.0, total))
+    probs = np.empty((n, n))
+    if n == 1:
+        probs[0, 0] = 1.0
+    else:
+        probs[:, 0] = cdf[:, 0]
+        probs[:, 1:-1] = np.diff(cdf, axis=1)
+        probs[:, -1] = 1.0 - cdf[:, -1]
     return TransitionMatrix(probs=probs, dt=dt)
 
 

@@ -125,6 +125,21 @@ class TestLlrExperiment:
         )
         assert [s.llr_log10 for s in serial] == [s.llr_log10 for s in parallel]
 
+    def test_all_failing_fit_marks_trial_failed(self, rng, monkeypatch):
+        from volhmm import estimate
+        from volhmm.errors import ZeroLikelihoodError
+
+        def impossible(*args, **kwargs):
+            raise ZeroLikelihoodError("no path explains the data")
+
+        monkeypatch.setattr(estimate, "log_likelihood_binned", impossible)
+        dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
+        spec = ClassicalFitSpec(kind="nonparam", n_states=2, grid=dgp.grid)
+        cfg = FitConfig(max_iter=20, restarts=1)
+        samples = llr_experiment(dgp, spec, spec, trials=2, n_steps=20, cfg=cfg, seed=7, workers=1)
+        assert [s.status for s in samples] == ["failed", "failed"]
+        assert all(s.message.startswith("NumericalError") for s in samples)
+
     def test_summary_and_histogram(self):
         from volhmm.analysis import LlrSample
 

@@ -120,6 +120,40 @@ class TestFitCommand:
         _, symbols = read_data_csv(str(data))
         assert qhmm_sequence_logprob(model, symbols) == pytest.approx(-report["nll"], abs=1e-12)
 
+    def test_negative_symbol_exits_2_for_classical_kinds(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        data = tmp_path / "d.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(data)])
+        lines = data.read_text().splitlines()
+        head, _, _ = lines[3].rpartition(",")
+        lines[3] = head + ",-1"
+        data.write_text("\n".join(lines) + "\n")
+        for kind in ("cir", "nonparam"):
+            out = tmp_path / kind
+            code = main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out),
+                         "--kind", kind])
+            assert code == 2
+            assert not (tmp_path / f"{kind}.report.json").exists()
+
+    def test_missing_out_directory_fails_before_fitting(self, tmp_path, monkeypatch, capsys):
+        from volhmm import estimate
+
+        cfg = write_config(tmp_path / "c.json")
+        data = tmp_path / "d.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(data)])
+        calls = []
+        monkeypatch.setattr(estimate, "fit_classical", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "missing_dir" / "x"
+        assert main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
+        assert calls == []
+        assert "missing_dir" in capsys.readouterr().err
+
+    def test_unwritable_output_maps_to_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "missing_dir" / "d.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_data_row_is_located(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         data = tmp_path / "d.csv"
@@ -157,6 +191,16 @@ class TestLlrCommand:
         hist = json.loads((tmp_path / "r1.hist.json").read_text())
         assert len(hist["histogram"]["counts"]) == 40
         assert "negative_fraction" in hist["summary"]
+
+    def test_missing_out_directory_fails_before_trials(self, tmp_path, monkeypatch):
+        from volhmm import analysis
+
+        cfg = self._llr_config(tmp_path)
+        calls = []
+        monkeypatch.setattr(analysis, "llr_experiment", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "missing_dir" / "r"
+        assert main(["llr", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 2
+        assert calls == []
 
     def test_single_trial(self, tmp_path):
         cfg = self._llr_config(tmp_path)

@@ -9,7 +9,8 @@ from volhmm.chmm import (
     log_likelihood_binned,
     simulate,
 )
-from volhmm.errors import NumericalError, ValidationError
+from volhmm import estimate
+from volhmm.errors import NumericalError, ValidationError, ZeroLikelihoodError
 from volhmm.estimate import (
     KIND_CIR,
     KIND_NONPARAM,
@@ -181,6 +182,54 @@ class TestFitQhmm:
         spec = AnsatzSpec(1, 1, reps=1)
         with pytest.raises(ValidationError):
             fit_qhmm(np.array([0, 1, 2]), spec, FitConfig())
+
+
+class TestFitFailures:
+    """A fit that never reached a feasible, evaluable point is an error, not a result."""
+
+    def _symbols(self):
+        dgp = sp500_dgp(n_states=4, k=2)
+        return dgp, simulate(dgp, 60, seed=21)[3]
+
+    def test_negative_symbol_rejected(self):
+        dgp, symbols = self._symbols()
+        symbols = symbols.copy()
+        symbols[5] = -1
+        with pytest.raises(ValidationError, match="out of range"):
+            fit_classical(
+                symbols, KIND_NONPARAM, 4, 2, dgp.scheme, FitConfig(max_iter=5, restarts=1),
+                grid=dgp.grid,
+            )
+
+    def test_symbol_above_scheme_rejected(self):
+        dgp, symbols = self._symbols()
+        with pytest.raises(ValidationError, match="out of range"):
+            fit_classical(np.append(symbols, 4), KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=5))
+
+    def test_all_evaluations_failing_raises(self, monkeypatch):
+        def impossible(*args, **kwargs):
+            raise ZeroLikelihoodError("no path explains the data")
+
+        monkeypatch.setattr(estimate, "log_likelihood_binned", impossible)
+        dgp, symbols = self._symbols()
+        with pytest.raises(NumericalError, match="feasible"):
+            fit_classical(symbols, KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=20, restarts=2))
+
+    def test_barrier_only_fit_raises(self):
+        dgp, symbols = self._symbols()
+        with pytest.raises(NumericalError, match="feasible"):
+            fit_classical(symbols, KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=3, restarts=1),
+                          theta0=[-1.0, -0.1, -0.5])
+
+    def test_qhmm_all_evaluations_failing_raises(self, monkeypatch):
+        def impossible(*args, **kwargs):
+            raise ZeroLikelihoodError("no path explains the data")
+
+        monkeypatch.setattr(estimate, "qhmm_sequence_logprob", impossible)
+        with pytest.raises(NumericalError, match="feasible"):
+            fit_qhmm(
+                np.array([0, 1, 1, 0]), AnsatzSpec(1, 1, reps=1), FitConfig(max_iter=10, restarts=2)
+            )
 
 
 class TestPenaltyLambda:
