@@ -13,6 +13,8 @@ A sequence model's generalized Hankel matrix holds string probabilities
 indexed by (prefix, suffix) pairs; its numerical rank bounds the minimal
 realization order (state count classically, squared state count for a quantum
 channel).
+Both families enter in observable-operator form (``model.operators()``); only
+symbol simulation differs by family.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .chmm import ClassicalHmm, log_likelihood_binned, sequence_probability, simulate
+from .chmm import ClassicalHmm, simulate
 from .errors import ValidationError
 from .estimate import (
     FitConfig,
@@ -34,13 +36,8 @@ from .estimate import (
     fit_qhmm,
     penalty_lambda,
 )
-from .qhmm import (
-    AnsatzSpec,
-    QhmmModel,
-    qhmm_sequence_logprob,
-    qhmm_sequence_probability,
-    qhmm_simulate,
-)
+from .operators import leaves, log_likelihood, vectors
+from .qhmm import AnsatzSpec, QhmmModel, qhmm_simulate
 from .seeds import derive_seed
 from .volgrid import ObservationScheme, SpotGrid
 
@@ -48,28 +45,8 @@ _EXACT_KL_CAP = 1_000_000
 _HANKEL_CAP = 10_000
 
 
-def model_n_obs(model) -> int:
-    return model.n_obs
-
-
-def model_sequence_probability(model, obs) -> float:
-    """Exact string probability for either model family (0 allowed)."""
-    if isinstance(model, ClassicalHmm):
-        return sequence_probability(model, obs)
-    if isinstance(model, QhmmModel):
-        return qhmm_sequence_probability(model, obs)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
-
-
-def model_loglik(model, obs) -> float:
-    if isinstance(model, ClassicalHmm):
-        return log_likelihood_binned(model, obs)
-    if isinstance(model, QhmmModel):
-        return qhmm_sequence_logprob(model, obs)
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
-
-
 def model_simulate_symbols(model, n_steps: int, seed) -> np.ndarray:
+    """Symbols from either family (a classical model draws its substep path)."""
     if isinstance(model, ClassicalHmm):
         return simulate(model, n_steps, seed)[3]
     if isinstance(model, QhmmModel):
@@ -78,34 +55,31 @@ def model_simulate_symbols(model, n_steps: int, seed) -> np.ndarray:
 
 
 def kl_exact_small(dgp, candidate, n_steps: int) -> float:
-    """Exact KL divergence over all symbol strings of length n_steps."""
-    n_obs = model_n_obs(dgp)
-    if model_n_obs(candidate) != n_obs:
+    """Exact KL divergence over all symbol strings of length n_steps, by prefix-tree walks."""
+    n_obs = dgp.n_obs
+    if candidate.n_obs != n_obs:
         raise ValidationError("models must share the observation alphabet")
     if n_obs**n_steps > _EXACT_KL_CAP:
         raise ValidationError(
             f"{n_obs}^{n_steps} sequences exceeds the exact-KL cap {_EXACT_KL_CAP}"
         )
-    total = 0.0
-    for seq in itertools.product(range(n_obs), repeat=n_steps):
-        p = model_sequence_probability(dgp, seq)
-        if p <= 0.0:
-            continue
-        q = model_sequence_probability(candidate, seq)
-        if q <= 0.0:
-            return math.inf
-        total += p * (math.log(p) - math.log(q))
-    return total
+    logp, _ = leaves(dgp.operators(), n_steps)
+    logq, _ = leaves(candidate.operators(), n_steps)
+    seen = logp > -math.inf
+    if np.any(logq[seen] == -math.inf):
+        return math.inf
+    return float(np.sum(np.exp(logp[seen]) * (logp[seen] - logq[seen])))
 
 
 def kl_monte_carlo(dgp, candidate, trials: int, n_steps: int, seed):
     """Monte-Carlo KL estimate and its standard error from simulated sequences."""
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
+    ops_p, ops_q = dgp.operators(), candidate.operators()
     diffs = np.empty(trials)
     for trial in range(trials):
         seq = model_simulate_symbols(dgp, n_steps, derive_seed(seed, "kl-mc", trial))
-        diffs[trial] = model_loglik(dgp, seq) - model_loglik(candidate, seq)
+        diffs[trial] = log_likelihood(ops_p, seq) - log_likelihood(ops_q, seq)
     return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(trials))
 
 
@@ -120,6 +94,9 @@ class QhmmFitSpec:
         a = self.ansatz
         return f"qhmm(l={a.latent_qubits},o={a.observed_qubits},reps={a.reps},{a.entanglement})"
 
+    def fit(self, data, k: int, scheme: ObservationScheme, cfg: FitConfig, delta: float):
+        return fit_qhmm(data, self.ansatz, cfg)
+
 
 @dataclass(frozen=True)
 class ClassicalFitSpec:
@@ -133,6 +110,11 @@ class ClassicalFitSpec:
     def label(self) -> str:
         return f"{self.kind}(n={self.n_states})"
 
+    def fit(self, data, k: int, scheme: ObservationScheme, cfg: FitConfig, delta: float):
+        return fit_classical(
+            data, self.kind, self.n_states, k, scheme, cfg, grid=self.grid, delta=delta
+        )
+
 
 @dataclass
 class LlrSample:
@@ -144,25 +126,13 @@ class LlrSample:
     message: str = ""
 
 
-def _fit_spec(data, spec, k: int, scheme: ObservationScheme, cfg: FitConfig, delta: float):
-    if isinstance(spec, QhmmFitSpec):
-        result, model = fit_qhmm(data, spec.ansatz, cfg)
-    elif isinstance(spec, ClassicalFitSpec):
-        result, model = fit_classical(
-            data, spec.kind, spec.n_states, k, scheme, cfg, grid=spec.grid, delta=delta
-        )
-    else:
-        raise ValidationError(f"unsupported fit spec {type(spec).__name__}")
-    return result, model
-
-
 def _llr_trial(trial, dgp, spec_i, spec_j, n_steps, k, scheme, cfg, seed, delta):
     data = simulate(dgp, n_steps, derive_seed(seed, "llr-data", trial))[3]
     try:
         cfg_i = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_i.label))
         cfg_j = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_j.label))
-        result_i, _ = _fit_spec(data, spec_i, k, scheme, cfg_i, delta)
-        result_j, _ = _fit_spec(data, spec_j, k, scheme, cfg_j, delta)
+        result_i, _ = spec_i.fit(data, k, scheme, cfg_i, delta)
+        result_j, _ = spec_j.fit(data, k, scheme, cfg_j, delta)
     except Exception as exc:  # per-trial failures are recorded, not fatal
         return LlrSample(
             trial=trial, loglik_model_i=math.nan, loglik_model_j=math.nan,
@@ -258,7 +228,13 @@ class HankelMatrix:
     entries: np.ndarray
 
 
-def _strings_up_to(n_obs: int, depth: int):
+def _hankel_labels(n_obs: int, depth: int):
+    """Index strings of length <= depth: the empty string, then by length and lexicographically."""
+    if depth < 1:
+        raise ValidationError(f"depth must be >= 1, got {depth}")
+    total = sum(n_obs**length for length in range(depth + 1))
+    if total > _HANKEL_CAP:
+        raise ValidationError(f"{total} index strings exceeds the Hankel cap {_HANKEL_CAP}")
     labels = [()]
     for length in range(1, depth + 1):
         labels.extend(itertools.product(range(n_obs), repeat=length))
@@ -267,12 +243,7 @@ def _strings_up_to(n_obs: int, depth: int):
 
 def build_hankel(prob_oracle, n_obs: int, depth: int) -> HankelMatrix:
     """Hankel matrix of a sequence-probability oracle, strings of length <= depth."""
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
-    total = sum(n_obs**length for length in range(depth + 1))
-    if total > _HANKEL_CAP:
-        raise ValidationError(f"{total} index strings exceeds the Hankel cap {_HANKEL_CAP}")
-    labels = _strings_up_to(n_obs, depth)
+    labels = _hankel_labels(n_obs, depth)
     entries = np.empty((len(labels), len(labels)))
     for r, prefix in enumerate(labels):
         for c, suffix in enumerate(labels):
@@ -281,9 +252,11 @@ def build_hankel(prob_oracle, n_obs: int, depth: int) -> HankelMatrix:
 
 
 def hankel_of_model(model, depth: int) -> HankelMatrix:
-    return build_hankel(
-        lambda seq: model_sequence_probability(model, seq), model_n_obs(model), depth
-    )
+    """H = P S^T from prefix forward vectors x0 M_p and suffix backward vectors M_w out."""
+    labels = _hankel_labels(model.n_obs, depth)
+    ops = model.operators()
+    entries = vectors(ops, depth) @ vectors(ops, depth, backward=True).T
+    return HankelMatrix(depth=depth, labels=labels, entries=entries.real)
 
 
 def numerical_rank(matrix, rel_tol: float = 1e-9) -> int:

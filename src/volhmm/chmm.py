@@ -10,11 +10,10 @@ matrix therefore attaches to the state at the *start* of each period,
     P(symbol s | state i) = sum_j g[i, j] * NormalBinMass(s; Vbar_j),
 
 and the matched filter is weight-then-propagate: reweight the current state
-distribution by the emission column, normalize, then push through the
-period-level transition matrix A = A_hf^k. Summed per-step log-normalizers
-equal the exact sequence log-probability, which is also available through the
-observable-operator product (diagonal emission weight followed by A) for
-Hankel-matrix work.
+distribution by the emission column, then push it through the period-level
+transition matrix A = A_hf^k, i.e. apply the observable operator diag(e_s) A
+(``ClassicalHmm.operators``) in the shared kernel of ``volhmm.operators``.
+The continuous-returns filter weights by Gaussian-mixture densities instead.
 
 Two groupings of the substep paths are supported: ``multiset`` keys paths by
 the multiset of visited states (exact Vbar values, C(n_L+k-1, k) columns) and
@@ -31,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EnumerationCapError, ValidationError, ZeroLikelihoodError
+from . import operators
+from .errors import EnumerationCapError, ValidationError
 from .volgrid import (
     ObservationScheme,
     SpotGrid,
@@ -145,6 +145,13 @@ class ClassicalHmm:
     def n_obs(self) -> int:
         return self.scheme.n_bins
 
+    def operators(self, order: str = WEIGHT_FIRST) -> operators.OperatorModel:
+        """Operators diag(e_s) A (A diag(e_s) propagate-first), with start x0 and out = 1."""
+        _check_order(order)
+        e, a = self.emission.probs.T, self.a.probs  # row s of e is the emission column e_s
+        ops = a * e[:, None, :] if order == PROPAGATE_FIRST else e[:, :, None] * a
+        return operators.OperatorModel(self.x0, ops, np.ones(self.n_states))
+
 
 @dataclass
 class FilterTrace:
@@ -218,9 +225,8 @@ def build_integrated_table(
     paths, group_ids, n_groups, member_counts, reps = _path_layout(n, k, mode)
     probs = _path_probs(a_hf.probs, k)  # (n, n_paths)
 
-    # Group probability mass per start state in one flattened bincount.
-    flat_ids = (group_ids[None, :] + n_groups * np.arange(n)[:, None]).ravel()
-    g = np.bincount(flat_ids, weights=probs.ravel(), minlength=n * n_groups).reshape(n, n_groups)
+    # Group probability mass per start state, one bincount per row: no (n, n_paths) index array.
+    g = np.stack([np.bincount(group_ids, weights=row, minlength=n_groups) for row in probs])
     g /= g.sum(axis=1, keepdims=True)
 
     if mode == MULTISET:
@@ -293,36 +299,13 @@ def forward_step(
     x_prev: np.ndarray, hmm: ClassicalHmm, symbol: int, order: str = WEIGHT_FIRST
 ):
     """One filter update; returns (next state distribution, log-likelihood increment)."""
-    _check_order(order)
-    e = hmm.emission.probs[:, symbol]
-    if order == WEIGHT_FIRST:
-        w = x_prev * e
-        total = w.sum()
-        if total <= 0.0:
-            raise ZeroLikelihoodError(f"symbol {symbol} has zero probability")
-        return (w / total) @ hmm.a.probs, math.log(total)
-    xp = x_prev @ hmm.a.probs
-    w = xp * e
-    total = w.sum()
-    if total <= 0.0:
-        raise ZeroLikelihoodError(f"symbol {symbol} has zero probability")
-    return w / total, math.log(total)
+    steps, x = operators.filtered(hmm.operators(order), [symbol], np.asarray(x_prev)[None, :])
+    return x[0], math.log(steps[0, 0])
 
 
 def log_likelihood_binned(hmm: ClassicalHmm, obs, order: str = WEIGHT_FIRST) -> float:
     """Log-probability of a symbol sequence via the forward recursion."""
-    obs = np.asarray(obs, dtype=np.int64)
-    if obs.size and (obs.min() < 0 or obs.max() >= hmm.n_obs):
-        raise ValidationError("symbols out of range for the observation scheme")
-    x = hmm.x0
-    total = 0.0
-    for t, symbol in enumerate(obs):
-        try:
-            x, inc = forward_step(x, hmm, int(symbol), order=order)
-        except ZeroLikelihoodError as exc:
-            raise ZeroLikelihoodError(f"zero likelihood at step {t}: {exc}", step=t) from None
-        total += inc
-    return total
+    return operators.log_likelihood(hmm.operators(order), obs)
 
 
 def _continuous_state_weights(hmm: ClassicalHmm, returns):
@@ -368,24 +351,15 @@ def filter_path(
     """
     if (obs is None) == (returns is None):
         raise ValidationError("provide exactly one of obs or returns")
-    _check_order(order)
-    expected_vbar = hmm.table.g @ hmm.table.vbar_values
-    seq = obs if obs is not None else returns
-    n_steps = len(seq)
-    states = np.empty((n_steps, hmm.n_states))
-    incs = np.empty(n_steps)
-    fvbar = np.empty(n_steps)
-    x = hmm.x0
-    weights = _continuous_state_weights(hmm, returns) if returns is not None else None
-    for t in range(n_steps):
-        fvbar[t] = float(x @ expected_vbar)
-        if obs is not None:
-            try:
-                x, incs[t] = forward_step(x, hmm, int(seq[t]), order=order)
-            except ZeroLikelihoodError as exc:
-                raise ZeroLikelihoodError(f"zero likelihood at step {t}: {exc}", step=t) from None
-        else:
-            e, shift = next(weights)
+    if obs is not None:
+        steps, states = operators.filtered(hmm.operators(order), obs, keep_states=True)
+        states, incs = states[:, 0], np.log(steps[0])
+    else:
+        _check_order(order)
+        states = np.empty((len(returns), hmm.n_states))
+        incs = np.empty(len(returns))
+        x = hmm.x0
+        for t, (e, shift) in enumerate(_continuous_state_weights(hmm, returns)):
             w = x * e
             s = w.sum()
             incs[t] = math.log(s) + shift
@@ -395,8 +369,10 @@ def filter_path(
                 xp = x @ hmm.a.probs
                 w = xp * e
                 x = w / w.sum()
-        states[t] = x
-    return FilterTrace(states=states, loglik_increments=incs, filtered_vbar=fvbar)
+            states[t] = x
+    prior = np.vstack([hmm.x0, states])[:-1]  # the state each period starts from
+    expected_vbar = hmm.table.g @ hmm.table.vbar_values
+    return FilterTrace(states=states, loglik_increments=incs, filtered_vbar=prior @ expected_vbar)
 
 
 def simulate(hmm: ClassicalHmm, n_periods: int, seed):
@@ -432,11 +408,5 @@ def simulate(hmm: ClassicalHmm, n_periods: int, seed):
 
 
 def sequence_probability(hmm: ClassicalHmm, obs) -> float:
-    """Exact probability of a symbol sequence via the observable-operator product."""
-    obs = np.asarray(obs, dtype=np.int64)
-    if obs.size and (obs.min() < 0 or obs.max() >= hmm.n_obs):
-        raise ValidationError("symbols out of range for the observation scheme")
-    v = hmm.x0.copy()
-    for symbol in obs:
-        v = (v * hmm.emission.probs[:, symbol]) @ hmm.a.probs
-    return float(v.sum())
+    """Exact probability of a symbol sequence (0 allowed)."""
+    return operators.probability(hmm.operators(), obs)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -59,21 +61,15 @@ def _nonneg(x):
     return x >= 0
 
 
-_FIT_CONFIG_SCHEMA = {
-    "max_iter": _opt(int, 2000, _positive),
-    "ftol": _opt(float, 1e-9, _positive),
-    "xtol": _opt(float, 1e-9, _positive),
-    "initial_simplex_scale": _opt(float, 0.1, _positive),
-    "seed": _opt(int, 0),
-    "restarts": _opt(int, 5, _positive),
-}
+def _dataclass_schema(cls) -> dict:
+    """Schema of a section filling ``cls``: field types and defaults (``cls`` checks ranges)."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING
+        schema[f.name] = _req(hints[f.name]) if required else _opt(hints[f.name], f.default)
+    return schema
 
-_ANSATZ_SCHEMA = {
-    "latent_qubits": _req(int, _positive),
-    "observed_qubits": _req(int, _positive),
-    "reps": _opt(int, 3, _nonneg),
-    "entanglement": _opt(str, "full", lambda s: s in ("full", "linear")),
-}
 
 _FIT_SCHEMA = {
     "kind": _req(str, lambda s: s in _FIT_KINDS),
@@ -111,14 +107,6 @@ _SCHEMAS = {
         "m_classical": _req(int, _positive),
         "m_quantum": _req(int, _positive),
         "constants": _opt(dict, None),
-    },
-    "constants": {
-        "c_lambda": _opt(float, 1.0, _positive),
-        "eta": _opt(float, 1.0, lambda x: 0 < x <= 1),
-        "w_m": _opt(float, 1.0, _nonneg),
-        "c_aux": _opt(float, 1.0, lambda x: x >= 1),
-        "a_const": _opt(float, 1.0, _positive),
-        "tau": _opt(float, 1.0, lambda x: x >= 1),
     },
 }
 
@@ -161,6 +149,15 @@ def validate_section(doc: dict, schema: dict, path: str) -> dict:
     return out
 
 
+def _build(cls, doc, path: str):
+    """The dataclass ``cls`` from an optional config section; its range errors name the section."""
+    values = validate_section(doc or {}, _dataclass_schema(cls), path)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"config: {path}: {exc}") from None
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -192,15 +189,11 @@ def parse_fit_section(section: dict, path: str):
     if kind == estimate.KIND_QHMM:
         if section["ansatz"] is None:
             raise ValidationError(f"config: {path}: qhmm fits need an 'ansatz' object")
-        a = validate_section(section["ansatz"], _ANSATZ_SCHEMA, f"{path}.ansatz")
-        ansatz = qhmm.AnsatzSpec(**a)
+        ansatz = _build(qhmm.AnsatzSpec, section["ansatz"], f"{path}.ansatz")
     else:
         if section["n_states"] is None:
             raise ValidationError(f"config: {path}: classical fits need 'n_states'")
-    raw_cfg = section["config"] or {}
-    cfg = estimate.FitConfig(
-        **validate_section(raw_cfg, _FIT_CONFIG_SCHEMA, f"{path}.config")
-    )
+    cfg = _build(estimate.FitConfig, section["config"], f"{path}.config")
     return kind, section["n_states"], ansatz, section["data_kind"], cfg
 
 
@@ -341,11 +334,7 @@ def cmd_fit(args) -> int:
     consts = estimate.PenaltyConstants()
     if "bounds" in config:
         bounds_section = get_section(config, "bounds")
-        consts = estimate.PenaltyConstants(
-            **validate_section(
-                bounds_section["constants"] or {}, _SCHEMAS["constants"], "bounds.constants"
-            )
-        )
+        consts = _build(estimate.PenaltyConstants, bounds_section["constants"], "bounds.constants")
     fitted_states = ansatz.dim_latent if kind == estimate.KIND_QHMM else n_states
     n_data = int(symbols.size)
     lam = (
@@ -513,9 +502,7 @@ def cmd_hankel(args) -> int:
 def cmd_bounds(args) -> int:
     config = load_config(args.config)
     section = get_section(config, "bounds")
-    consts = estimate.PenaltyConstants(
-        **validate_section(section["constants"] or {}, _SCHEMAS["constants"], "bounds.constants")
-    )
+    consts = _build(estimate.PenaltyConstants, section["constants"], "bounds.constants")
     report = analysis.nab_bounds(
         kl_inf_estimate=section["kl_inf_estimate"],
         n_periods=section["n_periods"],

@@ -90,13 +90,13 @@ class PenaltyConstants:
             raise ValidationError("c_lambda must be positive")
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError("eta must lie in (0, 1]")
-        if self.w_m < 0.0:
+        if not (self.w_m >= 0.0):
             raise ValidationError("w_m must be nonnegative")
-        if self.c_aux < 1.0:
+        if not (self.c_aux >= 1.0):
             raise ValidationError("c_aux must be >= 1")
         if not (self.a_const > 0.0):
             raise ValidationError("a_const must be positive")
-        if self.tau < 1.0:
+        if not (self.tau >= 1.0):
             raise ValidationError("tau must be >= 1")
 
 

@@ -12,6 +12,8 @@ latent belief state is a density matrix rho; observing symbol i yields
 probability tr(K_i rho K_i^dagger) and posterior K_i rho K_i^dagger / prob.
 Sequence log-probabilities accumulate the per-step normalizers, which equals
 the log of the single end-to-end trace but stays finite at long horizons.
+As vec(K_i rho K_i^dagger) = vec(rho) (K_i (x) conj K_i)^T, filtering runs the
+shared kernel of ``volhmm.operators`` on d^2-dimensional vectors.
 
 Index conventions (fixed; Kraus extraction is sensitive to them): the joint
 basis index is latent_index * n_obs + observed_index, i.e. the latent register
@@ -30,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroLikelihoodError
+from . import operators
+from .errors import ValidationError
 
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-10
-_MIN_STEP_PROB = 1e-300
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -133,6 +135,13 @@ class QhmmModel:
     @property
     def n_obs(self) -> int:
         return self.kraus.shape[0]
+
+    def operators(self) -> operators.OperatorModel:
+        """Observable-operator form: vec(rho0), (K_s (x) conj K_s)^T per symbol, vec(I)."""
+        n, d, _ = self.kraus.shape
+        # Entry [(c, e), (a, b)] of operator s is K_s[a, c] conj K_s[b, e].
+        ops = np.einsum("sac,sbe->sceab", self.kraus, self.kraus.conj()).reshape(n, d * d, d * d)
+        return operators.OperatorModel(self.rho0.matrix.ravel(), ops, np.eye(d).ravel())
 
 
 def _ry(angle: float) -> np.ndarray:
@@ -261,71 +270,31 @@ def partial_trace(matrix: np.ndarray, keep: str, dims) -> DensityMatrix:
     return DensityMatrix(matrix=reduced)
 
 
-def _step_raw(rho: np.ndarray, kraus_i: np.ndarray):
-    sigma = kraus_i @ rho @ kraus_i.conj().T
-    prob = float(np.trace(sigma).real)
-    return sigma, prob
-
-
 def qhmm_step(rho: DensityMatrix, model: QhmmModel, symbol: int):
     """Condition the latent state on one observed symbol; returns (rho_next, prob)."""
-    if not (0 <= symbol < model.n_obs):
-        raise ValidationError(f"symbol {symbol} out of range for {model.n_obs} outcomes")
-    sigma, prob = _step_raw(rho.matrix, model.kraus[symbol])
-    if prob < _MIN_STEP_PROB:
-        raise ZeroLikelihoodError(f"symbol {symbol} has probability {prob}")
-    sigma = sigma / prob
-    return DensityMatrix(matrix=0.5 * (sigma + sigma.conj().T)), prob
+    steps, x = operators.filtered(model.operators(), [symbol], rho.matrix.reshape(1, -1))
+    sigma = x[0].reshape(rho.dim, rho.dim)
+    return DensityMatrix(matrix=0.5 * (sigma + sigma.conj().T)), float(steps[0, 0])
 
 
 def qhmm_sequence_logprob(model: QhmmModel, obs) -> float:
     """Log-probability of a symbol sequence, accumulated from per-step normalizers."""
-    rho = model.rho0.matrix
-    total = 0.0
-    for t, symbol in enumerate(obs):
-        s = int(symbol)
-        if not (0 <= s < model.n_obs):
-            raise ValidationError(f"symbol {s} out of range for {model.n_obs} outcomes")
-        sigma, prob = _step_raw(rho, model.kraus[s])
-        if prob < _MIN_STEP_PROB:
-            raise ZeroLikelihoodError(f"zero probability at step {t} (symbol {s})", step=t)
-        rho = sigma / prob
-        total += math.log(prob)
-    return total
+    return operators.log_likelihood(model.operators(), obs)
 
 
 def qhmm_sequence_probability(model: QhmmModel, obs) -> float:
-    """Exact sequence probability via the unnormalized operator product (0 allowed)."""
-    sigma = model.rho0.matrix
-    for symbol in obs:
-        s = int(symbol)
-        if not (0 <= s < model.n_obs):
-            raise ValidationError(f"symbol {s} out of range for {model.n_obs} outcomes")
-        sigma = model.kraus[s] @ sigma @ model.kraus[s].conj().T
-    return max(0.0, float(np.trace(sigma).real))
+    """Exact sequence probability (0 allowed)."""
+    return operators.probability(model.operators(), obs)
 
 
 def qhmm_simulate(model: QhmmModel, n_steps: int, seed, return_states: bool = False):
     """Sample a symbol sequence (optionally with the latent trajectory)."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random(n_steps)
-    rho = model.rho0.matrix
-    symbols = np.empty(n_steps, dtype=np.int64)
-    states = [] if return_states else None
-    for t in range(n_steps):
-        sigmas = [model.kraus[i] @ rho @ model.kraus[i].conj().T for i in range(model.n_obs)]
-        probs = np.array([max(0.0, float(np.trace(s).real)) for s in sigmas])
-        cum = np.cumsum(probs / probs.sum())
-        s = min(int(np.searchsorted(cum, uniforms[t], side="right")), model.n_obs - 1)
-        symbols[t] = s
-        rho = sigmas[s] / probs[s]
-        rho = 0.5 * (rho + rho.conj().T)
-        if return_states:
-            states.append(rho.copy())
+    uniforms = np.random.default_rng(seed).random(n_steps)
+    symbols, states = operators.sample(model.operators(), uniforms)
     if return_states:
-        return symbols, states
+        return symbols, [x.reshape(model.rho0.dim, -1) for x in states]
     return symbols
 
 
@@ -340,71 +309,30 @@ class CausalBreakReport:
     markovian: bool
 
 
-def _filter_prefix(model: QhmmModel, prefix) -> np.ndarray:
-    rho = model.rho0.matrix
-    for t, symbol in enumerate(prefix):
-        sigma, prob = _step_raw(rho, model.kraus[int(symbol)])
-        if prob < _MIN_STEP_PROB:
-            raise ZeroLikelihoodError(f"prefix has zero probability at step {t}", step=t)
-        rho = sigma / prob
-        rho = 0.5 * (rho + rho.conj().T)
-    return rho
-
-
-def _continuations_direct(model: QhmmModel, rho: np.ndarray, horizon: int) -> np.ndarray:
-    """Continuation law by unnormalized enumeration of the operator products."""
-    probs = []
-
-    def descend(sigma, depth):
-        if depth == horizon:
-            probs.append(max(0.0, float(np.trace(sigma).real)))
-            return
-        for i in range(model.n_obs):
-            descend(model.kraus[i] @ sigma @ model.kraus[i].conj().T, depth + 1)
-
-    descend(rho, 0)
-    return np.array(probs)
-
-
-def _continuations_filtered(model: QhmmModel, rho: np.ndarray, horizon: int) -> np.ndarray:
-    """Continuation law by stepwise renormalized filtering (multiplying normalizers back)."""
-    probs = []
-
-    def descend(state, acc, depth):
-        if depth == horizon:
-            probs.append(acc)
-            return
-        for i in range(model.n_obs):
-            sigma, prob = _step_raw(state, model.kraus[i])
-            if prob <= 0.0:
-                probs.extend([0.0] * (model.n_obs ** (horizon - depth - 1)))
-                continue
-            descend(sigma / prob, acc * prob, depth + 1)
-
-    descend(rho, 1.0, 0)
-    return np.array(probs)
-
-
 def causal_break_test(
     model: QhmmModel, prefix_a, prefix_b, horizon: int, tol: float = 1e-10
 ) -> CausalBreakReport:
     """Reset-and-continue check of Markovianity.
 
-    Run A filters prefix_a to latent state rho_A and enumerates the law of the
-    next ``horizon`` symbols. Run B filters prefix_b, then undergoes a causal
+    Run A filters prefix_a to latent state rho_A and tabulates the law of the
+    next ``horizon`` symbols directly, pairing rho_A with each continuation's
+    backward effect M_w out. Run B filters prefix_b, then undergoes a causal
     break: its latent state is replaced by rho_A and the same continuation law
-    is tabulated (through a numerically distinct stepwise route). A Markovian
-    channel makes the two laws agree; dependence on run B's earlier emissions
-    would show up as a discrepancy.
+    is tabulated through a numerically distinct route, stepwise renormalized
+    filtering with the normalizers multiplied back. A Markovian channel makes
+    the two laws agree; dependence on run B's earlier emissions would show up
+    as a discrepancy.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    rho_a = _filter_prefix(model, prefix_a)
-    dist_a = _continuations_direct(model, rho_a, horizon)
-    _filter_prefix(model, prefix_b)  # must itself be a positive-probability history
-    rho_after_reset = rho_a.copy()
-    dist_b = _continuations_filtered(model, rho_after_reset, horizon)
+    om = model.operators()
+    rho_a = operators.filtered(om, prefix_a)[1][0]
+    operators.filtered(om, prefix_b)  # must itself be a positive-probability history
     sequences = list(itertools.product(range(model.n_obs), repeat=horizon))
+    logp, effects = operators.leaves(om, horizon, backward=True)
+    dist_a = np.maximum(0.0, (np.exp(logp)[:, None] * effects @ rho_a).real)
+    logp, _ = operators.leaves(om, horizon, rho_a[None, :])
+    dist_b = np.exp(logp)
     max_abs_diff = float(np.max(np.abs(dist_a - dist_b)))
     return CausalBreakReport(
         sequences=sequences,

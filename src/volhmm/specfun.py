@@ -36,6 +36,9 @@ from .errors import NonConvergenceError
 # so they are constants rather than knobs.
 _INCGAMMA_EPS = 1e-16
 _INCGAMMA_MAX_ITER = 500
+# Near x = a the incomplete-gamma expansions need about 8 sqrt(a) terms; a cap of
+# 500 + 5 sqrt(a) covers every x for shapes up to about 1e4 (small-sigma CIR grids).
+_INCGAMMA_SQRT_ITER = 5
 POISSON_TAIL_TOL = 1e-14
 _POISSON_MAX_TERMS = 200_000
 _QUANTILE_TOL = 1e-12
@@ -79,12 +82,16 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _incgamma_max_iter(a: float) -> int:
+    return _INCGAMMA_MAX_ITER + int(_INCGAMMA_SQRT_ITER * math.sqrt(a))
+
+
 def _lower_gamma_series(a: float, x: float) -> float:
     # P(a, x) by the ascending series, reliable for x < a + 1.
     term = 1.0 / a
     total = term
     n = a
-    for _ in range(_INCGAMMA_MAX_ITER):
+    for _ in range(_incgamma_max_iter(a)):
         n += 1.0
         term *= x / n
         total += term
@@ -102,7 +109,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _INCGAMMA_MAX_ITER + 1):
+    for i in range(1, _incgamma_max_iter(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b

@@ -24,8 +24,6 @@ from .errors import NonConvergenceError, ValidationError
 from .specfun import GammaLaw, gamma_quantile, poisson_mixture_terms, reg_inc_gamma_lower
 
 _ROW_SUM_TOL = 1e-10
-_STATIONARY_TOL = 1e-12
-_STATIONARY_MAX_ITER = 100_000
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -237,27 +235,25 @@ def _is_primitive(probs: np.ndarray) -> bool:
 
 
 def stationary_distribution(a: TransitionMatrix) -> np.ndarray:
-    """Left fixed vector pi with pi A = pi, by power iteration from the uniform start.
+    """pi with pi (I - A) = 0, sum(pi) = 1, by Grassmann-Taksar-Heyman elimination.
 
-    Raises NonConvergenceError for reducible or periodic chains, where the
-    ergodic law is not unique or the iteration cannot settle.
+    It uses only off-diagonal entries and never subtracts (Stewart 1994), so pi
+    is nonnegative and accurate even for self-transitions near one. Raises
+    NonConvergenceError for reducible or periodic chains (no unique law).
     """
-    probs = a.probs
-    n = probs.shape[0]
-    if not _is_primitive(probs):
+    if not _is_primitive(a.probs):
         raise NonConvergenceError(
             "chain is reducible or periodic; stationary distribution is not well-defined"
         )
-    pi = np.full(n, 1.0 / n)
-    for _ in range(_STATIONARY_MAX_ITER):
-        nxt = pi @ probs
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < _STATIONARY_TOL:
-            return _freeze(nxt)
-        pi = nxt
-    raise NonConvergenceError(
-        f"power iteration did not converge within {_STATIONARY_MAX_ITER} iterations"
-    )
+    p = np.array(a.probs, dtype=float)
+    for k in range(len(p) - 1, 0, -1):
+        # Censor state k: its transitions to lower states feed the paths through it.
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.ones(len(p))
+    for k in range(1, len(p)):
+        pi[k] = pi[:k] @ p[:k, k]
+    return _freeze(pi / pi.sum())
 
 
 def matrix_power(a: TransitionMatrix, k: int) -> TransitionMatrix:

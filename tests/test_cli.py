@@ -297,6 +297,38 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 2
 
 
+class TestConfigValues:
+    """Out-of-range values in sections that fill a dataclass are rejected by its own checks."""
+
+    def test_fit_config_range(self, tmp_path, capsys):
+        fit = {"kind": "cir", "n_states": 4, "config": {"max_iter": 0}}
+        cfg = write_config(tmp_path / "c.json", fit=fit)
+        code = main(["fit", "--config", str(cfg), "--data", str(tmp_path / "none.csv"),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "config: fit.config: max_iter must be >= 1" in capsys.readouterr().err
+
+    def test_ansatz_register_bound(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            fit_i={"kind": "qhmm", "ansatz": {"latent_qubits": 1, "observed_qubits": 3}},
+            fit_j={"kind": "nonparam", "n_states": 4},
+        )
+        assert main(["llr", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "config: fit_i.ansatz: n_obs must not exceed" in capsys.readouterr().err
+
+    def test_penalty_constant_nan(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            bounds={
+                "kl_inf_estimate": 0.05, "n_periods": 500, "n_states": 16,
+                "m_classical": 240, "m_quantum": 33, "constants": {"w_m": float("nan")},
+            },
+        )
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 2
+        assert "config: bounds.constants: w_m must be nonnegative" in capsys.readouterr().err
+
+
 class TestModelFiles:
     def test_classical_roundtrip_preserves_likelihood(self, tmp_path, rng):
         from conftest import random_classical_hmm

@@ -65,6 +65,16 @@ class TestRegIncGammaLower:
         assert np.all(np.diff(vals) >= 0.0)
         assert all(0.0 <= v <= 1.0 for v in vals)
 
+    @pytest.mark.parametrize(
+        "a,x", [(8796.0, 8764.89), (9321.0, 9321.15), (4519.0, 4519.58), (2.5e4, 2.49e4)]
+    )
+    def test_large_shape_near_the_mean_against_mpmath(self, a, x):
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        ref = float(mp.gammainc(a, 0, x, regularized=True))
+        assert reg_inc_gamma_lower(a, x) == pytest.approx(ref, rel=1e-10)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             reg_inc_gamma_lower(-1.0, 1.0)

@@ -95,6 +95,24 @@ class TestSpotGrid:
 
 
 class TestCirTransitionMatrix:
+    @pytest.mark.parametrize("params", [(1.0, 0.1, 0.01), (0.5, 0.05, 0.01)])
+    def test_small_sigma_builds_on_the_preset_grid(self, params):
+        # shapes near 9e3 with x within sqrt(a) of a: the incomplete-gamma
+        # series needs more terms than a fixed cap of 500
+        from scipy import stats
+
+        p = CirParams(*params)
+        grid = cir_spot_grid(p, 16)
+        mat = cir_transition_matrix(p, grid, 0.25)
+        s2 = p.sigma**2
+        decay = math.exp(-p.alpha * 0.25)
+        c = 2.0 * p.alpha / ((1.0 - decay) * s2)
+        mids = 0.5 * (grid.values[:-1] + grid.values[1:])
+        dof = 4.0 * p.alpha * p.beta / s2
+        cdf = stats.ncx2.cdf(2.0 * c * mids[None, :], dof, (2.0 * c * decay * grid.values)[:, None])
+        ref = np.diff(np.hstack([np.zeros((16, 1)), cdf, np.ones((16, 1))]), axis=1)
+        assert np.max(np.abs(mat.probs - ref)) < 1e-9
+
     def test_rows_sum_to_one(self):
         grid = cir_spot_grid(SP500, 4)
         mat = cir_transition_matrix(SP500, grid, 0.25)
@@ -150,6 +168,17 @@ class TestStationaryDistribution:
             mat = TransitionMatrix(probs=rng.dirichlet(np.ones(n), size=n))
             pi = stationary_distribution(mat)
             assert pi @ mat.probs == pytest.approx(pi, abs=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    def test_sticky_chain_is_solved_exactly(self, eps):
+        # self-transition 1 - eps with uneven off-diagonal rows
+        off = np.array(
+            [[0, 0.5, 0.3, 0.2], [0.1, 0, 0.6, 0.3], [0.25, 0.25, 0, 0.5], [0.7, 0.2, 0.1, 0]]
+        ) * eps
+        probs = off + np.diag(1.0 - off.sum(axis=1))
+        pi = stationary_distribution(TransitionMatrix(probs=probs))
+        assert np.max(np.abs(pi @ probs - pi)) <= 1e-14
+        assert abs(pi.sum() - 1.0) <= 1e-15 and np.all(pi > 0.0)
 
 
 class TestMatrixPower:
