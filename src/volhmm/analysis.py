@@ -36,7 +36,7 @@ from .estimate import (
     fit_qhmm,
     penalty_lambda,
 )
-from .operators import leaves, log_likelihood, vectors
+from .operators import forward, leaves, log_likelihood, log_prob, vectors
 from .qhmm import AnsatzSpec, QhmmModel, qhmm_simulate
 from .seeds import derive_seed
 from .volgrid import ObservationScheme, SpotGrid
@@ -72,14 +72,21 @@ def kl_exact_small(dgp, candidate, n_steps: int) -> float:
 
 
 def kl_monte_carlo(dgp, candidate, trials: int, n_steps: int, seed):
-    """Monte-Carlo KL estimate and its standard error from simulated sequences."""
+    """Monte-Carlo KL estimate and its standard error from simulated sequences.
+
+    A sequence the candidate gives probability zero makes the divergence infinite:
+    the result is then (inf, nan), as ``kl_exact_small`` gives inf.
+    """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
     ops_p, ops_q = dgp.operators(), candidate.operators()
     diffs = np.empty(trials)
     for trial in range(trials):
         seq = model_simulate_symbols(dgp, n_steps, derive_seed(seed, "kl-mc", trial))
-        diffs[trial] = log_likelihood(ops_p, seq) - log_likelihood(ops_q, seq)
+        logq = log_prob(forward(ops_q, seq)[0])[0]
+        if logq == -math.inf:
+            return math.inf, math.nan
+        diffs[trial] = log_likelihood(ops_p, seq) - logq
     return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(trials))
 
 

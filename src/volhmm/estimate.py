@@ -4,7 +4,9 @@ Every model class (square-root-diffusion parametric, non-parametric transition
 matrix, quantum channel) is fitted with the same machinery: a deterministic
 Nelder-Mead simplex descent on the negative log-likelihood, with infeasible
 parameter vectors rejected through a large finite barrier rather than a
-reparameterization. Model order selection maximizes loglik/T - Lambda_T with
+reparameterization. A fit's restarts descend in lockstep: each round evaluates
+every point they ask for in one call of a batched objective, and each descent
+follows the path it would follow alone. Model order selection maximizes loglik/T - Lambda_T with
 the complexity penalty
 
     Lambda_T = (C/eta) (ln T)^10 / T * { w + (ln T)^4 (m n_L + n_L^2 - 1)
@@ -24,11 +26,11 @@ from .chmm import (
     MULTISET,
     ClassicalHmm,
     build_classical_hmm,
-    log_likelihood_binned,
     log_likelihood_continuous,
 )
 from .errors import NumericalError, ValidationError, ZeroLikelihoodError
-from .qhmm import AnsatzSpec, build_qhmm, qhmm_sequence_logprob
+from .operators import OperatorModel, forward, log_prob, stack
+from .qhmm import AnsatzSpec, build_qhmm, qhmm_operators
 from .seeds import derive_seed
 from .volgrid import (
     CirParams,
@@ -65,13 +67,33 @@ class FitConfig:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
 
 
+@dataclass(frozen=True)
+class RestartRecord:
+    """One restart of a fit: where it started and how its simplex ended."""
+
+    start: np.ndarray
+    nll: float
+    iterations: int
+    converged: bool
+
+
 @dataclass
 class FitResult:
+    """Best restart's point, value and trace, with counts over all restarts of the fit.
+
+    ``barrier_hits`` counts values in [1e8, 1e12) (infeasible points) and ``sentinel_hits``
+    values >= 1e12 (failed evaluations); ``restarts`` lists every restart in order.
+    """
+
     theta_hat: np.ndarray
     nll: float
     iterations: int
     converged: bool
     trace: list = field(default_factory=list)
+    evaluations: int = 0
+    barrier_hits: int = 0
+    sentinel_hits: int = 0
+    restarts: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -100,18 +122,17 @@ class PenaltyConstants:
             raise ValidationError("tau must be >= 1")
 
 
-def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
-    """Simplex descent with reflection/expansion/contraction/shrink = 1, 2, 0.5, 0.5.
+def _simplex_descent(x0, cfg: FitConfig):
+    """Nelder-Mead with reflection/expansion/contraction/shrink = 1, 2, 0.5, 0.5, as a generator.
 
-    Deterministic given x0 and cfg. Stops once the vertex objective spread is
-    below ftol and the simplex diameter around the best vertex is below xtol
-    (both, else a symmetric simplex straddling an optimum would stop early),
-    or when max_iter iterations elapse.
+    It yields each (k, dim) array of points it needs (the dim + 1 start vertices, one
+    reflect, expand or contract point, or the dim shrink points), is sent their k
+    objective values, and returns the FitResult. Deterministic given x0 and cfg. Stops
+    once the vertex objective spread is below ftol and the simplex diameter around the
+    best vertex is below xtol (both, else a symmetric simplex straddling an optimum would
+    stop early), or when max_iter iterations elapse.
     """
     x0 = np.asarray(x0, dtype=float)
-    f0 = float(objective(x0))
-    if not math.isfinite(f0):
-        raise NumericalError(f"objective is not finite at the starting point ({f0})")
     dim = x0.size
     verts = [x0.copy()]
     for i in range(dim):
@@ -119,8 +140,10 @@ def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
         step = cfg.initial_simplex_scale * (abs(v[i]) if v[i] != 0.0 else 1.0)
         v[i] += step
         verts.append(v)
-    fvals = np.array([f0] + [float(objective(v)) for v in verts[1:]])
     verts = np.array(verts)
+    fvals = np.array((yield verts), dtype=float)
+    if not math.isfinite(fvals[0]):
+        raise NumericalError(f"objective is not finite at the starting point ({fvals[0]})")
 
     iterations = 0
     converged = False
@@ -137,10 +160,10 @@ def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
         iterations += 1
         centroid = verts[:-1].mean(axis=0)
         reflected = centroid + 1.0 * (centroid - verts[-1])
-        f_r = float(objective(reflected))
+        (f_r,) = yield reflected[None, :]
         if f_r < fvals[0]:
             expanded = centroid + 2.0 * (centroid - verts[-1])
-            f_e = float(objective(expanded))
+            (f_e,) = yield expanded[None, :]
             if f_e < f_r:
                 verts[-1], fvals[-1] = expanded, f_e
             else:
@@ -152,13 +175,13 @@ def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
                 contracted = centroid + 0.5 * (reflected - centroid)
             else:
                 contracted = centroid + 0.5 * (verts[-1] - centroid)
-            f_c = float(objective(contracted))
+            (f_c,) = yield contracted[None, :]
             if f_c < min(f_r, fvals[-1]):
                 verts[-1], fvals[-1] = contracted, f_c
             else:
                 for j in range(1, dim + 1):
                     verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
-                    fvals[j] = float(objective(verts[j]))
+                fvals[1:] = yield verts[1:]
 
     order = np.argsort(fvals, kind="stable")
     best = order[0]
@@ -168,6 +191,52 @@ def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
         iterations=iterations,
         converged=converged,
         trace=trace,
+    )
+
+
+def lockstep_nelder_mead(batch_objective, starts, cfg: FitConfig) -> FitResult:
+    """One simplex descent per start, advanced together; the best result, first on ties.
+
+    Each round stacks the points every unfinished descent asks for into one (B, dim)
+    array and makes one ``batch_objective`` call, which returns their B values. A
+    descent's path depends only on its own values, so it is the same as a descent run
+    alone. The result counts the evaluations of all descents and lists each of them.
+    """
+    runs = [_simplex_descent(x0, cfg) for x0 in starts]
+    pending = [next(run) for run in runs]
+    results = [None] * len(runs)
+    evaluations = barrier_hits = sentinel_hits = 0
+    while any(points is not None for points in pending):
+        live = [i for i, points in enumerate(pending) if points is not None]
+        values = np.asarray(batch_objective(np.concatenate([pending[i] for i in live])), float)
+        evaluations += values.size
+        barrier_hits += int(np.count_nonzero((values >= _BARRIER) & (values < _OBJECTIVE_FAIL)))
+        sentinel_hits += int(np.count_nonzero(values >= _OBJECTIVE_FAIL))
+        offset = 0
+        for i in live:
+            n = len(pending[i])
+            try:
+                pending[i] = runs[i].send(values[offset : offset + n])
+            except StopIteration as done:
+                results[i], pending[i] = done.value, None
+            offset += n
+    best = None
+    for result in results:
+        if best is None or result.nll < best.nll:
+            best = result
+    best.evaluations, best.barrier_hits = evaluations, barrier_hits
+    best.sentinel_hits = sentinel_hits
+    best.restarts = [
+        RestartRecord(np.asarray(x0, dtype=float), r.nll, r.iterations, r.converged)
+        for x0, r in zip(starts, results)
+    ]
+    return best
+
+
+def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
+    """Simplex descent from x0 on a scalar objective (see ``_simplex_descent``)."""
+    return lockstep_nelder_mead(
+        lambda points: [float(objective(x)) for x in points], [x0], cfg
     )
 
 
@@ -201,6 +270,14 @@ def constraint_penalty(theta, kind: str, n_states: int) -> float:
     if violation == 0.0:
         return 0.0
     return _BARRIER * (1.0 + violation)
+
+
+def _batch_nll(model: OperatorModel, data) -> np.ndarray:
+    """Negative log-likelihood of ``data`` under each model of a batch; the failure
+    sentinel where the data have probability zero."""
+    nll = -log_prob(forward(model, data)[0])
+    nll[nll == math.inf] = _OBJECTIVE_FAIL
+    return nll
 
 
 def _check_best(best: FitResult):
@@ -251,6 +328,60 @@ def default_classical_start(kind: str, n_states: int, data=None, data_kind: str 
     raise ValidationError(f"unknown classical kind {kind!r}")
 
 
+def classical_batch_objective(
+    data,
+    kind: str,
+    n_states: int,
+    k: int,
+    scheme: ObservationScheme,
+    grid: SpotGrid | None = None,
+    delta: float = 1.0,
+    mode: str = MULTISET,
+    data_kind: str = "symbols",
+):
+    """Fit objective on a (B, dim) batch of parameter rows: (B,) values, each the one its row
+    gets alone.
+
+    A row outside the feasible region gets its barrier value and is never built; a row
+    whose model cannot be built or evaluated gets the failure sentinel. Symbol data run
+    through one batched forward pass; raw returns through each row's returns filter.
+    """
+
+    def objective(thetas):
+        values = np.empty(len(thetas))
+        symbol_rows, symbol_models = [], []
+        for i, theta in enumerate(thetas):
+            values[i] = constraint_penalty(theta, kind, n_states)
+            if values[i] > 0.0:
+                continue
+            try:
+                model = classical_model_from_theta(
+                    theta, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode
+                )
+                if data_kind == "returns":
+                    values[i] = -log_likelihood_continuous(model, data)
+                else:
+                    symbol_rows.append(i)
+                    symbol_models.append(model.operators())
+            except (ZeroLikelihoodError, NumericalError, ValidationError):
+                values[i] = _OBJECTIVE_FAIL
+        if symbol_rows:
+            values[symbol_rows] = _batch_nll(stack(symbol_models), data)
+        return values
+
+    return objective
+
+
+def qhmm_batch_objective(data, spec: AnsatzSpec):
+    """Fit objective on a (B, latent_qubits + n_params) batch of packed angles: (B,) values."""
+    n_init = spec.latent_qubits
+
+    def objective(packed):
+        return _batch_nll(qhmm_operators(spec, packed[:, n_init:], packed[:, :n_init]), data)
+
+    return objective
+
+
 def fit_classical(
     data,
     kind: str,
@@ -275,37 +406,22 @@ def fit_classical(
     if data_kind == "symbols" and (data.min() < 0 or data.max() >= scheme.n_bins):
         raise ValidationError("data symbols out of range for the observation scheme")
 
-    def objective(theta):
-        penalty = constraint_penalty(theta, kind, n_states)
-        if penalty > 0.0:
-            return penalty
-        try:
-            model = classical_model_from_theta(
-                theta, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode
-            )
-            if data_kind == "symbols":
-                return -log_likelihood_binned(model, data)
-            return -log_likelihood_continuous(model, data)
-        except (ZeroLikelihoodError, NumericalError, ValidationError):
-            return _OBJECTIVE_FAIL
-
     start = (
         np.asarray(theta0, dtype=float)
         if theta0 is not None
         else default_classical_start(kind, n_states, data, data_kind)
     )
-    best = None
-    for r in range(cfg.restarts):
-        if r == 0:
-            x0 = start
-        else:
-            rng = np.random.default_rng(derive_seed(cfg.seed, "classical-restart", r))
-            x0 = start * np.exp(0.5 * rng.standard_normal(start.size))
-            if constraint_penalty(x0, kind, n_states) > 0.0:
-                x0 = start  # perturbation left the feasible region; fall back
-        result = nelder_mead(objective, x0, cfg)
-        if best is None or result.nll < best.nll:
-            best = result
+    starts = [start]
+    for r in range(1, cfg.restarts):
+        rng = np.random.default_rng(derive_seed(cfg.seed, "classical-restart", r))
+        x0 = start * np.exp(0.5 * rng.standard_normal(start.size))
+        if constraint_penalty(x0, kind, n_states) > 0.0:
+            x0 = start  # perturbation left the feasible region; fall back
+        starts.append(x0)
+    objective = classical_batch_objective(
+        data, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode, data_kind=data_kind
+    )
+    best = lockstep_nelder_mead(objective, starts, cfg)
     _check_best(best)
     model = classical_model_from_theta(
         best.theta_hat, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode
@@ -328,14 +444,7 @@ def fit_qhmm(data, spec: AnsatzSpec, cfg: FitConfig, theta0=None):
     n_init = spec.latent_qubits
     dim = n_init + spec.n_params
 
-    def objective(packed):
-        try:
-            model = build_qhmm(spec, packed[n_init:], packed[:n_init])
-            return -qhmm_sequence_logprob(model, data)
-        except ZeroLikelihoodError:
-            return _OBJECTIVE_FAIL
-
-    best = None
+    starts = []
     for r in range(cfg.restarts):
         if r == 0 and theta0 is not None:
             x0 = np.asarray(theta0, dtype=float)
@@ -344,9 +453,8 @@ def fit_qhmm(data, spec: AnsatzSpec, cfg: FitConfig, theta0=None):
         else:
             rng = np.random.default_rng(derive_seed(cfg.seed, "qhmm-restart", r))
             x0 = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-        result = nelder_mead(objective, x0, cfg)
-        if best is None or result.nll < best.nll:
-            best = result
+        starts.append(x0)
+    best = lockstep_nelder_mead(qhmm_batch_objective(data, spec), starts, cfg)
     _check_best(best)
     model = build_qhmm(spec, best.theta_hat[n_init:], best.theta_hat[:n_init])
     return best, model

@@ -25,36 +25,60 @@ MIN_STEP_PROB = 1e-300  # a step probability at or below this counts as zero
 
 @dataclass(frozen=True)
 class OperatorModel:
-    """Start row vector, per-symbol operators and output functional of a linear sequence model."""
+    """Start row vector, per-symbol operators and output functional of a linear sequence model.
 
-    x0: np.ndarray  # (D,)
-    ops: np.ndarray  # (n_obs, D, D): a row state x moves to x @ ops[s]
+    A batch of B models of one dimension D adds a leading model axis to ``x0`` and ``ops``.
+    """
+
+    x0: np.ndarray  # (D,), or (B, D)
+    ops: np.ndarray  # (n_obs, D, D), or (B, n_obs, D, D): a row state x moves to x @ ops[s]
     out: np.ndarray  # (D,)
+
+    @property
+    def n_obs(self) -> int:
+        return self.ops.shape[-3]
+
+
+def stack(models) -> OperatorModel:
+    """One batched model from single models of one dimension and alphabet."""
+    models = list(models)
+    return OperatorModel(
+        np.stack([m.x0 for m in models]), np.stack([m.ops for m in models]), models[0].out
+    )
 
 
 def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
     """Normalised pass of ``obs`` from each row of ``x`` (default x0): (steps, states).
 
-    steps (B, T) are P(s_t | s_1 .. s_{t-1}); states are the normalised (B, D) rows after
-    the last symbol, or (T, B, D) after each. Both are 0 from a step <= MIN_STEP_PROB on.
+    A single model runs every row of x through its operators; a batch runs row b through
+    model b. steps (B, T) are P(s_t | s_1 .. s_{t-1}); states are the normalised (B, D) rows
+    after the last symbol, or (T, B, D) after each. Both are 0 from a step <= MIN_STEP_PROB on.
     """
     obs = np.asarray(obs, dtype=np.int64).reshape(-1)
-    if obs.size and (obs.min() < 0 or obs.max() >= len(model.ops)):
-        raise ValidationError(f"symbols out of range [0, {len(model.ops)})")
-    x = model.x0[None, :] if x is None else np.asarray(x)
+    if obs.size and (obs.min() < 0 or obs.max() >= model.n_obs):
+        raise ValidationError(f"symbols out of range [0, {model.n_obs})")
+    batched = model.ops.ndim == 4
+    x = np.asarray(model.x0 if x is None else x).reshape(-1, model.out.size)
+    rows, dim = x.shape
     # x [M_s | M_s out] = [y | p]: one product gives the next vector and its probability.
-    step_ops = np.concatenate([model.ops, (model.ops @ model.out)[:, :, None]], axis=2)
-    probs = np.empty((obs.size, x.shape[0], 1))
-    states = np.empty((obs.size,) + x.shape, step_ops.dtype) if keep_states else None
+    step_ops = np.concatenate([model.ops, (model.ops @ model.out)[..., None]], axis=-1)
+    if batched:
+        # Row b as a (1, D) matrix against operator (b, s): the same vector-matrix product
+        # as a single model's one-row pass, so a row's floats do not depend on the batch.
+        step_ops = step_ops.swapaxes(0, 1)
+        x = x[:, None, :]
+    probs = np.empty((obs.size, rows))
+    states = np.empty((obs.size, rows, dim), step_ops.dtype) if keep_states else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t, s in enumerate(obs.tolist()):
             y = x @ step_ops[s]
-            p = y[:, -1:].real
-            x = y[:, :-1] / p
-            probs[t] = p
+            p = y[..., -1:].real
+            x = y[..., :-1] / p
+            probs[t] = p.reshape(rows)
             if keep_states:
-                states[t] = x
-    steps = np.ascontiguousarray(probs[:, :, 0].T)
+                states[t] = x.reshape(rows, dim)
+    x = x.reshape(rows, dim)
+    steps = np.ascontiguousarray(probs.T)
     dead = ~np.logical_and.accumulate(steps > MIN_STEP_PROB, axis=1)  # NaN is dead too
     if dead.any():
         steps[dead] = 0.0

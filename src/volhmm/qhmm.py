@@ -13,7 +13,10 @@ probability tr(K_i rho K_i^dagger) and posterior K_i rho K_i^dagger / prob.
 Sequence log-probabilities accumulate the per-step normalizers, which equals
 the log of the single end-to-end trace but stays finite at long horizons.
 As vec(K_i rho K_i^dagger) = vec(rho) (K_i (x) conj K_i)^T, filtering runs the
-shared kernel of ``volhmm.operators`` on d^2-dimensional vectors.
+shared kernel of ``volhmm.operators`` on d^2-dimensional vectors. The builders
+take a leading batch of parameter vectors, so a fit builds every model of one
+Nelder-Mead round at once (``qhmm_operators``); one vector is the case without
+that axis.
 
 Index conventions (fixed; Kraus extraction is sensitive to them): the joint
 basis index is latent_index * n_obs + observed_index, i.e. the latent register
@@ -46,27 +49,38 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_density(m: np.ndarray):
+    """Hermitian, unit-trace and PSD checks of a (..., d, d) stack of matrices."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+    m_dagger = m.conj().swapaxes(-1, -2)
+    if np.max(np.abs(m - m_dagger)) > _HERMITIAN_TOL:
+        raise ValidationError("density matrix must be Hermitian")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    off = (np.abs(trace.real - 1.0) > _TRACE_TOL) | (np.abs(trace.imag) > _TRACE_TOL)
+    if off.any():
+        raise ValidationError(f"density matrix must have unit trace, got {trace[off].flat[0]}")
+    if np.linalg.eigvalsh(0.5 * (m + m_dagger)).min() < -_PSD_TOL:
+        raise ValidationError("density matrix must be positive semidefinite")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix representing a latent statistical ensemble."""
+    """Hermitian, PSD, unit-trace matrix representing a latent statistical ensemble.
+
+    A (..., d, d) stack holds a batch of them, each checked.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
-            raise ValidationError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > _TRACE_TOL or abs(np.trace(m).imag) > _TRACE_TOL:
-            raise ValidationError(f"density matrix must have unit trace, got {np.trace(m)}")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -_PSD_TOL:
-            raise ValidationError("density matrix must be positive semidefinite")
+        _check_density(m)
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -123,10 +137,8 @@ class QhmmModel:
         d = self.spec.dim_latent
         if kraus.shape != (self.spec.dim_observed, d, d):
             raise ValidationError(f"expected kraus shape {(self.spec.dim_observed, d, d)}, got {kraus.shape}")
-        completeness = np.einsum("iba,ibc->ac", kraus.conj(), kraus)
-        if np.max(np.abs(completeness - np.eye(d))) > _COMPLETENESS_TOL:
-            raise ValidationError("Kraus operators do not satisfy sum K^dagger K = I")
-        if self.rho0.dim != d:
+        _check_completeness(kraus)
+        if self.rho0.matrix.shape != (d, d):
             raise ValidationError("rho0 dimension does not match the latent register")
         object.__setattr__(self, "kraus", _freeze(kraus))
         object.__setattr__(self, "theta", _freeze(np.asarray(self.theta, dtype=float)))
@@ -138,21 +150,63 @@ class QhmmModel:
 
     def operators(self) -> operators.OperatorModel:
         """Observable-operator form: vec(rho0), (K_s (x) conj K_s)^T per symbol, vec(I)."""
-        n, d, _ = self.kraus.shape
-        # Entry [(c, e), (a, b)] of operator s is K_s[a, c] conj K_s[b, e].
-        ops = np.einsum("sac,sbe->sceab", self.kraus, self.kraus.conj()).reshape(n, d * d, d * d)
-        return operators.OperatorModel(self.rho0.matrix.ravel(), ops, np.eye(d).ravel())
+        return _operator_form(self.kraus, self.rho0.matrix)
 
 
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _check_completeness(kraus: np.ndarray):
+    """sum_s K_s^dagger K_s = I for each Kraus set of a (..., n_obs, d, d) stack."""
+    completeness = np.einsum("...iba,...ibc->...ac", kraus.conj(), kraus)
+    if np.max(np.abs(completeness - np.eye(kraus.shape[-1]))) > _COMPLETENESS_TOL:
+        raise ValidationError("Kraus operators do not satisfy sum K^dagger K = I")
 
 
-def _rz(angle: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex
+def _operator_form(kraus: np.ndarray, rho0: np.ndarray) -> operators.OperatorModel:
+    """vec(rho0) and (K_s (x) conj K_s)^T of one model, or of a batch on the leading axis."""
+    *batch, n, d, _ = kraus.shape
+    # Entry [(c, e), (a, b)] of operator s is K_s[a, c] conj K_s[b, e].
+    ops = np.einsum("...sac,...sbe->...sceab", kraus, kraus.conj())
+    return operators.OperatorModel(
+        rho0.reshape(*batch, d * d), ops.reshape(*batch, n, d * d, d * d), np.eye(d).ravel()
     )
+
+
+def qhmm_operators(spec: AnsatzSpec, theta, theta_init) -> operators.OperatorModel:
+    """Operator form of the models of a (B, n_params) batch of circuit angles and a
+    (B, latent_qubits) batch of initial-state angles; row b equals
+    ``build_qhmm(spec, theta[b], theta_init[b]).operators()`` bit for bit."""
+    kraus = kraus_from_unitary(build_ansatz_unitary(spec, theta), spec)
+    _check_completeness(kraus)
+    return _operator_form(kraus, initial_latent_state(spec, theta_init).matrix)
+
+
+def _ry_columns(angles) -> tuple:
+    """cos and sin of half of each angle.
+
+    libm's scalar functions: numpy's SIMD ones may round differently on some CPUs.
+    """
+    half = np.asarray(angles, dtype=float) / 2.0
+    flat = half.ravel().tolist()
+    cos = np.array([math.cos(a) for a in flat]).reshape(half.shape)
+    sin = np.array([math.sin(a) for a in flat]).reshape(half.shape)
+    return cos, sin
+
+
+def _rz_ry(ry_angles, rz_angles) -> np.ndarray:
+    """Rz(b) @ Ry(a) for every angle pair: (...) angles -> (..., 2, 2)."""
+    cos, sin = _ry_columns(ry_angles)
+    ry = np.empty(cos.shape + (2, 2), dtype=complex)
+    ry[..., 0, 0], ry[..., 0, 1], ry[..., 1, 0], ry[..., 1, 1] = cos, -sin, sin, cos
+    rz = np.zeros_like(ry)
+    rz[..., 0, 0] = np.exp(-0.5j * rz_angles)
+    rz[..., 1, 1] = np.exp(0.5j * rz_angles)
+    return rz @ ry
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the trailing two axes, batched over the leading ones."""
+    *batch, m, n = a.shape
+    p, q = b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*batch, m * p, n * q)
 
 
 def _bit_position(spec: AnsatzSpec, qubit: int) -> int:
@@ -180,60 +234,70 @@ def _cnot_permutation(n_qubits: int, pairs, bit_of) -> np.ndarray:
 
 
 def _rotation_layer(spec: AnsatzSpec, ry_angles, rz_angles) -> np.ndarray:
-    """One rotation layer as a kron over qubits of Rz(b) Ry(a)."""
+    """One rotation layer as a kron over qubits of Rz(b) Ry(a); angles (..., n_qubits)."""
     # kron builds most-significant-bit first: latent qubits high to low, then
     # observed qubits high to low.
     order = list(range(spec.latent_qubits - 1, -1, -1)) + [
         spec.latent_qubits + q for q in range(spec.observed_qubits - 1, -1, -1)
     ]
-    layer = np.array([[1.0]], dtype=complex)
+    gates = _rz_ry(ry_angles, rz_angles)
+    layer = np.ones(gates.shape[:-3] + (1, 1), dtype=complex)
     for q in order:
-        layer = np.kron(layer, _rz(rz_angles[q]) @ _ry(ry_angles[q]))
+        layer = _kron(layer, gates[..., q, :, :])
     return layer
 
 
 def build_ansatz_unitary(spec: AnsatzSpec, theta) -> np.ndarray:
-    """Dense unitary of the rotation/entanglement ansatz on the joint register."""
+    """Dense unitary of the rotation/entanglement ansatz on the joint register.
+
+    theta (..., n_params) gives one unitary per parameter vector, (..., dim, dim).
+    """
     theta = np.asarray(theta, dtype=float)
     n = spec.n_qubits
-    if theta.shape != (spec.n_params,):
+    if theta.shape[-1:] != (spec.n_params,):
         raise ValidationError(f"expected {spec.n_params} parameters, got shape {theta.shape}")
     pairs = _entanglement_pairs(n, spec.entanglement)
     perm = _cnot_permutation(n, pairs, lambda q: _bit_position(spec, q))
     inv_perm = np.argsort(perm)
-    layers = theta.reshape(spec.reps + 1, 2, n)
-    u = _rotation_layer(spec, layers[0, 0], layers[0, 1])
+    layers = theta.reshape(theta.shape[:-1] + (spec.reps + 1, 2, n))
+    u = _rotation_layer(spec, layers[..., 0, 0, :], layers[..., 0, 1, :])
     for r in range(1, spec.reps + 1):
-        u = u[inv_perm, :]  # entanglement block (a permutation) applied in place
-        u = _rotation_layer(spec, layers[r, 0], layers[r, 1]) @ u
+        u = u[..., inv_perm, :]  # entanglement block (a permutation) applied in place
+        u = _rotation_layer(spec, layers[..., r, 0, :], layers[..., r, 1, :]) @ u
     return u
 
 
 def initial_latent_state(spec: AnsatzSpec, theta_init) -> DensityMatrix:
-    """Pure initial state: per-qubit Ry rotations followed by a linear CNOT chain."""
+    """Pure initial state: per-qubit Ry rotations followed by a linear CNOT chain.
+
+    theta_init (..., latent_qubits) gives a (..., d, d) stack of states.
+    """
     theta_init = np.asarray(theta_init, dtype=float)
-    if theta_init.shape != (spec.latent_qubits,):
+    if theta_init.shape[-1:] != (spec.latent_qubits,):
         raise ValidationError(
             f"expected {spec.latent_qubits} initial-state angles, got shape {theta_init.shape}"
         )
-    psi = np.array([1.0], dtype=complex)
+    cos, sin = _ry_columns(theta_init)
+    column = np.stack([cos, sin], axis=-1).astype(complex)[..., None, :]  # Ry(angle) |0>
+    psi = np.ones(theta_init.shape[:-1] + (1, 1), dtype=complex)
     for q in range(spec.latent_qubits - 1, -1, -1):
-        psi = np.kron(psi, _ry(theta_init[q])[:, 0])
+        psi = _kron(psi, column[..., q, :, :])
+    psi = psi[..., 0, :]
     pairs = [(q, q + 1) for q in range(spec.latent_qubits - 1)]
     perm = _cnot_permutation(spec.latent_qubits, pairs, lambda q: q)
     out = np.zeros_like(psi)
-    out[perm] = psi
-    return DensityMatrix(matrix=np.outer(out, out.conj()))
+    out[..., perm] = psi
+    return DensityMatrix(matrix=out[..., :, None] * out.conj()[..., None, :])
 
 
 def kraus_from_unitary(u: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
-    """Extract the per-symbol Kraus operators K_i[a, b] = U[(a, i), (b, 0)]."""
+    """Extract the per-symbol Kraus operators K_i[a, b] = U[(a, i), (b, 0)] of each unitary."""
     u = np.asarray(u, dtype=complex)
     d_l, d_o = spec.dim_latent, spec.dim_observed
-    if u.shape != (d_l * d_o, d_l * d_o):
+    if u.shape[-2:] != (d_l * d_o, d_l * d_o):
         raise ValidationError(f"expected unitary of dim {d_l * d_o}, got shape {u.shape}")
-    blocks = u.reshape(d_l, d_o, d_l, d_o)
-    return np.ascontiguousarray(blocks[:, :, :, 0].transpose(1, 0, 2))
+    blocks = u.reshape(u.shape[:-2] + (d_l, d_o, d_l, d_o))
+    return np.ascontiguousarray(np.moveaxis(blocks[..., 0], -2, -3))
 
 
 def build_qhmm(spec: AnsatzSpec, theta, theta_init) -> QhmmModel:

@@ -20,7 +20,7 @@ from volhmm.analysis import (
 from volhmm.chmm import build_classical_hmm
 from volhmm.errors import ValidationError
 from volhmm.estimate import FitConfig, PenaltyConstants
-from volhmm.qhmm import AnsatzSpec, random_qhmm
+from volhmm.qhmm import AnsatzSpec, build_qhmm, random_qhmm
 from volhmm.volgrid import ObservationScheme, SpotGrid, TransitionMatrix
 
 # Direct formula evaluation (plain arithmetic): T=500, n_L=16, m_c=240,
@@ -104,6 +104,16 @@ class TestKlMonteCarlo:
         b = kl_monte_carlo(dgp, cand, trials=50, n_steps=4, seed=9)
         assert a == b
 
+    def test_unsupported_sequence_gives_infinity_like_exact(self, rng):
+        # Kraus operators I, 0, 0, 0: only symbol 0 has positive probability.
+        spec = AnsatzSpec(1, 2, reps=0)
+        cand = build_qhmm(spec, np.zeros(spec.n_params), np.zeros(1))
+        dgp = random_classical_hmm(rng, n_obs=4)
+        assert kl_exact_small(dgp, cand, 3) == math.inf
+        est, se = kl_monte_carlo(dgp, cand, trials=20, n_steps=5, seed=1)
+        assert est == math.inf
+        assert math.isnan(se)
+
 
 class TestLlrExperiment:
     def test_identical_specs_give_zero_llr(self, rng):
@@ -127,12 +137,11 @@ class TestLlrExperiment:
 
     def test_all_failing_fit_marks_trial_failed(self, rng, monkeypatch):
         from volhmm import estimate
-        from volhmm.errors import ZeroLikelihoodError
 
-        def impossible(*args, **kwargs):
-            raise ZeroLikelihoodError("no path explains the data")
+        def impossible(steps):
+            return np.full(len(steps), -math.inf)  # no model explains the data
 
-        monkeypatch.setattr(estimate, "log_likelihood_binned", impossible)
+        monkeypatch.setattr(estimate, "log_prob", impossible)
         dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
         spec = ClassicalFitSpec(kind="nonparam", n_states=2, grid=dgp.grid)
         cfg = FitConfig(max_iter=20, restarts=1)

@@ -3,8 +3,9 @@
 Each reference below is the straightforward scalar form of a builder: the
 transition matrix as per-midpoint ``noncentral_chi2_cdf`` differences, the
 emission matrix as stacked per-Vbar ``gaussian_cdf`` bin masses, the path
-weights as a gather over the enumerated paths, and the returns filter with the
-Gaussian log-densities recomputed at every step. The builders must reproduce
+weights as a gather over the enumerated paths, the returns filter with the
+Gaussian log-densities recomputed at every step, and the quantum ansatz as a
+per-model chain of 2x2 gates and ``np.kron`` products. The builders must reproduce
 the same floats, not merely close ones, so fits and their output files do not
 move.
 """
@@ -28,6 +29,17 @@ from volhmm.chmm import (
 )
 from volhmm.errors import NonConvergenceError
 from volhmm.estimate import classical_model_from_theta
+from volhmm.qhmm import (
+    AnsatzSpec,
+    _bit_position,
+    _cnot_permutation,
+    _entanglement_pairs,
+    build_ansatz_unitary,
+    build_qhmm,
+    initial_latent_state,
+    kraus_from_unitary,
+    qhmm_operators,
+)
 from volhmm.specfun import NoncentralChi2Law, gaussian_cdf, noncentral_chi2_cdf
 from volhmm.volgrid import (
     CirParams,
@@ -86,6 +98,51 @@ def reference_loglik_continuous(hmm, returns):
         total += math.log(s) + shift
         x = (w / s) @ hmm.a.probs
     return total
+
+
+def reference_ry(angle):
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def reference_rz(angle):
+    return np.array([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex)
+
+
+def reference_rotation_layer(spec, ry_angles, rz_angles):
+    order = list(range(spec.latent_qubits - 1, -1, -1)) + [
+        spec.latent_qubits + q for q in range(spec.observed_qubits - 1, -1, -1)
+    ]
+    layer = np.array([[1.0]], dtype=complex)
+    for q in order:
+        layer = np.kron(layer, reference_rz(rz_angles[q]) @ reference_ry(ry_angles[q]))
+    return layer
+
+
+def reference_unitary(spec, theta):
+    n = spec.n_qubits
+    pairs = _entanglement_pairs(n, spec.entanglement)
+    inv_perm = np.argsort(_cnot_permutation(n, pairs, lambda q: _bit_position(spec, q)))
+    layers = theta.reshape(spec.reps + 1, 2, n)
+    u = reference_rotation_layer(spec, layers[0, 0], layers[0, 1])
+    for r in range(1, spec.reps + 1):
+        u = reference_rotation_layer(spec, layers[r, 0], layers[r, 1]) @ u[inv_perm, :]
+    return u
+
+
+def reference_rho0(spec, theta_init):
+    psi = np.array([1.0], dtype=complex)
+    for q in range(spec.latent_qubits - 1, -1, -1):
+        psi = np.kron(psi, reference_ry(theta_init[q])[:, 0])
+    pairs = [(q, q + 1) for q in range(spec.latent_qubits - 1)]
+    out = np.zeros_like(psi)
+    out[_cnot_permutation(spec.latent_qubits, pairs, lambda q: q)] = psi
+    return np.outer(out, out.conj())
+
+
+def reference_kraus(spec, u):
+    blocks = u.reshape(spec.dim_latent, spec.dim_observed, spec.dim_latent, spec.dim_observed)
+    return blocks[:, :, :, 0].transpose(1, 0, 2)
 
 
 def _cir_cases():
@@ -177,3 +234,35 @@ def test_continuous_loglik_equals_per_step_reference_and_filter(theta):
     for inc in filter_path(model, returns=returns).loglik_increments:
         total += inc  # the filter's summation order: one step at a time
     assert value == total
+
+
+ANSATZ_SPECS = [
+    AnsatzSpec(1, 2, reps=3, entanglement="full"),  # the llr ansatz
+    AnsatzSpec(1, 1, reps=0, entanglement="full"),
+    AnsatzSpec(2, 2, reps=2, entanglement="linear"),
+    AnsatzSpec(2, 1, reps=1, entanglement="full"),
+    AnsatzSpec(2, 3, reps=0, entanglement="linear"),
+]
+
+
+@pytest.mark.parametrize("spec", ANSATZ_SPECS, ids=str)
+def test_batched_ansatz_equals_kron_chain_per_model(spec):
+    rng = np.random.default_rng(spec.n_params)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (60, spec.n_params))
+    theta_init = rng.uniform(0.0, 2.0 * math.pi, (60, spec.latent_qubits))
+    theta[0], theta_init[0] = 0.0, 0.0  # exact zeros and signed zeros
+    theta[1], theta_init[1] = math.pi, -math.pi
+    unitaries = build_ansatz_unitary(spec, theta)
+    kraus = kraus_from_unitary(unitaries, spec)
+    rho0 = initial_latent_state(spec, theta_init).matrix
+    ops = qhmm_operators(spec, theta, theta_init)
+    for b in range(len(theta)):
+        u = reference_unitary(spec, theta[b])
+        assert np.array_equal(unitaries[b], u)
+        assert np.array_equal(kraus[b], reference_kraus(spec, u))
+        assert np.array_equal(rho0[b], reference_rho0(spec, theta_init[b]))
+        one = build_qhmm(spec, theta[b], theta_init[b])
+        assert np.array_equal(one.kraus, kraus[b])
+        assert np.array_equal(one.rho0.matrix, rho0[b])
+        single = one.operators()
+        assert np.array_equal(ops.ops[b], single.ops) and np.array_equal(ops.x0[b], single.x0)

@@ -7,6 +7,7 @@ from volhmm.chmm import (
     ClassicalHmm,
     build_classical_hmm,
     log_likelihood_binned,
+    log_likelihood_continuous,
     simulate,
 )
 from volhmm import estimate
@@ -17,6 +18,8 @@ from volhmm.estimate import (
     KIND_QHMM,
     FitConfig,
     PenaltyConstants,
+    classical_batch_objective,
+    classical_model_from_theta,
     constraint_penalty,
     default_classical_start,
     fit_classical,
@@ -25,8 +28,9 @@ from volhmm.estimate import (
     nelder_mead,
     penalized_select,
     penalty_lambda,
+    qhmm_batch_objective,
 )
-from volhmm.qhmm import AnsatzSpec
+from volhmm.qhmm import AnsatzSpec, build_qhmm, qhmm_sequence_logprob
 from volhmm.volgrid import (
     CirParams,
     ObservationScheme,
@@ -207,10 +211,10 @@ class TestFitFailures:
             fit_classical(np.append(symbols, 4), KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=5))
 
     def test_all_evaluations_failing_raises(self, monkeypatch):
-        def impossible(*args, **kwargs):
-            raise ZeroLikelihoodError("no path explains the data")
+        def impossible(steps):
+            return np.full(len(steps), -math.inf)  # no model explains the data
 
-        monkeypatch.setattr(estimate, "log_likelihood_binned", impossible)
+        monkeypatch.setattr(estimate, "log_prob", impossible)
         dgp, symbols = self._symbols()
         with pytest.raises(NumericalError, match="feasible"):
             fit_classical(symbols, KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=20, restarts=2))
@@ -222,14 +226,171 @@ class TestFitFailures:
                           theta0=[-1.0, -0.1, -0.5])
 
     def test_qhmm_all_evaluations_failing_raises(self, monkeypatch):
-        def impossible(*args, **kwargs):
-            raise ZeroLikelihoodError("no path explains the data")
+        def impossible(steps):
+            return np.full(len(steps), -math.inf)  # no model explains the data
 
-        monkeypatch.setattr(estimate, "qhmm_sequence_logprob", impossible)
+        monkeypatch.setattr(estimate, "log_prob", impossible)
         with pytest.raises(NumericalError, match="feasible"):
             fit_qhmm(
                 np.array([0, 1, 1, 0]), AnsatzSpec(1, 1, reps=1), FitConfig(max_iter=10, restarts=2)
             )
+
+
+def scalar_classical_objective(data, kind, n_states, k, scheme, grid=None, data_kind="symbols"):
+    """The fit objective of one parameter vector, from the single-model functions."""
+
+    def objective(theta):
+        penalty = constraint_penalty(theta, kind, n_states)
+        if penalty > 0.0:
+            return penalty
+        try:
+            model = classical_model_from_theta(theta, kind, n_states, k, scheme, grid=grid)
+            if data_kind == "symbols":
+                return -log_likelihood_binned(model, data)
+            return -log_likelihood_continuous(model, data)
+        except (ZeroLikelihoodError, NumericalError, ValidationError):
+            return 1e12
+
+    return objective
+
+
+def scalar_qhmm_objective(data, spec):
+    def objective(packed):
+        try:
+            model = build_qhmm(spec, packed[spec.latent_qubits :], packed[: spec.latent_qubits])
+            return -qhmm_sequence_logprob(model, data)
+        except ZeroLikelihoodError:
+            return 1e12
+
+    return objective
+
+
+class TestLockstepRestarts:
+    """Restarts run in lockstep on one batched objective give the floats of sequential runs."""
+
+    def _assert_sequential(self, result, objective, cfg, first_start):
+        assert len(result.restarts) == cfg.restarts
+        assert np.array_equal(result.restarts[0].start, first_start)
+        runs = [nelder_mead(objective, rec.start, cfg) for rec in result.restarts]
+        for run, rec in zip(runs, result.restarts):
+            assert (rec.nll, rec.iterations, rec.converged) == (
+                run.nll, run.iterations, run.converged)
+        best = runs[0]
+        for run in runs[1:]:
+            if run.nll < best.nll:
+                best = run
+        assert np.array_equal(result.theta_hat, best.theta_hat)
+        assert (result.nll, result.iterations, result.converged) == (
+            best.nll, best.iterations, best.converged)
+        assert result.trace == best.trace
+        for count in ("evaluations", "barrier_hits", "sentinel_hits"):
+            assert getattr(result, count) == sum(getattr(run, count) for run in runs)
+
+    def test_nonparam(self):
+        dgp = sp500_dgp(n_states=4, k=2)
+        _, _, _, symbols = simulate(dgp, 60, seed=21)
+        cfg = FitConfig(max_iter=80, seed=4, restarts=3)
+        result, _ = fit_classical(symbols, KIND_NONPARAM, 4, 2, dgp.scheme, cfg, grid=dgp.grid)
+        objective = scalar_classical_objective(symbols, KIND_NONPARAM, 4, 2, dgp.scheme, dgp.grid)
+        self._assert_sequential(result, objective, cfg, default_classical_start(KIND_NONPARAM, 4))
+        assert result.barrier_hits > 0
+
+    def test_qhmm(self):
+        dgp = sp500_dgp(n_states=4, k=2)
+        _, _, _, symbols = simulate(dgp, 40, seed=22)
+        spec = AnsatzSpec(1, 2, reps=1)
+        cfg = FitConfig(max_iter=80, seed=6, restarts=3)
+        theta0 = np.linspace(0.1, 2.0, 1 + spec.n_params)
+        result, _ = fit_qhmm(symbols, spec, cfg, theta0=theta0)
+        self._assert_sequential(result, scalar_qhmm_objective(symbols, spec), cfg, theta0)
+
+    def test_cir_on_returns(self):
+        returns = np.random.default_rng(23).normal(0.0, 0.3, 40)
+        scheme = build_observation_scheme(4, 1.2)
+        cfg = FitConfig(max_iter=20, seed=8, restarts=2)
+        result, _ = fit_classical(returns, KIND_CIR, 4, 2, scheme, cfg, data_kind="returns")
+        objective = scalar_classical_objective(
+            returns, KIND_CIR, 4, 2, scheme, data_kind="returns")
+        start = default_classical_start(KIND_CIR, 4, returns, "returns")
+        self._assert_sequential(result, objective, cfg, start)
+
+
+class TestBatchObjective:
+    """Each row of a batch gets the value it would get alone, whatever else is in the batch."""
+
+    def test_classical_mixed_batch(self):
+        scheme = ObservationScheme(edges=np.array([-0.3, 0.0, 0.3]))
+        data = np.array([0, 1, 2, 3, 1, 2, 0, 3, 2, 1])
+        rows = np.array([
+            [1.0, 0.1, 0.5],  # finite
+            [-1.0, 0.1, 0.5],  # barrier: never built
+            [1.0, 1.0, 0.002],  # build fails (incomplete gamma does not converge)
+            [1.0, 1e-4, 0.01],  # the data have probability zero
+            [1.0, 0.1, 0.01],  # finite
+        ])
+        batch = classical_batch_objective(data, KIND_CIR, 4, 2, scheme)
+        scalar = scalar_classical_objective(data, KIND_CIR, 4, 2, scheme)
+        values = batch(rows)
+        alone = [batch(row[None, :])[0] for row in rows]
+        assert values.tolist() == alone == [scalar(row) for row in rows]
+        assert values[1] == constraint_penalty(rows[1], KIND_CIR, 4)
+        assert values[2] == values[3] == 1e12
+        assert values[0] < 1e8 and values[4] < 1e8
+
+    def test_qhmm_mixed_batch(self):
+        spec = AnsatzSpec(1, 2, reps=0)
+        data = np.array([0, 2, 1, 3, 0])
+        rows = np.random.default_rng(24).uniform(0.0, 2.0 * math.pi, (4, 1 + spec.n_params))
+        rows[2] = 0.0  # Kraus operators I, 0, 0, 0: only symbol 0 is possible
+        batch = qhmm_batch_objective(data, spec)
+        scalar = scalar_qhmm_objective(data, spec)
+        values = batch(rows)
+        assert values.tolist() == [batch(row[None, :])[0] for row in rows]
+        assert values.tolist() == [scalar(row) for row in rows]
+        assert values[2] == 1e12 and np.all(np.delete(values, 2) < 1e8)
+
+
+class TestFitCounts:
+    def test_counts_on_a_fit_that_hits_the_barrier(self, monkeypatch):
+        seen = []
+
+        def counting(*args, **kwargs):
+            objective = classical_batch_objective(*args, **kwargs)
+
+            def counted(rows):
+                values = objective(rows)
+                seen.extend(values.tolist())
+                return values
+
+            return counted
+
+        monkeypatch.setattr(estimate, "classical_batch_objective", counting)
+        dgp = sp500_dgp(n_states=4, k=2)
+        _, _, _, symbols = simulate(dgp, 50, seed=25)
+        cfg = FitConfig(max_iter=40, seed=1, restarts=2)
+        start = np.full(12, 0.33)  # rows sum to 0.99: the first expansions cross the barrier
+        result, _ = fit_classical(
+            symbols, KIND_NONPARAM, 4, 2, dgp.scheme, cfg, grid=dgp.grid, theta0=start)
+        seen = np.array(seen)
+        assert result.evaluations == seen.size
+        assert result.barrier_hits == np.sum((seen >= 1e8) & (seen < 1e12)) > 0
+        assert result.sentinel_hits == np.sum(seen >= 1e12)
+        assert len(result.restarts) == 2 and np.array_equal(result.restarts[0].start, start)
+        assert result.nll == min(r.nll for r in result.restarts)
+        assert all(r.iterations <= cfg.max_iter for r in result.restarts)
+
+    def test_scalar_nelder_mead_counts(self):
+        values = []
+
+        def objective(x):
+            values.append(1e8 if x[0] < 0.0 else (x[0] + 0.5) ** 2)  # optimum on the boundary
+            return values[-1]
+
+        result = nelder_mead(objective, np.array([0.5]), FitConfig(max_iter=30))
+        assert result.evaluations == len(values)
+        assert result.barrier_hits == values.count(1e8) > 0
+        assert result.sentinel_hits == 0
+        assert len(result.restarts) == 1 and result.restarts[0].nll == result.nll
 
 
 class TestPenaltyLambda:

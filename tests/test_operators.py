@@ -116,6 +116,51 @@ class TestQuantumOperators:
             assert np.max(np.abs(row - effect.T.reshape(-1))) < 1e-14
 
 
+class TestModelBatch:
+    """A stack of models runs row b through model b with the floats of its single pass."""
+
+    def _check_rows(self, models, seq):
+        batch = operators.stack(models)
+        steps, states = operators.forward(batch, seq, keep_states=True)
+        last_steps, last = operators.forward(batch, seq)
+        assert np.array_equal(steps, last_steps)
+        for b, model in enumerate(models):
+            one_steps, one_states = operators.forward(model, seq, keep_states=True)
+            assert np.array_equal(steps[b], one_steps[0])
+            assert np.array_equal(states[:, b], one_states[:, 0])
+            assert np.array_equal(last[b], one_states[-1, 0])
+            assert operators.log_prob(steps)[b] == operators.log_prob(one_steps)[0]
+
+    def test_classical_rows_match_single_models(self, rng):
+        hmms = [random_classical_hmm(rng, n_states=4, n_obs=3, k=2) for _ in range(5)]
+        seq = rng.integers(0, 3, 60)
+        self._check_rows([h.operators() for h in hmms], seq)
+        self._check_rows([hmms[0].operators()], seq)
+
+    def test_quantum_rows_match_single_models_with_a_zero_row(self, rng):
+        spec = AnsatzSpec(1, 1, reps=1)
+        models = [random_qhmm(spec, seed).operators() for seed in range(3)]
+        models.insert(1, readout_qhmm().operators())  # gives symbol 1 probability zero
+        seq = [0, 0, 1, 0, 1, 1, 0]
+        self._check_rows(models, seq)
+        steps, states = operators.forward(operators.stack(models), seq)
+        assert steps[1].tolist() == [1.0, 1.0] + [0.0] * 5
+        assert not np.any(states[1])
+        assert np.all(steps[[0, 2, 3]] > 0.0)
+
+    def test_classical_zero_row(self, rng):
+        hmms = [random_classical_hmm(rng, n_states=3, n_obs=2, k=1) for _ in range(3)]
+        zero = hmms[1].operators()
+        ops = zero.ops.copy()
+        ops[1] = 0.0  # symbol 1 impossible
+        models = [hmms[0].operators(), operators.OperatorModel(zero.x0, ops, zero.out),
+                  hmms[2].operators()]
+        seq = [0, 1, 0, 0]
+        self._check_rows(models, seq)
+        assert operators.forward(operators.stack(models), seq)[0][1].tolist() == [
+            operators.forward(models[1], [0])[0][0, 0], 0.0, 0.0, 0.0]
+
+
 class TestZeroProbability:
     def test_zero_step_zeroes_the_rest_of_the_row(self):
         ops = readout_qhmm().operators()
