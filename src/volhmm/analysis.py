@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -183,15 +184,9 @@ def llr_experiment(
         k=k, scheme=scheme, cfg=cfg, seed=seed, delta=delta,
     )
     samples = []
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sample in pool.map(task, range(trials)):
-                samples.append(sample)
-                if progress is not None:
-                    progress(sample)
-    else:
-        for trial in range(trials):
-            sample = task(trial)
+    pool = ProcessPoolExecutor(max_workers=workers) if (workers or 1) > 1 else None
+    with pool or nullcontext():
+        for sample in (pool.map if pool else map)(task, range(trials)):
             samples.append(sample)
             if progress is not None:
                 progress(sample)

@@ -308,33 +308,41 @@ def log_likelihood_binned(hmm: ClassicalHmm, obs, order: str = WEIGHT_FIRST) -> 
     return operators.log_likelihood(hmm.operators(order), obs)
 
 
-def _continuous_state_weights(hmm: ClassicalHmm, returns):
-    """Per step, the per-state weights sum_j g[i,j] phi(dy; 0, Vbar_j) and their log shift.
+def _returns_steps(hmm: ClassicalHmm, returns, order: str = WEIGHT_FIRST):
+    """The returns filter: per return dy, yields (log-likelihood increment, next state).
 
-    Yields (weights, shift) for each return dy; the Gaussian log-normalizers
-    and variances are formed once for the whole sequence, and each step works
-    in one reused buffer.
+    A state's weight is sum_j g[i,j] phi(dy; 0, Vbar_j), taken relative to the
+    step's largest Gaussian log-density, which the increment adds back. The
+    Gaussian log-normalizers and variances are formed once for the whole
+    sequence, and each step works in one reused buffer.
     """
     vbar = hmm.table.vbar_values
     g = hmm.table.g
+    a = hmm.a.probs
     log_norm = -0.5 * (math.log(2.0 * math.pi) + np.log(vbar))
     two_vbar = 2.0 * vbar
     logphi = np.empty_like(vbar)
+    x = hmm.x0
     for dy in np.asarray(returns, dtype=float).tolist():
         np.subtract(log_norm, np.divide(dy * dy, two_vbar, out=logphi), out=logphi)
         shift = logphi.max()
-        yield g @ np.exp(np.subtract(logphi, shift, out=logphi), out=logphi), shift
+        e = g @ np.exp(np.subtract(logphi, shift, out=logphi), out=logphi)
+        w = x * e
+        s = w.sum()
+        inc = math.log(s) + shift
+        if order == WEIGHT_FIRST:
+            x = (w / s) @ a
+        else:
+            w = (x @ a) * e
+            x = w / w.sum()
+        yield inc, x
 
 
 def log_likelihood_continuous(hmm: ClassicalHmm, returns) -> float:
     """Log-likelihood of raw returns under the Gaussian-mixture emission densities."""
-    x = hmm.x0
     total = 0.0
-    for e, shift in _continuous_state_weights(hmm, returns):
-        w = x * e
-        s = w.sum()
-        total += math.log(s) + shift
-        x = (w / s) @ hmm.a.probs
+    for inc, _ in _returns_steps(hmm, returns):
+        total += inc
     return total
 
 
@@ -358,18 +366,8 @@ def filter_path(
         _check_order(order)
         states = np.empty((len(returns), hmm.n_states))
         incs = np.empty(len(returns))
-        x = hmm.x0
-        for t, (e, shift) in enumerate(_continuous_state_weights(hmm, returns)):
-            w = x * e
-            s = w.sum()
-            incs[t] = math.log(s) + shift
-            if order == WEIGHT_FIRST:
-                x = (w / s) @ hmm.a.probs
-            else:
-                xp = x @ hmm.a.probs
-                w = xp * e
-                x = w / w.sum()
-            states[t] = x
+        for t, (inc, x) in enumerate(_returns_steps(hmm, returns, order)):
+            incs[t], states[t] = inc, x
     prior = np.vstack([hmm.x0, states])[:-1]  # the state each period starts from
     expected_vbar = hmm.table.g @ hmm.table.vbar_values
     return FilterTrace(states=states, loglik_increments=incs, filtered_vbar=prior @ expected_vbar)

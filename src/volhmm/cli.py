@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: simulate, fit, llr, markov-test, hankel, bounds. Configuration is
-a JSON document with per-command sections; unknown keys are rejected and every
-value is checked before any computation starts. All randomness flows from one
-root seed (--seed overrides the config) through the documented splitting rule
-derive_seed(seed, purpose, trial, ...), so rerunning a command with the same
-config and seed reproduces every output file byte for byte regardless of the
-worker count.
+a JSON document with per-command sections, each a frozen dataclass read by
+``_build``: its fields are the keys (unknown keys are rejected), and its own
+checks and those of the domain objects it builds run on config values and
+command-line overrides alike, before any computation starts. All randomness
+flows from one root seed (--seed overrides the config) through the documented
+splitting rule derive_seed(seed, purpose, trial, ...), so rerunning a command
+with the same config and seed reproduces every output file byte for byte
+regardless of the worker count.
 
 Exit codes: 0 success, 2 validation error (arguments, config, input files, or
 output paths, which fit and llr check before any computation), 3 numerical
@@ -22,8 +24,9 @@ import json
 import math
 import os
 import sys
+import types
 import typing
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .errors import NumericalError, ValidationError
 from .seeds import derive_seed
 from .volgrid import (
     CirParams,
-    SpotGrid,
+    ObservationScheme,
     build_observation_scheme,
     cir_spot_grid,
     cir_transition_matrix,
@@ -42,120 +45,174 @@ _FIT_KINDS = (estimate.KIND_CIR, estimate.KIND_NONPARAM, estimate.KIND_QHMM)
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Config sections
 # ---------------------------------------------------------------------------
 
-def _req(kind, check=None):
-    return {"kind": kind, "required": True, "check": check}
+@dataclass(frozen=True)
+class DgpSection:
+    """The data-generating CIR model and its return bins."""
+
+    alpha: float
+    beta: float
+    sigma: float
+    n_states: int
+    k: int
+    n_obs: int
+    half_width: float | None = None
+    delta: float = 1.0
+    mode: str = chmm.MULTISET
+
+    def __post_init__(self):
+        # CirParams checks alpha, beta and sigma; build_observation_scheme n_obs and half_width.
+        self.scheme
+        if self.k < 1:
+            raise ValidationError(f"k must be >= 1, got {self.k}")
+        if not (self.delta > 0.0):
+            raise ValidationError(f"delta must be positive, got {self.delta}")
+        if self.mode not in (chmm.MULTISET, chmm.INDEX_SUM):
+            raise ValidationError(
+                f"mode must be {chmm.MULTISET!r} or {chmm.INDEX_SUM!r}, got {self.mode!r}"
+            )
+
+    @property
+    def params(self) -> CirParams:
+        return CirParams(alpha=self.alpha, beta=self.beta, sigma=self.sigma)
+
+    @property
+    def scheme(self) -> ObservationScheme:
+        """Return bins; ``half_width`` defaults to 4 sqrt(beta)."""
+        params = self.params
+        half_width = 4.0 * math.sqrt(params.beta) if self.half_width is None else self.half_width
+        return build_observation_scheme(self.n_obs, half_width)
 
 
-def _opt(kind, default=None, check=None):
-    return {"kind": kind, "required": False, "default": default, "check": check}
+@dataclass(frozen=True)
+class ExperimentSection:
+    """Simulation length, LLR trial count, root seed and worker count."""
+
+    trials: int
+    n_periods: int
+    seed: int = 0
+    workers: int | None = None
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.n_periods < 1:
+            raise ValidationError(f"n_periods must be >= 1, got {self.n_periods}")
+        if self.workers is not None and self.workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {self.workers}")
 
 
-def _positive(x):
-    return x > 0
+@dataclass(frozen=True)
+class FitSection:
+    """One fit: the sections ``fit`` (for fit) and ``fit_i``, ``fit_j`` (for llr)."""
+
+    kind: str
+    n_states: int | None = None
+    ansatz: qhmm.AnsatzSpec | None = None
+    data_kind: str = "symbols"
+    config: estimate.FitConfig = field(default_factory=estimate.FitConfig)
+
+    def __post_init__(self):
+        if self.kind not in _FIT_KINDS:
+            raise ValidationError(f"kind must be one of {_FIT_KINDS}, got {self.kind!r}")
+        if self.kind == estimate.KIND_QHMM:
+            if self.ansatz is None:
+                raise ValidationError("qhmm fits need an 'ansatz' object")
+            if self.data_kind != "symbols":
+                raise ValidationError("qhmm fits use binned symbols, set data_kind='symbols'")
+        elif self.n_states is None or self.n_states < 2:
+            raise ValidationError(f"classical fits need 'n_states' >= 2, got {self.n_states}")
+
+    def spec(self, dgp: DgpSection):
+        """The fit candidate on the DGP's symbols (a nonparam model uses its spot grid)."""
+        if self.kind == estimate.KIND_QHMM:
+            if self.ansatz.dim_observed != dgp.n_obs:
+                raise ValidationError(
+                    f"ansatz observed register has {self.ansatz.dim_observed} outcomes "
+                    f"but dgp.n_obs is {dgp.n_obs}"
+                )
+            return analysis.QhmmFitSpec(ansatz=self.ansatz)
+        grid = None
+        if self.kind == estimate.KIND_NONPARAM:
+            grid = cir_spot_grid(dgp.params, self.n_states)
+        return analysis.ClassicalFitSpec(kind=self.kind, n_states=self.n_states, grid=grid)
 
 
-def _nonneg(x):
-    return x >= 0
+@dataclass(frozen=True)
+class BoundsSection:
+    """Inputs of the non-asymptotic bound pair, and the penalty constants fit also reads."""
+
+    kl_inf_estimate: float
+    n_periods: int
+    n_states: int
+    m_classical: int
+    m_quantum: int
+    constants: estimate.PenaltyConstants = field(default_factory=estimate.PenaltyConstants)
+
+    def __post_init__(self):
+        if not (self.kl_inf_estimate >= 0.0):
+            raise ValidationError(f"kl_inf_estimate must be >= 0, got {self.kl_inf_estimate}")
+        if min(self.n_states, self.m_classical, self.m_quantum) < 1:
+            raise ValidationError("n_states, m_classical and m_quantum must be >= 1")
 
 
-def _dataclass_schema(cls) -> dict:
-    """Schema of a section filling ``cls``: field types and defaults (``cls`` checks ranges)."""
-    hints = typing.get_type_hints(cls)
-    schema = {}
-    for f in dataclasses.fields(cls):
-        required = f.default is dataclasses.MISSING
-        schema[f.name] = _req(hints[f.name]) if required else _opt(hints[f.name], f.default)
-    return schema
-
-
-_FIT_SCHEMA = {
-    "kind": _req(str, lambda s: s in _FIT_KINDS),
-    "n_states": _opt(int, None, lambda n: n >= 2),
-    "ansatz": _opt(dict, None),
-    "data_kind": _opt(str, "symbols", lambda s: s in ("symbols", "returns")),
-    "config": _opt(dict, None),
+_SECTIONS = {
+    "dgp": DgpSection,
+    "experiment": ExperimentSection,
+    "fit": FitSection,
+    "fit_i": FitSection,
+    "fit_j": FitSection,
+    "bounds": BoundsSection,
 }
 
-_SCHEMAS = {
-    "dgp": {
-        "alpha": _req(float, _positive),
-        "beta": _req(float, _positive),
-        "sigma": _req(float, _positive),
-        "n_states": _req(int, lambda n: n >= 2),
-        "k": _req(int, _positive),
-        "n_obs": _req(int, lambda n: n >= 2),
-        "half_width": _opt(float, None, _positive),
-        "delta": _opt(float, 1.0, _positive),
-        "mode": _opt(str, chmm.MULTISET, lambda s: s in (chmm.MULTISET, chmm.INDEX_SUM)),
-    },
-    "experiment": {
-        "trials": _req(int, _positive),
-        "n_periods": _req(int, _positive),
-        "seed": _opt(int, 0),
-        "workers": _opt(int, None, _positive),
-    },
-    "fit": _FIT_SCHEMA,
-    "fit_i": _FIT_SCHEMA,
-    "fit_j": _FIT_SCHEMA,
-    "bounds": {
-        "kl_inf_estimate": _req(float, _nonneg),
-        "n_periods": _req(int, lambda n: n >= 3),
-        "n_states": _req(int, _positive),
-        "m_classical": _req(int, _positive),
-        "m_quantum": _req(int, _positive),
-        "constants": _opt(dict, None),
-    },
-}
+
+def _checked(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its validation errors prefixed with ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
-def _coerce(value, kind, path):
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"config: {path}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"config: {path}: expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValidationError(f"config: {path}: expected a string, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ValidationError(f"config: {path}: expected an object, got {value!r}")
-        return value
-    raise AssertionError(kind)
+# Field type -> (JSON value types it accepts, their name in messages).
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
-def validate_section(doc: dict, schema: dict, path: str) -> dict:
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise ValidationError(f"config: {path}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, rule in schema.items():
-        if key in doc:
-            value = _coerce(doc[key], rule["kind"], f"{path}.{key}")
-            if rule["check"] is not None and not rule["check"](value):
-                raise ValidationError(f"config: {path}.{key}: invalid value {value!r}")
-            out[key] = value
-        elif rule["required"]:
-            raise ValidationError(f"config: {path}: missing required key {key!r}")
-        else:
-            out[key] = rule["default"]
-    return out
+def _coerce(value, hint, path: str):
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    accepted, name = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"config: {path}: expected {name}, got {value!r}")
+    return float(value) if hint is float else value
 
 
 def _build(cls, doc, path: str):
-    """The dataclass ``cls`` from an optional config section; its range errors name the section."""
-    values = validate_section(doc or {}, _dataclass_schema(cls), path)
-    try:
-        return cls(**values)
-    except ValidationError as exc:
-        raise ValidationError(f"config: {path}: {exc}") from None
+    """The dataclass ``cls`` from the config object at ``path``: its fields are the keys."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config: {path}: expected an object, got {doc!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(doc) - {f.name for f in fields}
+    if unknown:
+        raise ValidationError(f"config: {path}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name in doc:
+            values[f.name] = _coerce(doc[f.name], hints[f.name], f"{path}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"config: {path}: missing required key {f.name!r}")
+    return _checked(f"config: {path}", cls, **values)
+
+
+def _override(section, **flags):
+    """``section`` with the command-line values given (not None), checked like config values."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    return _checked(", ".join("--" + name for name in given), replace, section, **given)
 
 
 def load_config(path: str) -> dict:
@@ -170,48 +227,24 @@ def load_config(path: str) -> dict:
         ) from None
     if not isinstance(raw, dict):
         raise ValidationError(f"config: {path}: top level must be an object")
-    unknown = set(raw) - {"dgp", "experiment", "fit", "fit_i", "fit_j", "bounds"}
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ValidationError(f"config: {path}: unknown sections {sorted(unknown)}")
     return raw
 
 
-def get_section(config: dict, name: str, schema_name: str | None = None) -> dict:
+def get_section(config: dict, name: str):
+    """Section ``name`` of a loaded config, as its section dataclass."""
     if name not in config:
         raise ValidationError(f"config: missing required section {name!r}")
-    return validate_section(config[name], _SCHEMAS[schema_name or name], name)
+    return _build(_SECTIONS[name], config[name], name)
 
 
-def parse_fit_section(section: dict, path: str):
-    """Returns (kind, n_states or None, AnsatzSpec or None, data_kind, FitConfig)."""
-    kind = section["kind"]
-    ansatz = None
-    if kind == estimate.KIND_QHMM:
-        if section["ansatz"] is None:
-            raise ValidationError(f"config: {path}: qhmm fits need an 'ansatz' object")
-        ansatz = _build(qhmm.AnsatzSpec, section["ansatz"], f"{path}.ansatz")
-    else:
-        if section["n_states"] is None:
-            raise ValidationError(f"config: {path}: classical fits need 'n_states'")
-    cfg = _build(estimate.FitConfig, section["config"], f"{path}.config")
-    return kind, section["n_states"], ansatz, section["data_kind"], cfg
-
-
-def dgp_scheme(dgp_cfg: dict):
-    """Return bins of the DGP section; ``half_width`` defaults to 4 sqrt(beta)."""
-    half_width = dgp_cfg["half_width"]
-    if half_width is None:
-        half_width = 4.0 * math.sqrt(dgp_cfg["beta"])
-    return build_observation_scheme(dgp_cfg["n_obs"], half_width)
-
-
-def build_dgp(dgp_cfg: dict) -> chmm.ClassicalHmm:
-    params = CirParams(alpha=dgp_cfg["alpha"], beta=dgp_cfg["beta"], sigma=dgp_cfg["sigma"])
-    grid = cir_spot_grid(params, dgp_cfg["n_states"])
-    a_hf = cir_transition_matrix(params, grid, dgp_cfg["delta"] / dgp_cfg["k"])
-    return chmm.build_classical_hmm(
-        grid, a_hf, dgp_cfg["k"], dgp_scheme(dgp_cfg), mode=dgp_cfg["mode"]
-    )
+def build_dgp(dgp: DgpSection) -> chmm.ClassicalHmm:
+    params = dgp.params
+    grid = cir_spot_grid(params, dgp.n_states)
+    a_hf = cir_transition_matrix(params, grid, dgp.delta / dgp.k)
+    return chmm.build_classical_hmm(grid, a_hf, dgp.k, dgp.scheme, mode=dgp.mode)
 
 
 def check_out_base(base: str):
@@ -272,80 +305,51 @@ def read_data_csv(path):
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    dgp_cfg = get_section(config, "dgp")
-    exp = get_section(config, "experiment")
-    seed = args.seed if args.seed is not None else exp["seed"]
-    model = build_dgp(dgp_cfg)
+    dgp = get_section(config, "dgp")
+    exp = _override(get_section(config, "experiment"), seed=args.seed)
     spot, vbars, rets, symbols = chmm.simulate(
-        model, exp["n_periods"], derive_seed(seed, "simulate")
+        build_dgp(dgp), exp.n_periods, derive_seed(exp.seed, "simulate")
     )
     write_data_csv(args.out, spot, vbars, rets, symbols)
     print(f"wrote {len(symbols)} periods to {args.out}")
     return 0
 
 
-def _grid_for_nonparam(config: dict, n_states: int) -> SpotGrid:
-    dgp_cfg = get_section(config, "dgp")
-    params = CirParams(alpha=dgp_cfg["alpha"], beta=dgp_cfg["beta"], sigma=dgp_cfg["sigma"])
-    return cir_spot_grid(params, n_states)
-
-
 def cmd_fit(args) -> int:
     check_out_base(args.out)
     config = load_config(args.config)
-    dgp_cfg = get_section(config, "dgp")
-    fit_section = get_section(config, "fit")
-    if args.kind is not None:
-        fit_section = dict(fit_section, kind=args.kind)
-        if fit_section["kind"] not in _FIT_KINDS:
-            raise ValidationError(f"--kind must be one of {_FIT_KINDS}")
-    kind, n_states, ansatz, data_kind, cfg = parse_fit_section(fit_section, "fit")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    dgp = get_section(config, "dgp")
+    fit = _override(get_section(config, "fit"), kind=args.kind)
+    spec = _checked("config: fit", fit.spec, dgp)
+    cfg = _override(fit.config, seed=args.seed)
+    consts = estimate.PenaltyConstants()
+    if "bounds" in config:
+        consts = get_section(config, "bounds").constants
     rets, symbols = read_data_csv(args.data)
-    scheme = dgp_scheme(dgp_cfg)
-    if data_kind == "symbols" and symbols.size and (
-        symbols.min() < 0 or symbols.max() >= scheme.n_bins
-    ):
-        raise ValidationError(f"data symbols out of range [0, {scheme.n_bins}) for config n_obs")
-
-    if kind == estimate.KIND_QHMM:
-        if data_kind != "symbols":
-            raise ValidationError("qhmm fits use binned symbols, set fit.data_kind='symbols'")
-        n_obs = dgp_cfg["n_obs"]
-        if n_obs & (n_obs - 1) != 0:
-            raise ValidationError(f"qhmm fits need n_obs to be a power of two, got {n_obs}")
-        if ansatz.dim_observed != n_obs:
-            raise ValidationError(
-                f"ansatz observed register has {ansatz.dim_observed} outcomes, config n_obs is {n_obs}"
-            )
-        result, model = estimate.fit_qhmm(symbols, ansatz, cfg)
+    if fit.kind == estimate.KIND_QHMM:
+        result, model = estimate.fit_qhmm(symbols, fit.ansatz, cfg)
     else:
-        data = symbols if data_kind == "symbols" else rets
-        grid = _grid_for_nonparam(config, n_states) if kind == estimate.KIND_NONPARAM else None
         result, model = estimate.fit_classical(
-            data, kind, n_states, dgp_cfg["k"], scheme, cfg,
-            grid=grid, delta=dgp_cfg["delta"], mode=dgp_cfg["mode"], data_kind=data_kind,
+            symbols if fit.data_kind == "symbols" else rets, fit.kind, fit.n_states, dgp.k,
+            dgp.scheme, cfg, grid=spec.grid, delta=dgp.delta, mode=dgp.mode,
+            data_kind=fit.data_kind,
         )
 
     model_path = args.out + ".model.json"
     report_path = args.out + ".report.json"
     serialize.save_model(model, model_path)
-    consts = estimate.PenaltyConstants()
-    if "bounds" in config:
-        bounds_section = get_section(config, "bounds")
-        consts = _build(estimate.PenaltyConstants, bounds_section["constants"], "bounds.constants")
-    fitted_states = ansatz.dim_latent if kind == estimate.KIND_QHMM else n_states
+    fitted_states = fit.ansatz.dim_latent if fit.kind == estimate.KIND_QHMM else fit.n_states
     n_data = int(symbols.size)
     lam = (
         estimate.penalty_lambda(
-            n_data, fitted_states, estimate.free_param_count(kind, fitted_states, ansatz), consts
+            n_data, fitted_states,
+            estimate.free_param_count(fit.kind, fitted_states, fit.ansatz), consts,
         )
         if n_data >= 3
         else None
     )
     report = {
-        "kind": kind,
+        "kind": fit.kind,
         "theta_hat": [float(v) for v in result.theta_hat],
         "nll": result.nll,
         "penalty_lambda": lam,
@@ -355,46 +359,33 @@ def cmd_fit(args) -> int:
         "seed": cfg.seed,
         "restarts": cfg.restarts,
         "n_data": n_data,
-        "data_kind": data_kind,
+        "data_kind": fit.data_kind,
     }
     serialize.dump_json(report, report_path)
-    print(f"fit {kind}: nll={result.nll:.6f} (converged={result.converged}); "
+    print(f"fit {fit.kind}: nll={result.nll:.6f} (converged={result.converged}); "
           f"wrote {model_path} and {report_path}")
     return 0
-
-
-def _fit_spec_from_section(config, section, path):
-    kind, n_states, ansatz, _, _ = parse_fit_section(section, path)
-    if kind == estimate.KIND_QHMM:
-        return analysis.QhmmFitSpec(ansatz=ansatz)
-    grid = _grid_for_nonparam(config, n_states) if kind == estimate.KIND_NONPARAM else None
-    return analysis.ClassicalFitSpec(kind=kind, n_states=n_states, grid=grid)
 
 
 def cmd_llr(args) -> int:
     check_out_base(args.out)
     config = load_config(args.config)
-    dgp_cfg = get_section(config, "dgp")
-    exp = get_section(config, "experiment")
-    section_i = get_section(config, "fit_i")
-    section_j = get_section(config, "fit_j")
-    seed = args.seed if args.seed is not None else exp["seed"]
-    trials = args.trials if args.trials is not None else exp["trials"]
-    workers = args.workers if args.workers is not None else exp["workers"]
-    if workers is None:
-        workers = os.cpu_count() or 1
-
-    dgp = build_dgp(dgp_cfg)
-    spec_i = _fit_spec_from_section(config, section_i, "fit_i")
-    spec_j = _fit_spec_from_section(config, section_j, "fit_j")
-    for name, spec in (("fit_i", spec_i), ("fit_j", spec_j)):
-        if isinstance(spec, analysis.QhmmFitSpec) and spec.ansatz.dim_observed != dgp.n_obs:
+    dgp = get_section(config, "dgp")
+    exp = _override(
+        get_section(config, "experiment"), seed=args.seed, trials=args.trials, workers=args.workers
+    )
+    fits = {name: get_section(config, name) for name in ("fit_i", "fit_j")}
+    for name, fit in fits.items():
+        if fit.data_kind != "symbols":
             raise ValidationError(
-                f"config: {name}: ansatz observed register has {spec.ansatz.dim_observed} "
-                f"outcomes but the DGP emits {dgp.n_obs} symbols"
+                f"config: {name}: llr fits binned symbols, got data_kind {fit.data_kind!r}"
             )
-    # Both candidate fits share one optimizer configuration (fit_i's config).
-    _, _, _, _, cfg = parse_fit_section(section_i, "fit_i")
+    cfg = fits["fit_i"].config
+    if fits["fit_j"].config != cfg:
+        raise ValidationError("config: fit_j.config: llr fits both candidates with one "
+                              "optimizer configuration, so it must equal fit_i.config")
+    spec_i, spec_j = (_checked(f"config: {name}", fit.spec, dgp) for name, fit in fits.items())
+    model = build_dgp(dgp)
 
     csv_path = args.out + ".csv"
     hist_path = args.out + ".hist.json"
@@ -415,8 +406,8 @@ def cmd_llr(args) -> int:
             fh.flush()
 
         samples = analysis.llr_experiment(
-            dgp, spec_i, spec_j, trials, exp["n_periods"], cfg, seed,
-            workers=workers, progress=flush_row,
+            model, spec_i, spec_j, exp.trials, exp.n_periods, cfg, exp.seed,
+            workers=exp.workers or os.cpu_count() or 1, progress=flush_row,
         )
 
     summary = analysis.llr_summary(samples)
@@ -500,16 +491,14 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    config = load_config(args.config)
-    section = get_section(config, "bounds")
-    consts = _build(estimate.PenaltyConstants, section["constants"], "bounds.constants")
+    bounds = get_section(load_config(args.config), "bounds")
     report = analysis.nab_bounds(
-        kl_inf_estimate=section["kl_inf_estimate"],
-        n_periods=section["n_periods"],
-        n_states=section["n_states"],
-        m_classical=section["m_classical"],
-        m_quantum=section["m_quantum"],
-        consts=consts,
+        kl_inf_estimate=bounds.kl_inf_estimate,
+        n_periods=bounds.n_periods,
+        n_states=bounds.n_states,
+        m_classical=bounds.m_classical,
+        m_quantum=bounds.m_quantum,
+        consts=bounds.constants,
     )
     doc = {
         "nab_q": report.nab_q,

@@ -38,7 +38,10 @@ _INCGAMMA_EPS = 1e-16
 _INCGAMMA_MAX_ITER = 500
 # Near x = a the incomplete-gamma expansions need about 8 sqrt(a) terms; a cap of
 # 500 + 5 sqrt(a) covers every x for shapes up to about 1e4 (small-sigma CIR grids).
+# The cap stops growing at shape 1e8 (50,500 terms), so huge shapes fail in
+# milliseconds instead of running for minutes.
 _INCGAMMA_SQRT_ITER = 5
+_INCGAMMA_SHAPE_CAP = 1e8
 POISSON_TAIL_TOL = 1e-14
 _POISSON_MAX_TERMS = 200_000
 _QUANTILE_TOL = 1e-12
@@ -83,7 +86,7 @@ def ln_gamma(x: float) -> float:
 
 
 def _incgamma_max_iter(a: float) -> int:
-    return _INCGAMMA_MAX_ITER + int(_INCGAMMA_SQRT_ITER * math.sqrt(a))
+    return _INCGAMMA_MAX_ITER + int(_INCGAMMA_SQRT_ITER * math.sqrt(min(a, _INCGAMMA_SHAPE_CAP)))
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -106,6 +109,10 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     # Q(a, x) by the continued fraction (modified Lentz), reliable for x >= a + 1.
     tiny = 1e-300
     b = x + 1.0 - a
+    if b == 0.0:  # x >= a + 1 only by rounding: the shape is too large for this expansion
+        raise NonConvergenceError(
+            f"incomplete gamma continued fraction has a zero first term for a={a}, x={x}"
+        )
     c = 1.0 / tiny
     d = 1.0 / b
     h = d

@@ -161,6 +161,9 @@ class TestFitCommand:
         assert main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "x")]) == 2
 
 
+NONPARAM_2 = {"kind": "nonparam", "n_states": 2, "config": {"max_iter": 25, "restarts": 1}}
+
+
 class TestLlrCommand:
     def _llr_config(self, tmp_path, workers=None):
         experiment = {"trials": 3, "n_periods": 25, "seed": 5}
@@ -207,6 +210,32 @@ class TestLlrCommand:
         out = tmp_path / "single"
         assert main(["llr", "--config", str(cfg), "--out", str(out), "--trials", "1"]) == 0
         assert len((tmp_path / "single.csv").read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-2"], ["--trials", "0"]])
+    def test_overrides_checked_before_any_output(self, tmp_path, capsys, flags):
+        cfg = self._llr_config(tmp_path)
+        out = tmp_path / "r"
+        assert main(["llr", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert f"{flags[0]}: {flags[0][2:]} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("sections,message", [
+        ({"fit_j": dict(NONPARAM_2, config={"max_iter": 24, "restarts": 1})},
+         "config: fit_j.config: llr fits both candidates with one optimizer configuration"),
+        ({"fit_i": dict(NONPARAM_2, data_kind="returns")}, "config: fit_i: llr fits binned"),
+        ({"fit_j": dict(NONPARAM_2, data_kind="returns")}, "config: fit_j: llr fits binned"),
+    ], ids=["fit_j.config", "fit_i.data_kind", "fit_j.data_kind"])
+    def test_rejects_settings_it_would_ignore(self, tmp_path, capsys, monkeypatch,
+                                              sections, message):
+        from volhmm import analysis
+
+        cfg = self._llr_config(tmp_path)
+        cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **sections)))
+        calls = []
+        monkeypatch.setattr(analysis, "llr_experiment", lambda *a, **kw: calls.append(a))
+        assert main(["llr", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "r.csv").exists()
 
 
 class TestMarkovTestCommand:
@@ -327,6 +356,41 @@ class TestConfigValues:
         )
         assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 2
         assert "config: bounds.constants: w_m must be nonnegative" in capsys.readouterr().err
+
+
+class TestConfigSections:
+    """Every section is read the same way, and command-line overrides are checked like config."""
+
+    @pytest.mark.parametrize("name,value", [("dgp", 5), ("experiment", [1]), ("fit", "cir")])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, name, value):
+        cfg = write_config(tmp_path / "c.json", **{name: value})
+        command = ["fit", "--data", str(tmp_path / "none.csv")] if name == "fit" else ["simulate"]
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert f"config: {name}: expected an object" in capsys.readouterr().err
+
+    def test_kind_override_checked(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        code = main(["fit", "--config", str(cfg), "--data", str(tmp_path / "none.csv"),
+                     "--out", str(tmp_path / "x"), "--kind", "qhmm"])
+        assert code == 2
+        assert "--kind: qhmm fits need an 'ansatz' object" in capsys.readouterr().err
+
+    def test_sp500_preset_sections_and_fit_specs(self):
+        from volhmm import analysis
+        from volhmm.cli import get_section, load_config
+
+        config = load_config("configs/sp500_cir.json")
+        sections = {name: get_section(config, name) for name in
+                    ("dgp", "experiment", "fit", "fit_i", "fit_j", "bounds")}
+        dgp = sections["dgp"]
+        assert dgp.scheme.n_bins == dgp.n_obs == 4
+        assert sections["experiment"].workers is None
+        specs = {name: sections[name].spec(dgp) for name in ("fit", "fit_i", "fit_j")}
+        assert specs["fit"] == analysis.ClassicalFitSpec(kind="cir", n_states=16)
+        assert specs["fit_i"].ansatz.dim_observed == dgp.n_obs
+        assert specs["fit_j"].grid.values.size == 4
+        assert sections["fit_i"].config == sections["fit_j"].config
+        assert sections["bounds"].constants.tau == 1.0
 
 
 class TestModelFiles:

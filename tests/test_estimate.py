@@ -337,6 +337,17 @@ class TestBatchObjective:
         assert values[2] == values[3] == 1e12
         assert values[0] < 1e8 and values[4] < 1e8
 
+    def test_huge_shape_row_gets_the_sentinel(self):
+        # sigma 8.3e-16 puts the spot grid's incomplete gamma at shape ~1e30, where
+        # it cannot converge: that row fails alone instead of the whole batch.
+        scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+        data = np.array([0, 1, 2, 3, 1, 2, 0, 3, 2, 1])
+        rows = np.array([[2.1113816820690166, 0.11141600799901562, 8.3e-16], [2.2, 0.077, 1.1]])
+        batch = classical_batch_objective(data, KIND_CIR, 4, 2, scheme)
+        values = batch(rows)
+        assert values[0] == 1e12
+        assert values[1] == batch(rows[1:])[0] < 1e8
+
     def test_qhmm_mixed_batch(self):
         spec = AnsatzSpec(1, 2, reps=0)
         data = np.array([0, 2, 1, 3, 0])

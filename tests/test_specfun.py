@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from volhmm.errors import NonConvergenceError
 from volhmm.specfun import (
     GammaLaw,
     NoncentralChi2Law,
@@ -74,6 +76,29 @@ class TestRegIncGammaLower:
         mp.mp.dps = 40
         ref = float(mp.gammainc(a, 0, x, regularized=True))
         assert reg_inc_gamma_lower(a, x) == pytest.approx(ref, rel=1e-10)
+
+    def test_huge_shape_zero_continued_fraction_term_fails_cleanly(self):
+        # a + 1 rounds to a, so x = a takes the continued fraction, whose first
+        # term x + 1 - a is 0: a NonConvergenceError, not a ZeroDivisionError.
+        with pytest.raises(NonConvergenceError, match="incomplete gamma"):
+            reg_inc_gamma_lower(1e17, 1e17)
+
+    def test_huge_shape_iteration_cap_stops_growing(self):
+        # shape 4.7e15 at x = a needs ~5e8 series terms; the cap stops at 50,500,
+        # so the failure comes in milliseconds rather than after about a minute.
+        started = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="incomplete gamma"):
+            reg_inc_gamma_lower(4.7e15, 4.7e15)
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("sigma", [8.3e-16, 1e-12, 1e-10, 1e-8])
+    def test_tiny_sigma_spot_grid_fails_cleanly(self, sigma):
+        from volhmm.volgrid import CirParams, cir_spot_grid
+
+        started = time.perf_counter()
+        with pytest.raises(NonConvergenceError):
+            cir_spot_grid(CirParams(2.1113816820690166, 0.11141600799901562, sigma), 4)
+        assert time.perf_counter() - started < 2.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
