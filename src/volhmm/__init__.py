@@ -10,10 +10,8 @@ KL/likelihood-ratio analytics, and Hankel-rank diagnostics on top.
 
 from .analysis import (
     BoundReport,
-    ClassicalFitSpec,
     HankelMatrix,
     LlrSample,
-    QhmmFitSpec,
     build_hankel,
     filtered_vol_divergence,
     hankel_of_model,
@@ -49,9 +47,11 @@ from .errors import (
     ZeroLikelihoodError,
 )
 from .estimate import (
+    ClassicalFitSpec,
     FitConfig,
     FitResult,
     PenaltyConstants,
+    QhmmFitSpec,
     constraint_penalty,
     fit_classical,
     fit_qhmm,

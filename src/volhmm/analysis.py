@@ -30,17 +30,10 @@ import numpy as np
 
 from .chmm import ClassicalHmm, simulate
 from .errors import ValidationError
-from .estimate import (
-    FitConfig,
-    PenaltyConstants,
-    fit_classical,
-    fit_qhmm,
-    penalty_lambda,
-)
+from .estimate import FitConfig, PenaltyConstants, penalty_lambda
 from .operators import forward, leaves, log_likelihood, log_prob, vectors
-from .qhmm import AnsatzSpec, QhmmModel, qhmm_simulate
+from .qhmm import QhmmModel, qhmm_simulate
 from .seeds import derive_seed
-from .volgrid import ObservationScheme, SpotGrid
 
 _EXACT_KL_CAP = 1_000_000
 _HANKEL_CAP = 10_000
@@ -91,39 +84,6 @@ def kl_monte_carlo(dgp, candidate, trials: int, n_steps: int, seed):
     return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(trials))
 
 
-@dataclass(frozen=True)
-class QhmmFitSpec:
-    """LLR-experiment candidate: quantum channel with this ansatz."""
-
-    ansatz: AnsatzSpec
-
-    @property
-    def label(self) -> str:
-        a = self.ansatz
-        return f"qhmm(l={a.latent_qubits},o={a.observed_qubits},reps={a.reps},{a.entanglement})"
-
-    def fit(self, data, k: int, scheme: ObservationScheme, cfg: FitConfig, delta: float):
-        return fit_qhmm(data, self.ansatz, cfg)
-
-
-@dataclass(frozen=True)
-class ClassicalFitSpec:
-    """LLR-experiment candidate: classical model of the given kind and order."""
-
-    kind: str
-    n_states: int
-    grid: SpotGrid | None = None
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}(n={self.n_states})"
-
-    def fit(self, data, k: int, scheme: ObservationScheme, cfg: FitConfig, delta: float):
-        return fit_classical(
-            data, self.kind, self.n_states, k, scheme, cfg, grid=self.grid, delta=delta
-        )
-
-
 @dataclass
 class LlrSample:
     trial: int
@@ -134,13 +94,13 @@ class LlrSample:
     message: str = ""
 
 
-def _llr_trial(trial, dgp, spec_i, spec_j, n_steps, k, scheme, cfg, seed, delta):
+def _llr_trial(trial, dgp, spec_i, spec_j, n_steps, cfg, seed):
     data = simulate(dgp, n_steps, derive_seed(seed, "llr-data", trial))[3]
     try:
         cfg_i = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_i.label))
         cfg_j = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_j.label))
-        result_i, _ = spec_i.fit(data, k, scheme, cfg_i, delta)
-        result_j, _ = spec_j.fit(data, k, scheme, cfg_j, delta)
+        result_i, _ = spec_i.fit(data, cfg_i)
+        result_j, _ = spec_j.fit(data, cfg_j)
     except Exception as exc:  # per-trial failures are recorded, not fatal
         return LlrSample(
             trial=trial, loglik_model_i=math.nan, loglik_model_j=math.nan,
@@ -168,20 +128,16 @@ def llr_experiment(
 ):
     """Simulate -> fit both specs -> record the base-10 in-sample LLR, per trial.
 
-    Fit seeds depend on (seed, trial, spec label), so identical specs produce
-    identical fits and an all-zero LLR column. Trials run in parallel when
-    workers > 1; output is ordered and worker-count independent. Classical
-    candidates reuse the DGP's substep count, observation scheme, and period
-    length.
+    Each spec (``estimate.ClassicalFitSpec`` or ``QhmmFitSpec``) fits the DGP's
+    symbols with the bins, substeps, period length and grouping it holds. Fit seeds
+    depend on (seed, trial, spec label), so identical specs produce identical fits
+    and an all-zero LLR column. Trials run in parallel when workers > 1; output is
+    ordered and worker-count independent.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    k = dgp.table.k
-    scheme = dgp.scheme
-    delta = dgp.a.dt
     task = partial(
-        _llr_trial, dgp=dgp, spec_i=spec_i, spec_j=spec_j, n_steps=n_steps,
-        k=k, scheme=scheme, cfg=cfg, seed=seed, delta=delta,
+        _llr_trial, dgp=dgp, spec_i=spec_i, spec_j=spec_j, n_steps=n_steps, cfg=cfg, seed=seed
     )
     samples = []
     pool = ProcessPoolExecutor(max_workers=workers) if (workers or 1) > 1 else None

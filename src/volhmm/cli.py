@@ -126,18 +126,21 @@ class FitSection:
             raise ValidationError(f"classical fits need 'n_states' >= 2, got {self.n_states}")
 
     def spec(self, dgp: DgpSection):
-        """The fit candidate on the DGP's symbols (a nonparam model uses its spot grid)."""
+        """The fit candidate with the DGP's bins, substeps, period length and grouping
+        (a nonparam model also keeps its spot grid)."""
         if self.kind == estimate.KIND_QHMM:
             if self.ansatz.dim_observed != dgp.n_obs:
                 raise ValidationError(
                     f"ansatz observed register has {self.ansatz.dim_observed} outcomes "
                     f"but dgp.n_obs is {dgp.n_obs}"
                 )
-            return analysis.QhmmFitSpec(ansatz=self.ansatz)
+            return estimate.QhmmFitSpec(self.ansatz)
         grid = None
         if self.kind == estimate.KIND_NONPARAM:
             grid = cir_spot_grid(dgp.params, self.n_states)
-        return analysis.ClassicalFitSpec(kind=self.kind, n_states=self.n_states, grid=grid)
+        return estimate.ClassicalFitSpec(
+            self.kind, self.n_states, dgp.k, dgp.scheme, dgp.delta, dgp.mode, grid, self.data_kind
+        )
 
 
 @dataclass(frozen=True)
@@ -326,30 +329,19 @@ def cmd_fit(args) -> int:
     if "bounds" in config:
         consts = get_section(config, "bounds").constants
     rets, symbols = read_data_csv(args.data)
-    if fit.kind == estimate.KIND_QHMM:
-        result, model = estimate.fit_qhmm(symbols, fit.ansatz, cfg)
-    else:
-        result, model = estimate.fit_classical(
-            symbols if fit.data_kind == "symbols" else rets, fit.kind, fit.n_states, dgp.k,
-            dgp.scheme, cfg, grid=spec.grid, delta=dgp.delta, mode=dgp.mode,
-            data_kind=fit.data_kind,
-        )
+    result, model = spec.fit(rets if spec.data_kind == "returns" else symbols, cfg)
 
     model_path = args.out + ".model.json"
     report_path = args.out + ".report.json"
     serialize.save_model(model, model_path)
-    fitted_states = fit.ansatz.dim_latent if fit.kind == estimate.KIND_QHMM else fit.n_states
     n_data = int(symbols.size)
     lam = (
-        estimate.penalty_lambda(
-            n_data, fitted_states,
-            estimate.free_param_count(fit.kind, fitted_states, fit.ansatz), consts,
-        )
+        estimate.penalty_lambda(n_data, spec.n_states, spec.free_params, consts)
         if n_data >= 3
         else None
     )
     report = {
-        "kind": fit.kind,
+        "kind": spec.kind,
         "theta_hat": [float(v) for v in result.theta_hat],
         "nll": result.nll,
         "penalty_lambda": lam,
@@ -359,10 +351,10 @@ def cmd_fit(args) -> int:
         "seed": cfg.seed,
         "restarts": cfg.restarts,
         "n_data": n_data,
-        "data_kind": fit.data_kind,
+        "data_kind": spec.data_kind,
     }
     serialize.dump_json(report, report_path)
-    print(f"fit {fit.kind}: nll={result.nll:.6f} (converged={result.converged}); "
+    print(f"fit {spec.kind}: nll={result.nll:.6f} (converged={result.converged}); "
           f"wrote {model_path} and {report_path}")
     return 0
 

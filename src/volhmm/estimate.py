@@ -6,8 +6,10 @@ Nelder-Mead simplex descent on the negative log-likelihood, with infeasible
 parameter vectors rejected through a large finite barrier rather than a
 reparameterization. A fit's restarts descend in lockstep: each round evaluates
 every point they ask for in one call of a batched objective, and each descent
-follows the path it would follow alone. Model order selection maximizes loglik/T - Lambda_T with
-the complexity penalty
+follows the path it would follow alone. A fit candidate (``ClassicalFitSpec`` or
+``QhmmFitSpec``) holds a model kind and every setting its fit needs, so callers fit
+through ``spec.fit(data, cfg)`` alone. Model order selection maximizes loglik/T - Lambda_T
+with the complexity penalty
 
     Lambda_T = (C/eta) (ln T)^10 / T * { w + (ln T)^4 (m n_L + n_L^2 - 1)
                                          ((ln T)^3 ln ln T + ln C_aux) }
@@ -460,6 +462,74 @@ def fit_qhmm(data, spec: AnsatzSpec, cfg: FitConfig, theta0=None):
     return best, model
 
 
+@dataclass(frozen=True)
+class ClassicalFitSpec:
+    """Fit candidate: a classical model of this kind and order on these bins and substeps.
+
+    A nonparam candidate keeps ``grid`` fixed; a cir candidate builds its own grid.
+    """
+
+    kind: str
+    n_states: int
+    k: int
+    scheme: ObservationScheme
+    delta: float = 1.0
+    mode: str = MULTISET
+    grid: SpotGrid | None = None
+    data_kind: str = "symbols"
+
+    def __post_init__(self):
+        if self.kind not in (KIND_CIR, KIND_NONPARAM):
+            raise ValidationError(f"unknown classical kind {self.kind!r}")
+        if self.data_kind not in ("symbols", "returns"):
+            raise ValidationError(
+                f"data_kind must be 'symbols' or 'returns', got {self.data_kind!r}"
+            )
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}(n={self.n_states})"
+
+    @property
+    def free_params(self) -> int:
+        """cir: alpha, beta, sigma; nonparam: n - 1 free entries per transition row."""
+        return 3 if self.kind == KIND_CIR else self.n_states * (self.n_states - 1)
+
+    def fit(self, data, cfg: FitConfig):
+        """(FitResult, ClassicalHmm) of this candidate on ``data``."""
+        return fit_classical(
+            data, self.kind, self.n_states, self.k, self.scheme, cfg,
+            grid=self.grid, delta=self.delta, mode=self.mode, data_kind=self.data_kind,
+        )
+
+
+@dataclass(frozen=True)
+class QhmmFitSpec:
+    """Fit candidate: the quantum channel of this ansatz, on binned symbols."""
+
+    ansatz: AnsatzSpec
+    kind = KIND_QHMM
+    data_kind = "symbols"
+
+    @property
+    def label(self) -> str:
+        a = self.ansatz
+        return f"qhmm(l={a.latent_qubits},o={a.observed_qubits},reps={a.reps},{a.entanglement})"
+
+    @property
+    def n_states(self) -> int:
+        return self.ansatz.dim_latent
+
+    @property
+    def free_params(self) -> int:
+        """Circuit angles plus initial-state angles."""
+        return self.ansatz.n_params + self.ansatz.latent_qubits
+
+    def fit(self, data, cfg: FitConfig):
+        """(FitResult, QhmmModel) of this candidate on ``data``."""
+        return fit_qhmm(data, self.ansatz, cfg)
+
+
 def penalty_lambda(n_periods: int, n_states: int, m_params: int, consts: PenaltyConstants) -> float:
     """Complexity penalty Lambda_T for a candidate with n_states states and m_params parameters."""
     if n_periods < 3:
@@ -475,19 +545,6 @@ def penalty_lambda(n_periods: int, n_states: int, m_params: int, consts: Penalty
     )
 
 
-def free_param_count(kind: str, n_states: int, spec: AnsatzSpec | None = None) -> int:
-    """Free parameters of a candidate: cir 3, nonparam n(n-1), qhmm circuit + init angles."""
-    if kind == KIND_CIR:
-        return 3
-    if kind == KIND_NONPARAM:
-        return n_states * (n_states - 1)
-    if kind == KIND_QHMM:
-        if spec is None:
-            raise ValidationError("qhmm parameter count needs the ansatz spec")
-        return spec.n_params + spec.latent_qubits
-    raise ValidationError(f"unknown model kind {kind!r}")
-
-
 @dataclass
 class CandidateReport:
     kind: str
@@ -499,46 +556,29 @@ class CandidateReport:
     converged: bool
 
 
-def penalized_select(
-    data,
-    candidates,
-    k: int,
-    scheme: ObservationScheme,
-    consts: PenaltyConstants,
-    cfg: FitConfig,
-    grids: dict | None = None,
-    delta: float = 1.0,
-    mode: str = MULTISET,
-    data_kind: str = "symbols",
-):
-    """Fit each (kind, n_states) candidate and pick the best penalized likelihood.
+def penalized_select(data, specs, consts: PenaltyConstants, cfg: FitConfig):
+    """Fit each candidate spec and pick the best penalized likelihood.
 
-    Candidate state counts must be perfect squares. ``grids`` maps n_states to
-    the SpotGrid used by nonparam candidates. Returns (best index, best model,
-    list of CandidateReport); ties break by candidate order, then lower
-    n_states.
+    Candidate state counts must be perfect squares. Returns (best index, best model,
+    list of CandidateReport); ties go to the earlier candidate.
     """
-    candidates = list(candidates)
-    if not candidates:
+    specs = list(specs)
+    if not specs:
         raise ValidationError("need at least one candidate")
     n_periods = len(data)
     reports = []
     models = []
-    for kind, n_states in candidates:
-        root = math.isqrt(n_states)
-        if root * root != n_states:
-            raise ValidationError(f"candidate n_states={n_states} is not a perfect square")
-        grid = (grids or {}).get(n_states)
-        result, model = fit_classical(
-            data, kind, n_states, k, scheme, cfg,
-            grid=grid, delta=delta, mode=mode, data_kind=data_kind,
-        )
-        lam = penalty_lambda(n_periods, n_states, free_param_count(kind, n_states), consts)
+    for spec in specs:
+        root = math.isqrt(spec.n_states)
+        if root * root != spec.n_states:
+            raise ValidationError(f"candidate n_states={spec.n_states} is not a perfect square")
+        result, model = spec.fit(data, cfg)
+        lam = penalty_lambda(n_periods, spec.n_states, spec.free_params, consts)
         loglik_per_step = -result.nll / n_periods
         reports.append(
             CandidateReport(
-                kind=kind,
-                n_states=n_states,
+                kind=spec.kind,
+                n_states=spec.n_states,
                 nll=result.nll,
                 loglik_per_step=loglik_per_step,
                 penalty=lam,
@@ -547,8 +587,5 @@ def penalized_select(
             )
         )
         models.append(model)
-    objectives = [r.penalized_objective for r in reports]
-    best_idx = min(
-        range(len(reports)), key=lambda i: (-objectives[i], i, reports[i].n_states)
-    )
+    best_idx = max(range(len(reports)), key=lambda i: reports[i].penalized_objective)
     return best_idx, models[best_idx], reports

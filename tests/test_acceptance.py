@@ -14,8 +14,6 @@ import numpy as np
 
 from conftest import brute_force_loglik, random_classical_hmm
 from volhmm.analysis import (
-    ClassicalFitSpec,
-    QhmmFitSpec,
     hankel_of_model,
     kl_exact_small,
     kl_monte_carlo,
@@ -26,7 +24,7 @@ from volhmm.analysis import (
 )
 from volhmm.chmm import build_classical_hmm, log_likelihood_binned, sequence_probability
 from volhmm.cli import main
-from volhmm.estimate import FitConfig, PenaltyConstants
+from volhmm.estimate import ClassicalFitSpec, FitConfig, PenaltyConstants, QhmmFitSpec
 from volhmm.qhmm import AnsatzSpec, causal_break_test, qhmm_sequence_logprob, random_qhmm
 from volhmm.specfun import NoncentralChi2Law, noncentral_chi2_cdf
 from volhmm.volgrid import (
@@ -199,7 +197,10 @@ def test_criterion_08_llr_experiment_panel_a_desk_scale():
     started = time.perf_counter()
     dgp = sp500_dgp(n_states=16, k=4, n_obs=4)
     spec_i = QhmmFitSpec(ansatz=AnsatzSpec(latent_qubits=1, observed_qubits=2, reps=3))
-    spec_j = ClassicalFitSpec(kind="nonparam", n_states=4, grid=cir_spot_grid(SP500, 4))
+    spec_j = ClassicalFitSpec(
+        kind="nonparam", n_states=4, k=dgp.table.k, scheme=dgp.scheme, delta=dgp.a.dt,
+        grid=cir_spot_grid(SP500, 4),
+    )
     cfg = FitConfig(max_iter=600, restarts=4)
     workers = min(8, os.cpu_count() or 1)
     samples = llr_experiment(

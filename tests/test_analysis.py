@@ -5,7 +5,6 @@ import pytest
 
 from conftest import random_classical_hmm
 from volhmm.analysis import (
-    ClassicalFitSpec,
     build_hankel,
     filtered_vol_divergence,
     hankel_of_model,
@@ -19,7 +18,7 @@ from volhmm.analysis import (
 )
 from volhmm.chmm import build_classical_hmm
 from volhmm.errors import ValidationError
-from volhmm.estimate import FitConfig, PenaltyConstants
+from volhmm.estimate import ClassicalFitSpec, FitConfig, PenaltyConstants
 from volhmm.qhmm import AnsatzSpec, build_qhmm, random_qhmm
 from volhmm.volgrid import ObservationScheme, SpotGrid, TransitionMatrix
 
@@ -118,7 +117,9 @@ class TestKlMonteCarlo:
 class TestLlrExperiment:
     def test_identical_specs_give_zero_llr(self, rng):
         dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
-        spec = ClassicalFitSpec(kind="nonparam", n_states=2, grid=dgp.grid)
+        spec = ClassicalFitSpec(
+            kind="nonparam", n_states=2, k=1, scheme=dgp.scheme, delta=dgp.a.dt, grid=dgp.grid
+        )
         cfg = FitConfig(max_iter=40, restarts=1)
         samples = llr_experiment(dgp, spec, spec, trials=3, n_steps=30, cfg=cfg, seed=7)
         assert all(s.status == "ok" for s in samples)
@@ -126,8 +127,10 @@ class TestLlrExperiment:
 
     def test_worker_count_does_not_change_results(self, rng):
         dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
-        spec_i = ClassicalFitSpec(kind="nonparam", n_states=2, grid=dgp.grid)
-        spec_j = ClassicalFitSpec(kind="cir", n_states=2)
+        spec_i = ClassicalFitSpec(
+            kind="nonparam", n_states=2, k=1, scheme=dgp.scheme, delta=dgp.a.dt, grid=dgp.grid
+        )
+        spec_j = ClassicalFitSpec(kind="cir", n_states=2, k=1, scheme=dgp.scheme, delta=dgp.a.dt)
         cfg = FitConfig(max_iter=30, restarts=1)
         serial = llr_experiment(dgp, spec_i, spec_j, trials=4, n_steps=25, cfg=cfg, seed=3)
         parallel = llr_experiment(
@@ -143,7 +146,9 @@ class TestLlrExperiment:
 
         monkeypatch.setattr(estimate, "log_prob", impossible)
         dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
-        spec = ClassicalFitSpec(kind="nonparam", n_states=2, grid=dgp.grid)
+        spec = ClassicalFitSpec(
+            kind="nonparam", n_states=2, k=1, scheme=dgp.scheme, delta=dgp.a.dt, grid=dgp.grid
+        )
         cfg = FitConfig(max_iter=20, restarts=1)
         samples = llr_experiment(dgp, spec, spec, trials=2, n_steps=20, cfg=cfg, seed=7, workers=1)
         assert [s.status for s in samples] == ["failed", "failed"]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -160,6 +161,41 @@ class TestFitCommand:
         data.write_text("t,spot_state,vbar,return,symbol\n0,1,0.01,not_a_number,2\n")
         assert main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "x")]) == 2
 
+    def test_misspelled_data_kind_reported_before_data_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", fit={"kind": "cir", "n_states": 4, "data_kind": "retruns"})
+        code = main(["fit", "--config", str(cfg), "--data", str(tmp_path / "none.csv"),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config: fit: data_kind must be 'symbols' or 'returns', got 'retruns'" in err
+
+    @pytest.mark.parametrize("kind", ["cir", "qhmm"])
+    def test_report_penalty_matches_lambda(self, tmp_path, kind):
+        from volhmm.estimate import PenaltyConstants, penalty_lambda
+
+        constants = {"c_lambda": 2.0, "eta": 0.5, "c_aux": 1.5}
+        ansatz = AnsatzSpec(latent_qubits=1, observed_qubits=2, reps=1)
+        fits = {
+            "cir": ({"kind": "cir", "n_states": 16}, 16, 3),
+            "qhmm": ({"kind": "qhmm", "ansatz": {"latent_qubits": 1, "observed_qubits": 2, "reps": 1}},
+                     ansatz.dim_latent, ansatz.n_params + ansatz.latent_qubits),
+        }
+        fit, n, m = fits[kind]
+        cfg = write_config(
+            tmp_path / "c.json",
+            fit=dict(fit, config={"max_iter": 3, "restarts": 1}),
+            bounds={"kl_inf_estimate": 0.05, "n_periods": 40, "n_states": 16, "m_classical": 240,
+                    "m_quantum": 33, "constants": constants},
+        )
+        data = tmp_path / "d.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(data)])
+        assert main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "f")]) == 0
+        report = json.loads((tmp_path / "f.report.json").read_text())
+        lam = penalty_lambda(report["n_data"], n, m, PenaltyConstants(**constants))
+        assert report["n_data"] == 40
+        assert report["penalty_lambda"] == lam
+        assert report["penalized_objective"] == -report["nll"] / report["n_data"] - lam
+
 
 NONPARAM_2 = {"kind": "nonparam", "n_states": 2, "config": {"max_iter": 25, "restarts": 1}}
 
@@ -210,6 +246,32 @@ class TestLlrCommand:
         out = tmp_path / "single"
         assert main(["llr", "--config", str(cfg), "--out", str(out), "--trials", "1"]) == 0
         assert len((tmp_path / "single.csv").read_text().strip().splitlines()) == 2
+
+    def test_candidates_share_the_dgp_grouping(self, tmp_path):
+        from volhmm.cli import build_dgp, get_section, load_config
+        from volhmm.estimate import FitConfig, fit_classical
+        from volhmm.seeds import derive_seed
+        from volhmm.volgrid import cir_spot_grid
+
+        cfg = write_config(
+            tmp_path / "c.json",
+            dgp={"alpha": 2.2, "beta": 0.077, "sigma": 1.1, "n_states": 3, "k": 2, "n_obs": 3,
+                 "half_width": 0.3, "mode": "index-sum"},
+            experiment={"trials": 1, "n_periods": 25, "seed": 5},
+            fit_i={"kind": "cir", "n_states": 3, "config": {"max_iter": 25, "restarts": 1}},
+            fit_j={"kind": "nonparam", "n_states": 3, "config": {"max_iter": 25, "restarts": 1}},
+        )
+        assert main(["llr", "--config", str(cfg), "--out", str(tmp_path / "r"), "--workers", "1"]) == 0
+        with open(tmp_path / "r.csv", newline="", encoding="ascii") as fh:
+            (row,) = list(csv.DictReader(fh))
+        dgp = get_section(load_config(str(cfg)), "dgp")
+        data = simulate(build_dgp(dgp), 25, derive_seed(5, "llr-data", 0))[3]
+        fit_cfg = FitConfig(max_iter=25, restarts=1, seed=derive_seed(5, "llr-fit", 0, "nonparam(n=3)"))
+        fits = {mode: fit_classical(data, "nonparam", 3, 2, dgp.scheme, fit_cfg,
+                                    grid=cir_spot_grid(dgp.params, 3), mode=mode)[0]
+                for mode in ("index-sum", "multiset")}
+        assert float(row["loglik_model_j"]) == -fits["index-sum"].nll
+        assert fits["index-sum"].nll != fits["multiset"].nll
 
     @pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-2"], ["--trials", "0"]])
     def test_overrides_checked_before_any_output(self, tmp_path, capsys, flags):
@@ -376,7 +438,6 @@ class TestConfigSections:
         assert "--kind: qhmm fits need an 'ansatz' object" in capsys.readouterr().err
 
     def test_sp500_preset_sections_and_fit_specs(self):
-        from volhmm import analysis
         from volhmm.cli import get_section, load_config
 
         config = load_config("configs/sp500_cir.json")
@@ -386,7 +447,9 @@ class TestConfigSections:
         assert dgp.scheme.n_bins == dgp.n_obs == 4
         assert sections["experiment"].workers is None
         specs = {name: sections[name].spec(dgp) for name in ("fit", "fit_i", "fit_j")}
-        assert specs["fit"] == analysis.ClassicalFitSpec(kind="cir", n_states=16)
+        fit = specs["fit"]
+        assert (fit.kind, fit.n_states, fit.k, fit.delta, fit.mode) == ("cir", 16, 4, 1.0, "multiset")
+        assert fit.grid is None and fit.scheme.n_bins == 4 and fit.data_kind == "symbols"
         assert specs["fit_i"].ansatz.dim_observed == dgp.n_obs
         assert specs["fit_j"].grid.values.size == 4
         assert sections["fit_i"].config == sections["fit_j"].config

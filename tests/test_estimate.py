@@ -16,15 +16,16 @@ from volhmm.estimate import (
     KIND_CIR,
     KIND_NONPARAM,
     KIND_QHMM,
+    ClassicalFitSpec,
     FitConfig,
     PenaltyConstants,
+    QhmmFitSpec,
     classical_batch_objective,
     classical_model_from_theta,
     constraint_penalty,
     default_classical_start,
     fit_classical,
     fit_qhmm,
-    free_param_count,
     nelder_mead,
     penalized_select,
     penalty_lambda,
@@ -160,7 +161,7 @@ class TestFitQhmm:
     def test_parameter_count_with_init(self):
         spec = AnsatzSpec(1, 1, reps=3)
         assert spec.n_params == 16
-        assert free_param_count(KIND_QHMM, 2, spec) == 17
+        assert QhmmFitSpec(spec).free_params == 17
 
     def test_uniform_channel_data_reaches_entropy_rate(self):
         # fair-coin data; warm start at the exactly-uniform channel (last layer
@@ -433,7 +434,7 @@ class TestPenalizedSelect:
         _, _, _, symbols = simulate(dgp, 60, seed=23)
         cfg = FitConfig(max_iter=40, seed=4, restarts=1)
         best_idx, model, reports = penalized_select(
-            symbols, [(KIND_CIR, 4)], 2, dgp.scheme, PenaltyConstants(), cfg
+            symbols, [ClassicalFitSpec(KIND_CIR, 4, 2, dgp.scheme)], PenaltyConstants(), cfg
         )
         assert best_idx == 0
         assert len(reports) == 1
@@ -443,17 +444,19 @@ class TestPenalizedSelect:
         _, _, _, symbols = simulate(dgp, 60, seed=23)
         with pytest.raises(ValidationError):
             penalized_select(
-                symbols, [(KIND_CIR, 3)], 2, dgp.scheme, PenaltyConstants(), FitConfig()
+                symbols, [ClassicalFitSpec(KIND_CIR, 3, 2, dgp.scheme)], PenaltyConstants(),
+                FitConfig(),
             )
 
     def test_selection_is_reproducible_and_consistent(self):
         dgp = sp500_dgp(n_states=4, k=2)
         _, _, _, symbols = simulate(dgp, 60, seed=29)
         cfg = FitConfig(max_iter=30, seed=6, restarts=1)
-        grids = {4: cir_spot_grid(SP500, 4)}
-        args = (symbols, [(KIND_CIR, 4), (KIND_NONPARAM, 4)], 2, dgp.scheme, PenaltyConstants(), cfg)
-        best1, _, reports1 = penalized_select(*args, grids=grids)
-        best2, _, reports2 = penalized_select(*args, grids=grids)
+        specs = [ClassicalFitSpec(KIND_CIR, 4, 2, dgp.scheme),
+                 ClassicalFitSpec(KIND_NONPARAM, 4, 2, dgp.scheme, grid=cir_spot_grid(SP500, 4))]
+        args = (symbols, specs, PenaltyConstants(), cfg)
+        best1, _, reports1 = penalized_select(*args)
+        best2, _, reports2 = penalized_select(*args)
         assert best1 == best2
         assert [r.penalized_objective for r in reports1] == [
             r.penalized_objective for r in reports2
@@ -500,5 +503,6 @@ class TestDefaults:
         assert constraint_penalty(theta, KIND_NONPARAM, 5) == 0.0
 
     def test_free_param_counts(self):
-        assert free_param_count(KIND_CIR, 16) == 3
-        assert free_param_count(KIND_NONPARAM, 16) == 240
+        scheme = build_observation_scheme(4, 1.0)
+        assert ClassicalFitSpec(KIND_CIR, 16, 4, scheme).free_params == 3
+        assert ClassicalFitSpec(KIND_NONPARAM, 16, 4, scheme).free_params == 240
