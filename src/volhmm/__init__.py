@@ -52,9 +52,6 @@ from .estimate import (
     FitResult,
     PenaltyConstants,
     QhmmFitSpec,
-    constraint_penalty,
-    fit_classical,
-    fit_qhmm,
     nelder_mead,
     penalized_select,
     penalty_lambda,

@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .chmm import ClassicalHmm, simulate
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .estimate import FitConfig, PenaltyConstants, penalty_lambda
 from .operators import forward, leaves, log_likelihood, log_prob, vectors
 from .qhmm import QhmmModel, qhmm_simulate
@@ -101,7 +101,7 @@ def _llr_trial(trial, dgp, spec_i, spec_j, n_steps, cfg, seed):
         cfg_j = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_j.label))
         result_i, _ = spec_i.fit(data, cfg_i)
         result_j, _ = spec_j.fit(data, cfg_j)
-    except Exception as exc:  # per-trial failures are recorded, not fatal
+    except NumericalError as exc:  # a failed fit is recorded, not fatal
         return LlrSample(
             trial=trial, loglik_model_i=math.nan, loglik_model_j=math.nan,
             llr_log10=math.nan, status="failed", message=f"{type(exc).__name__}: {exc}",

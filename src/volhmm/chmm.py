@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,10 +46,6 @@ _ROW_SUM_TOL = 1e-10
 MULTISET = "multiset"
 INDEX_SUM = "index-sum"
 _MODES = (MULTISET, INDEX_SUM)
-
-WEIGHT_FIRST = "weight-first"
-PROPAGATE_FIRST = "propagate-first"
-_ORDERS = (WEIGHT_FIRST, PROPAGATE_FIRST)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -111,30 +107,32 @@ class EmissionMatrix:
 
 @dataclass(frozen=True)
 class ClassicalHmm:
-    """Spot grid, substep and period transition matrices, Vbar table, emissions, start law."""
+    """Spot grid, substep transition matrix, Vbar table, emissions and start law.
+
+    The period matrix ``a = a_hf^k`` is formed here; x0 defaults to its stationary law.
+    """
 
     grid: SpotGrid
     a_hf: TransitionMatrix
-    a: TransitionMatrix
     table: IntegratedVolTable
     emission: EmissionMatrix
-    x0: np.ndarray
     scheme: ObservationScheme
+    x0: np.ndarray | None = None
+    a: TransitionMatrix = field(init=False)
 
     def __post_init__(self):
         n = self.grid.n_states
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (n,) or np.any(x0 < 0.0) or abs(x0.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ValidationError("x0 must be a probability vector over the hidden states")
-        for mat, name in ((self.a_hf, "a_hf"), (self.a, "a")):
-            if mat.n_states != n:
-                raise ValidationError(f"{name} has {mat.n_states} states, grid has {n}")
+        if self.a_hf.n_states != n:
+            raise ValidationError(f"a_hf has {self.a_hf.n_states} states, grid has {n}")
         if self.table.n_states != n or self.emission.probs.shape[0] != n:
             raise ValidationError("table/emission state dimension mismatch")
         if self.emission.probs.shape[1] != self.scheme.n_bins:
             raise ValidationError("emission symbol dimension does not match the scheme")
-        if np.max(np.abs(matrix_power(self.a_hf, self.table.k).probs - self.a.probs)) > 1e-10:
-            raise ValidationError("a must equal a_hf^k")
+        a = matrix_power(self.a_hf, self.table.k)
+        x0 = stationary_distribution(a) if self.x0 is None else np.asarray(self.x0, dtype=float)
+        if x0.shape != (n,) or np.any(x0 < 0.0) or abs(x0.sum() - 1.0) > _ROW_SUM_TOL:
+            raise ValidationError("x0 must be a probability vector over the hidden states")
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "x0", _freeze(x0))
 
     @property
@@ -145,12 +143,10 @@ class ClassicalHmm:
     def n_obs(self) -> int:
         return self.scheme.n_bins
 
-    def operators(self, order: str = WEIGHT_FIRST) -> operators.OperatorModel:
-        """Operators diag(e_s) A (A diag(e_s) propagate-first), with start x0 and out = 1."""
-        _check_order(order)
+    def operators(self) -> operators.OperatorModel:
+        """Operators diag(e_s) A, with start x0 and out = 1."""
         e, a = self.emission.probs.T, self.a.probs  # row s of e is the emission column e_s
-        ops = a * e[:, None, :] if order == PROPAGATE_FIRST else e[:, :, None] * a
-        return operators.OperatorModel(self.x0, ops, np.ones(self.n_states))
+        return operators.OperatorModel(self.x0, e[:, :, None] * a, np.ones(self.n_states))
 
 
 @dataclass
@@ -282,33 +278,23 @@ def build_classical_hmm(
 
     x0 defaults to the stationary distribution of the period-level chain.
     """
-    a = matrix_power(a_hf, k)
     table = build_integrated_table(a_hf, grid, k, mode)
     emission = build_emission_matrix(table, scheme)
-    if x0 is None:
-        x0 = stationary_distribution(a)
-    return ClassicalHmm(grid=grid, a_hf=a_hf, a=a, table=table, emission=emission, x0=x0, scheme=scheme)
+    return ClassicalHmm(grid=grid, a_hf=a_hf, table=table, emission=emission, scheme=scheme, x0=x0)
 
 
-def _check_order(order: str):
-    if order not in _ORDERS:
-        raise ValidationError(f"order must be one of {_ORDERS}, got {order!r}")
-
-
-def forward_step(
-    x_prev: np.ndarray, hmm: ClassicalHmm, symbol: int, order: str = WEIGHT_FIRST
-):
+def forward_step(x_prev: np.ndarray, hmm: ClassicalHmm, symbol: int):
     """One filter update; returns (next state distribution, log-likelihood increment)."""
-    steps, x = operators.filtered(hmm.operators(order), [symbol], np.asarray(x_prev)[None, :])
+    steps, x = operators.filtered(hmm.operators(), [symbol], np.asarray(x_prev)[None, :])
     return x[0], math.log(steps[0, 0])
 
 
-def log_likelihood_binned(hmm: ClassicalHmm, obs, order: str = WEIGHT_FIRST) -> float:
+def log_likelihood_binned(hmm: ClassicalHmm, obs) -> float:
     """Log-probability of a symbol sequence via the forward recursion."""
-    return operators.log_likelihood(hmm.operators(order), obs)
+    return operators.log_likelihood(hmm.operators(), obs)
 
 
-def _returns_steps(hmm: ClassicalHmm, returns, order: str = WEIGHT_FIRST):
+def _returns_steps(hmm: ClassicalHmm, returns):
     """The returns filter: per return dy, yields (log-likelihood increment, next state).
 
     A state's weight is sum_j g[i,j] phi(dy; 0, Vbar_j), taken relative to the
@@ -330,11 +316,7 @@ def _returns_steps(hmm: ClassicalHmm, returns, order: str = WEIGHT_FIRST):
         w = x * e
         s = w.sum()
         inc = math.log(s) + shift
-        if order == WEIGHT_FIRST:
-            x = (w / s) @ a
-        else:
-            w = (x @ a) * e
-            x = w / w.sum()
+        x = (w / s) @ a
         yield inc, x
 
 
@@ -346,12 +328,7 @@ def log_likelihood_continuous(hmm: ClassicalHmm, returns) -> float:
     return total
 
 
-def filter_path(
-    hmm: ClassicalHmm,
-    obs=None,
-    returns=None,
-    order: str = WEIGHT_FIRST,
-) -> FilterTrace:
+def filter_path(hmm: ClassicalHmm, obs=None, returns=None) -> FilterTrace:
     """Run the filter over symbols or raw returns, recording the predictive integrated variance.
 
     filtered_vbar[t] is the expectation of Vbar for period t given data up to
@@ -360,13 +337,12 @@ def filter_path(
     if (obs is None) == (returns is None):
         raise ValidationError("provide exactly one of obs or returns")
     if obs is not None:
-        steps, states = operators.filtered(hmm.operators(order), obs, keep_states=True)
+        steps, states = operators.filtered(hmm.operators(), obs, keep_states=True)
         states, incs = states[:, 0], np.log(steps[0])
     else:
-        _check_order(order)
         states = np.empty((len(returns), hmm.n_states))
         incs = np.empty(len(returns))
-        for t, (inc, x) in enumerate(_returns_steps(hmm, returns, order)):
+        for t, (inc, x) in enumerate(_returns_steps(hmm, returns)):
             incs[t], states[t] = inc, x
     prior = np.vstack([hmm.x0, states])[:-1]  # the state each period starts from
     expected_vbar = hmm.table.g @ hmm.table.vbar_values

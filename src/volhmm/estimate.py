@@ -7,9 +7,10 @@ parameter vectors rejected through a large finite barrier rather than a
 reparameterization. A fit's restarts descend in lockstep: each round evaluates
 every point they ask for in one call of a batched objective, and each descent
 follows the path it would follow alone. A fit candidate (``ClassicalFitSpec`` or
-``QhmmFitSpec``) holds a model kind and every setting its fit needs, so callers fit
-through ``spec.fit(data, cfg)`` alone. Model order selection maximizes loglik/T - Lambda_T
-with the complexity penalty
+``QhmmFitSpec``) holds a model kind and every setting its fit needs, and owns its
+barrier, restart starts, batched objective and model builder; one driver,
+``spec.fit(data, cfg)``, checks the data and runs them for either kind. Model order
+selection maximizes loglik/T - Lambda_T with the complexity penalty
 
     Lambda_T = (C/eta) (ln T)^10 / T * { w + (ln T)^4 (m n_L + n_L^2 - 1)
                                          ((ln T)^3 ln ln T + ln C_aux) }
@@ -242,38 +243,6 @@ def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
     )
 
 
-def constraint_penalty(theta, kind: str, n_states: int) -> float:
-    """Zero inside the feasible region, a large finite barrier outside it."""
-    theta = np.asarray(theta, dtype=float)
-    violation = 0.0
-    if kind == KIND_CIR:
-        violation = float(np.clip(-theta, 0.0, None).sum())
-        if np.any(theta <= 0.0):
-            violation = max(violation, 1e-12)
-    elif kind == KIND_NONPARAM:
-        expected = n_states * (n_states - 1)
-        if theta.shape != (expected,):
-            raise ValidationError(
-                f"expected {expected} parameters for {n_states} states, got shape {theta.shape}"
-            )
-        low = float(np.clip(-theta, 0.0, None).sum())
-        high = float(np.clip(theta - 1.0, 0.0, None).sum())
-        violation = low + high
-        if np.any(theta <= 0.0) or np.any(theta >= 1.0):
-            violation = max(violation, 1e-12)
-        groups = theta.reshape(n_states, n_states - 1)
-        row_excess = np.clip(groups.sum(axis=1) - 1.0, 0.0, None).sum()
-        if np.any(groups.sum(axis=1) >= 1.0):
-            violation = max(violation + float(row_excess), 1e-12)
-    elif kind == KIND_QHMM:
-        violation = 0.0  # angles are periodic, nothing to constrain
-    else:
-        raise ValidationError(f"unknown model kind {kind!r}")
-    if violation == 0.0:
-        return 0.0
-    return _BARRIER * (1.0 + violation)
-
-
 def _batch_nll(model: OperatorModel, data) -> np.ndarray:
     """Negative log-likelihood of ``data`` under each model of a batch; the failure
     sentinel where the data have probability zero."""
@@ -290,180 +259,34 @@ def _check_best(best: FitResult):
         )
 
 
-def classical_model_from_theta(
-    theta,
-    kind: str,
-    n_states: int,
-    k: int,
-    scheme: ObservationScheme,
-    grid: SpotGrid | None = None,
-    delta: float = 1.0,
-    mode: str = MULTISET,
-) -> ClassicalHmm:
-    """Candidate model for a parameter vector; x0 is the stationary law of its chain."""
-    if kind == KIND_CIR:
-        params = CirParams(alpha=float(theta[0]), beta=float(theta[1]), sigma=float(theta[2]))
-        grid = cir_spot_grid(params, n_states)
-        a_hf = cir_transition_matrix(params, grid, delta / k)
-    elif kind == KIND_NONPARAM:
-        if grid is None:
-            raise ValidationError("nonparam models need an externally supplied spot grid")
-        a_hf = nonparam_transition_matrix(theta, n_states, dt=delta / k)
-    else:
-        raise ValidationError(f"unknown classical kind {kind!r}")
-    return build_classical_hmm(grid, a_hf, k, scheme, mode=mode)
+class _FitDriver:
+    """The one fit both candidate kinds share.
 
-
-def default_classical_start(kind: str, n_states: int, data=None, data_kind: str = "symbols"):
-    """Deterministic optimizer starting point.
-
-    cir starts at (1, vhat, 0.5) with vhat the sample return variance when raw
-    returns are available (0.1 otherwise); nonparam starts at uniform rows.
-    """
-    if kind == KIND_CIR:
-        beta0 = 0.1
-        if data is not None and data_kind == "returns":
-            beta0 = float(max(np.var(np.asarray(data, dtype=float)), 1e-6))
-        return np.array([1.0, beta0, 0.5])
-    if kind == KIND_NONPARAM:
-        return np.full(n_states * (n_states - 1), 1.0 / n_states)
-    raise ValidationError(f"unknown classical kind {kind!r}")
-
-
-def classical_batch_objective(
-    data,
-    kind: str,
-    n_states: int,
-    k: int,
-    scheme: ObservationScheme,
-    grid: SpotGrid | None = None,
-    delta: float = 1.0,
-    mode: str = MULTISET,
-    data_kind: str = "symbols",
-):
-    """Fit objective on a (B, dim) batch of parameter rows: (B,) values, each the one its row
-    gets alone.
-
-    A row outside the feasible region gets its barrier value and is never built; a row
-    whose model cannot be built or evaluated gets the failure sentinel. Symbol data run
-    through one batched forward pass; raw returns through each row's returns filter.
+    A candidate supplies ``data_kind``, ``n_obs``, ``starts(data, cfg, theta0)``,
+    ``objective(data)`` (values of a (B, dim) batch of parameter rows, each the one its
+    row gets alone) and ``model(theta)``.
     """
 
-    def objective(thetas):
-        values = np.empty(len(thetas))
-        symbol_rows, symbol_models = [], []
-        for i, theta in enumerate(thetas):
-            values[i] = constraint_penalty(theta, kind, n_states)
-            if values[i] > 0.0:
-                continue
-            try:
-                model = classical_model_from_theta(
-                    theta, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode
-                )
-                if data_kind == "returns":
-                    values[i] = -log_likelihood_continuous(model, data)
-                else:
-                    symbol_rows.append(i)
-                    symbol_models.append(model.operators())
-            except (ZeroLikelihoodError, NumericalError, ValidationError):
-                values[i] = _OBJECTIVE_FAIL
-        if symbol_rows:
-            values[symbol_rows] = _batch_nll(stack(symbol_models), data)
-        return values
+    def fit(self, data, cfg: FitConfig, theta0=None):
+        """Maximum likelihood fit on ``data``: (FitResult, model).
 
-    return objective
-
-
-def qhmm_batch_objective(data, spec: AnsatzSpec):
-    """Fit objective on a (B, latent_qubits + n_params) batch of packed angles: (B,) values."""
-    n_init = spec.latent_qubits
-
-    def objective(packed):
-        return _batch_nll(qhmm_operators(spec, packed[:, n_init:], packed[:, :n_init]), data)
-
-    return objective
-
-
-def fit_classical(
-    data,
-    kind: str,
-    n_states: int,
-    k: int,
-    scheme: ObservationScheme,
-    cfg: FitConfig,
-    grid: SpotGrid | None = None,
-    delta: float = 1.0,
-    mode: str = MULTISET,
-    data_kind: str = "symbols",
-    theta0=None,
-):
-    """Maximum likelihood fit of a classical model; returns (FitResult, ClassicalHmm)."""
-    if n_states < 2:
-        raise ValidationError(f"need at least 2 hidden states, got {n_states}")
-    data = np.asarray(data)
-    if data.size == 0:
-        raise ValidationError("data must be nonempty")
-    if data_kind not in ("symbols", "returns"):
-        raise ValidationError(f"data_kind must be 'symbols' or 'returns', got {data_kind!r}")
-    if data_kind == "symbols" and (data.min() < 0 or data.max() >= scheme.n_bins):
-        raise ValidationError("data symbols out of range for the observation scheme")
-
-    start = (
-        np.asarray(theta0, dtype=float)
-        if theta0 is not None
-        else default_classical_start(kind, n_states, data, data_kind)
-    )
-    starts = [start]
-    for r in range(1, cfg.restarts):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "classical-restart", r))
-        x0 = start * np.exp(0.5 * rng.standard_normal(start.size))
-        if constraint_penalty(x0, kind, n_states) > 0.0:
-            x0 = start  # perturbation left the feasible region; fall back
-        starts.append(x0)
-    objective = classical_batch_objective(
-        data, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode, data_kind=data_kind
-    )
-    best = lockstep_nelder_mead(objective, starts, cfg)
-    _check_best(best)
-    model = classical_model_from_theta(
-        best.theta_hat, kind, n_states, k, scheme, grid=grid, delta=delta, mode=mode
-    )
-    return best, model
-
-
-def fit_qhmm(data, spec: AnsatzSpec, cfg: FitConfig, theta0=None):
-    """Maximum likelihood fit of the quantum channel; returns (FitResult, QhmmModel).
-
-    The parameter vector stacks the initial-state angles (first latent_qubits
-    entries) and the circuit angles. Restart 0 uses theta0 when provided;
-    remaining restarts draw all angles uniformly from [0, 2pi).
-    """
-    data = np.asarray(data, dtype=np.int64)
-    if data.size == 0:
-        raise ValidationError("data must be nonempty")
-    if data.min() < 0 or data.max() >= spec.dim_observed:
-        raise ValidationError("data symbols out of range for the observed register")
-    n_init = spec.latent_qubits
-    dim = n_init + spec.n_params
-
-    starts = []
-    for r in range(cfg.restarts):
-        if r == 0 and theta0 is not None:
-            x0 = np.asarray(theta0, dtype=float)
-            if x0.shape != (dim,):
-                raise ValidationError(f"theta0 must have {dim} entries, got shape {x0.shape}")
-        else:
-            rng = np.random.default_rng(derive_seed(cfg.seed, "qhmm-restart", r))
-            x0 = rng.uniform(0.0, 2.0 * math.pi, size=dim)
-        starts.append(x0)
-    best = lockstep_nelder_mead(qhmm_batch_objective(data, spec), starts, cfg)
-    _check_best(best)
-    model = build_qhmm(spec, best.theta_hat[n_init:], best.theta_hat[:n_init])
-    return best, model
+        The data are checked before any evaluation; the restarts descend in lockstep.
+        """
+        data = np.asarray(data)
+        if data.size == 0:
+            raise ValidationError("data must be nonempty")
+        if self.data_kind == "returns":
+            if not np.all(np.isfinite(data)):
+                raise ValidationError("returns must be finite")
+        elif data.min() < 0 or data.max() >= self.n_obs:
+            raise ValidationError(f"data symbols out of range [0, {self.n_obs})")
+        best = lockstep_nelder_mead(self.objective(data), self.starts(data, cfg, theta0), cfg)
+        _check_best(best)
+        return best, self.model(best.theta_hat)
 
 
 @dataclass(frozen=True)
-class ClassicalFitSpec:
+class ClassicalFitSpec(_FitDriver):
     """Fit candidate: a classical model of this kind and order on these bins and substeps.
 
     A nonparam candidate keeps ``grid`` fixed; a cir candidate builds its own grid.
@@ -481,6 +304,10 @@ class ClassicalFitSpec:
     def __post_init__(self):
         if self.kind not in (KIND_CIR, KIND_NONPARAM):
             raise ValidationError(f"unknown classical kind {self.kind!r}")
+        if self.n_states < 2:
+            raise ValidationError(f"need at least 2 hidden states, got {self.n_states}")
+        if self.kind == KIND_NONPARAM and self.grid is None:
+            raise ValidationError("nonparam models need an externally supplied spot grid")
         if self.data_kind not in ("symbols", "returns"):
             raise ValidationError(
                 f"data_kind must be 'symbols' or 'returns', got {self.data_kind!r}"
@@ -491,21 +318,129 @@ class ClassicalFitSpec:
         return f"{self.kind}(n={self.n_states})"
 
     @property
+    def n_obs(self) -> int:
+        return self.scheme.n_bins
+
+    @property
     def free_params(self) -> int:
         """cir: alpha, beta, sigma; nonparam: n - 1 free entries per transition row."""
         return 3 if self.kind == KIND_CIR else self.n_states * (self.n_states - 1)
 
-    def fit(self, data, cfg: FitConfig):
-        """(FitResult, ClassicalHmm) of this candidate on ``data``."""
-        return fit_classical(
-            data, self.kind, self.n_states, self.k, self.scheme, cfg,
-            grid=self.grid, delta=self.delta, mode=self.mode, data_kind=self.data_kind,
-        )
+    def barrier(self, theta) -> float:
+        """Zero inside the feasible region, a large finite barrier outside it."""
+        theta = np.asarray(theta, dtype=float)
+        if self.kind == KIND_CIR:
+            violation = float(np.clip(-theta, 0.0, None).sum())
+            if np.any(theta <= 0.0):
+                violation = max(violation, 1e-12)
+        else:
+            n = self.n_states
+            if theta.shape != (n * (n - 1),):
+                raise ValidationError(
+                    f"expected {n * (n - 1)} parameters for {n} states, got shape {theta.shape}"
+                )
+            low = float(np.clip(-theta, 0.0, None).sum())
+            high = float(np.clip(theta - 1.0, 0.0, None).sum())
+            violation = low + high
+            if np.any(theta <= 0.0) or np.any(theta >= 1.0):
+                violation = max(violation, 1e-12)
+            groups = theta.reshape(n, n - 1)
+            row_excess = np.clip(groups.sum(axis=1) - 1.0, 0.0, None).sum()
+            if np.any(groups.sum(axis=1) >= 1.0):
+                violation = max(violation + float(row_excess), 1e-12)
+        if violation == 0.0:
+            return 0.0
+        return _BARRIER * (1.0 + violation)
+
+    def model(self, theta) -> ClassicalHmm:
+        """The model at a parameter vector; x0 is the stationary law of its chain."""
+        dt = self.delta / self.k
+        if self.kind == KIND_CIR:
+            params = CirParams(alpha=float(theta[0]), beta=float(theta[1]), sigma=float(theta[2]))
+            grid = cir_spot_grid(params, self.n_states)
+            a_hf = cir_transition_matrix(params, grid, dt)
+        else:
+            grid = self.grid
+            a_hf = nonparam_transition_matrix(theta, self.n_states, dt=dt)
+        return build_classical_hmm(grid, a_hf, self.k, self.scheme, mode=self.mode)
+
+    def starts(self, data, cfg: FitConfig, theta0=None) -> list:
+        """Restart 0 at theta0, else the default start; restart r multiplies each entry by
+        exp(N(0, 1/4)) and falls back to restart 0's point where that leaves the feasible
+        region.
+
+        cir starts at (1, vhat, 0.5) with vhat the sample return variance on raw returns
+        (0.1 on symbols); nonparam starts at uniform rows.
+        """
+        if theta0 is not None:
+            start = np.asarray(theta0, dtype=float)
+        elif self.kind == KIND_CIR:
+            beta0 = 0.1
+            if self.data_kind == "returns":
+                beta0 = float(max(np.var(np.asarray(data, dtype=float)), 1e-6))
+            start = np.array([1.0, beta0, 0.5])
+        else:
+            start = np.full(self.n_states * (self.n_states - 1), 1.0 / self.n_states)
+        starts = [start]
+        for r in range(1, cfg.restarts):
+            rng = np.random.default_rng(derive_seed(cfg.seed, "classical-restart", r))
+            x0 = start * np.exp(0.5 * rng.standard_normal(start.size))
+            starts.append(x0 if self.barrier(x0) == 0.0 else start)
+        return starts
+
+    def objective(self, data):
+        """Negative log-likelihood of ``data`` on a (B, dim) batch of parameter rows.
+
+        A row outside the feasible region gets its barrier value and is never built; a row
+        whose model cannot be built or evaluated gets the failure sentinel. Symbol data run
+        through one batched forward pass; raw returns through each row's returns filter.
+        """
+
+        def objective(thetas):
+            values = np.empty(len(thetas))
+            symbol_rows, symbol_models = [], []
+            for i, theta in enumerate(thetas):
+                values[i] = self.barrier(theta)
+                if values[i] > 0.0:
+                    continue
+                try:
+                    model = self.model(theta)
+                    if self.data_kind == "returns":
+                        values[i] = -log_likelihood_continuous(model, data)
+                    else:
+                        symbol_rows.append(i)
+                        symbol_models.append(model.operators())
+                except (ZeroLikelihoodError, NumericalError, ValidationError):
+                    values[i] = _OBJECTIVE_FAIL
+            if symbol_rows:
+                values[symbol_rows] = _batch_nll(stack(symbol_models), data)
+            return values
+
+        return objective
+
+
+def classical_model_from_theta(
+    theta,
+    kind: str,
+    n_states: int,
+    k: int,
+    scheme: ObservationScheme,
+    grid: SpotGrid | None = None,
+    delta: float = 1.0,
+    mode: str = MULTISET,
+) -> ClassicalHmm:
+    """``ClassicalFitSpec(kind, ...).model(theta)``, for callers that hold the settings
+    loose (the benchmark's output checks)."""
+    return ClassicalFitSpec(kind, n_states, k, scheme, delta, mode, grid).model(theta)
 
 
 @dataclass(frozen=True)
-class QhmmFitSpec:
-    """Fit candidate: the quantum channel of this ansatz, on binned symbols."""
+class QhmmFitSpec(_FitDriver):
+    """Fit candidate: the quantum channel of this ansatz, on binned symbols.
+
+    Its parameter vector stacks the initial-state angles (first latent_qubits entries)
+    and the circuit angles.
+    """
 
     ansatz: AnsatzSpec
     kind = KIND_QHMM
@@ -521,13 +456,44 @@ class QhmmFitSpec:
         return self.ansatz.dim_latent
 
     @property
+    def n_obs(self) -> int:
+        return self.ansatz.dim_observed
+
+    @property
     def free_params(self) -> int:
         """Circuit angles plus initial-state angles."""
         return self.ansatz.n_params + self.ansatz.latent_qubits
 
-    def fit(self, data, cfg: FitConfig):
-        """(FitResult, QhmmModel) of this candidate on ``data``."""
-        return fit_qhmm(data, self.ansatz, cfg)
+    def model(self, theta):
+        n_init = self.ansatz.latent_qubits
+        return build_qhmm(self.ansatz, theta[n_init:], theta[:n_init])
+
+    def starts(self, data, cfg: FitConfig, theta0=None) -> list:
+        """Restart 0 at theta0 when given; every other restart draws all angles uniformly
+        from [0, 2pi)."""
+        dim = self.free_params
+        starts = []
+        for r in range(cfg.restarts):
+            if r == 0 and theta0 is not None:
+                x0 = np.asarray(theta0, dtype=float)
+                if x0.shape != (dim,):
+                    raise ValidationError(f"theta0 must have {dim} entries, got shape {x0.shape}")
+            else:
+                rng = np.random.default_rng(derive_seed(cfg.seed, "qhmm-restart", r))
+                x0 = rng.uniform(0.0, 2.0 * math.pi, size=dim)
+            starts.append(x0)
+        return starts
+
+    def objective(self, data):
+        """Negative log-likelihood of ``data`` on a (B, dim) batch of packed angles."""
+        n_init = self.ansatz.latent_qubits
+
+        def objective(packed):
+            return _batch_nll(
+                qhmm_operators(self.ansatz, packed[:, n_init:], packed[:, :n_init]), data
+            )
+
+        return objective
 
 
 def penalty_lambda(n_periods: int, n_states: int, m_params: int, consts: PenaltyConstants) -> float:

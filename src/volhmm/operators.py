@@ -2,9 +2,9 @@
 
 Both families are linear sequence models (Jaeger 2000): P(s_1 .. s_L) =
 x0 M_{s_1} .. M_{s_L} out, with a start row vector, one operator per symbol and
-an output functional. Classically x0 is the start law, M_s = diag(e_s) A
-(A diag(e_s) propagate-first) and out = 1; for the quantum channel x0 =
-vec(rho0), M_s = (K_s (x) conj K_s)^T and out = vec(I). The state dimension D
+an output functional. Classically x0 is the start law, M_s = diag(e_s) A and
+out = 1; for the quantum channel x0 = vec(rho0), M_s = (K_s (x) conj K_s)^T and
+out = vec(I). The state dimension D
 (n_L, or d^2) bounds the rank of the Hankel matrix H = P S^T of forward and
 backward vectors (Hsu, Kakade & Zhang 2012). ``forward`` is the one loop that
 applies per-symbol operators; likelihoods, filters, sequence probabilities,

@@ -154,6 +154,19 @@ class TestLlrExperiment:
         assert [s.status for s in samples] == ["failed", "failed"]
         assert all(s.message.startswith("NumericalError") for s in samples)
 
+    def test_programming_error_in_a_fit_is_raised(self, rng):
+        class BrokenSpec:
+            label = "broken"
+
+            def fit(self, data, cfg):
+                raise TypeError("not a fit failure")
+
+        dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
+        cfg = FitConfig(max_iter=20, restarts=1)
+        with pytest.raises(TypeError, match="not a fit failure"):
+            llr_experiment(dgp, BrokenSpec(), BrokenSpec(), trials=2, n_steps=20, cfg=cfg, seed=7,
+                           workers=1)
+
     def test_summary_and_histogram(self):
         from volhmm.analysis import LlrSample
 

@@ -28,7 +28,7 @@ from volhmm.chmm import (
     log_likelihood_continuous,
 )
 from volhmm.errors import NonConvergenceError
-from volhmm.estimate import classical_model_from_theta
+from volhmm.estimate import ClassicalFitSpec
 from volhmm.qhmm import (
     AnsatzSpec,
     _bit_position,
@@ -226,7 +226,7 @@ def test_path_probs_preset():
 @pytest.mark.parametrize("theta", [(2.2, 0.077, 1.1), (0.8, 0.15, 0.4), (5.0, 0.03, 1.6)])
 def test_continuous_loglik_equals_per_step_reference_and_filter(theta):
     scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
-    model = classical_model_from_theta(np.array(theta), "cir", 16, 4, scheme)
+    model = ClassicalFitSpec("cir", 16, 4, scheme).model(np.array(theta))
     returns = chmm.simulate(model, 120, 5)[2]
     value = log_likelihood_continuous(model, returns)
     assert value == reference_loglik_continuous(model, returns)

@@ -54,7 +54,6 @@ def hmm_with_emission(emission_rows, a=None, x0=None):
     return ClassicalHmm(
         grid=grid,
         a_hf=a_hf,
-        a=TransitionMatrix(probs=a, dt=1.0),
         table=table,
         emission=EmissionMatrix(probs=np.asarray(emission_rows, dtype=float)),
         x0=np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float),
@@ -196,16 +195,6 @@ class TestForwardStep:
         hmm = hmm_with_emission(np.eye(2), a=a)
         x_next, _ = forward_step(np.array([0.3, 0.7]), hmm, 0)
         assert x_next == pytest.approx(a[0], rel=1e-14)
-
-    def test_propagate_first_variant(self, rng):
-        hmm = random_classical_hmm(rng)
-        x = rng.dirichlet(np.ones(hmm.n_states))
-        xp = x @ hmm.a.probs
-        e = hmm.emission.probs[:, 0]
-        expected = xp * e / (xp @ e)
-        got, inc = forward_step(x, hmm, 0, order="propagate-first")
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert inc == pytest.approx(math.log(xp @ e), rel=1e-12)
 
 
 class TestLogLikelihoodBinned:

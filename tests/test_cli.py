@@ -136,6 +136,23 @@ class TestFitCommand:
             assert code == 2
             assert not (tmp_path / f"{kind}.report.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_return_exits_2(self, tmp_path, capsys, value):
+        fit = {"kind": "cir", "n_states": 4, "data_kind": "returns",
+               "config": {"max_iter": 25, "restarts": 1}}
+        cfg = write_config(tmp_path / "c.json", fit=fit)
+        data = tmp_path / "d.csv"
+        main(["simulate", "--config", str(cfg), "--out", str(data)])
+        lines = data.read_text().splitlines()
+        cols = lines[3].split(",")
+        cols[3] = value
+        lines[3] = ",".join(cols)
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r"
+        assert main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
+        assert "returns must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.report.json").exists()
+
     def test_missing_out_directory_fails_before_fitting(self, tmp_path, monkeypatch, capsys):
         from volhmm import estimate
 
@@ -143,7 +160,7 @@ class TestFitCommand:
         data = tmp_path / "d.csv"
         main(["simulate", "--config", str(cfg), "--out", str(data)])
         calls = []
-        monkeypatch.setattr(estimate, "fit_classical", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(estimate.ClassicalFitSpec, "fit", lambda *a, **kw: calls.append(a))
         out = tmp_path / "missing_dir" / "x"
         assert main(["fit", "--config", str(cfg), "--data", str(data), "--out", str(out)]) == 2
         assert calls == []
@@ -249,7 +266,7 @@ class TestLlrCommand:
 
     def test_candidates_share_the_dgp_grouping(self, tmp_path):
         from volhmm.cli import build_dgp, get_section, load_config
-        from volhmm.estimate import FitConfig, fit_classical
+        from volhmm.estimate import ClassicalFitSpec, FitConfig
         from volhmm.seeds import derive_seed
         from volhmm.volgrid import cir_spot_grid
 
@@ -267,9 +284,9 @@ class TestLlrCommand:
         dgp = get_section(load_config(str(cfg)), "dgp")
         data = simulate(build_dgp(dgp), 25, derive_seed(5, "llr-data", 0))[3]
         fit_cfg = FitConfig(max_iter=25, restarts=1, seed=derive_seed(5, "llr-fit", 0, "nonparam(n=3)"))
-        fits = {mode: fit_classical(data, "nonparam", 3, 2, dgp.scheme, fit_cfg,
-                                    grid=cir_spot_grid(dgp.params, 3), mode=mode)[0]
-                for mode in ("index-sum", "multiset")}
+        grid = cir_spot_grid(dgp.params, 3)
+        fits = {mode: ClassicalFitSpec("nonparam", 3, 2, dgp.scheme, mode=mode, grid=grid)
+                .fit(data, fit_cfg)[0] for mode in ("index-sum", "multiset")}
         assert float(row["loglik_model_j"]) == -fits["index-sum"].nll
         assert fits["index-sum"].nll != fits["multiset"].nll
 

@@ -15,21 +15,13 @@ from volhmm.errors import NumericalError, ValidationError, ZeroLikelihoodError
 from volhmm.estimate import (
     KIND_CIR,
     KIND_NONPARAM,
-    KIND_QHMM,
     ClassicalFitSpec,
     FitConfig,
     PenaltyConstants,
     QhmmFitSpec,
-    classical_batch_objective,
-    classical_model_from_theta,
-    constraint_penalty,
-    default_classical_start,
-    fit_classical,
-    fit_qhmm,
     nelder_mead,
     penalized_select,
     penalty_lambda,
-    qhmm_batch_objective,
 )
 from volhmm.qhmm import AnsatzSpec, build_qhmm, qhmm_sequence_logprob
 from volhmm.volgrid import (
@@ -53,6 +45,19 @@ def sp500_dgp(n_states=16, k=4, n_obs=4):
     a_hf = cir_transition_matrix(SP500, grid, 1.0 / k)
     scheme = build_observation_scheme(n_obs, 4.0 * math.sqrt(SP500.beta))
     return build_classical_hmm(grid, a_hf, k, scheme)
+
+
+PRESET_SCHEME = build_observation_scheme(4, 4.0 * math.sqrt(SP500.beta))
+
+
+def cir(n_states, k=2, scheme=PRESET_SCHEME, **kwargs):
+    return ClassicalFitSpec(KIND_CIR, n_states, k, scheme, **kwargs)
+
+
+def nonparam(n_states, k=2, scheme=PRESET_SCHEME, grid=None, **kwargs):
+    """nonparam candidate, on the preset's spot grid unless a grid is given."""
+    grid = cir_spot_grid(SP500, n_states) if grid is None else grid
+    return ClassicalFitSpec(KIND_NONPARAM, n_states, k, scheme, grid=grid, **kwargs)
 
 
 class TestNelderMead:
@@ -94,28 +99,26 @@ class TestNelderMead:
 
 class TestConstraintPenalty:
     def test_sp500_preset_parameters_feasible(self):
-        assert constraint_penalty(np.array([2.2, 0.077, 1.1]), KIND_CIR, 16) == 0.0
+        assert cir(16).barrier(np.array([2.2, 0.077, 1.1])) == 0.0
 
     def test_nonparam_single_value_rows(self):
-        assert constraint_penalty(np.array([0.7, 0.4]), KIND_NONPARAM, 2) == 0.0
+        assert nonparam(2).barrier(np.array([0.7, 0.4])) == 0.0
 
     def test_negative_cir_barrier(self):
-        assert constraint_penalty(np.array([-1.0, 0.1, 1.0]), KIND_CIR, 2) >= 1e8
+        assert cir(2).barrier(np.array([-1.0, 0.1, 1.0])) >= 1e8
 
     def test_nonparam_row_sum_barrier(self):
         theta = np.array([0.6, 0.6, 0.1, 0.1, 0.1, 0.1])  # row 0 sums to 1.3
-        assert constraint_penalty(theta, KIND_NONPARAM, 3) >= 1e8
-
-    def test_qhmm_unconstrained(self, rng):
-        assert constraint_penalty(rng.normal(size=10) * 100, KIND_QHMM, 2) == 0.0
+        assert nonparam(3).barrier(theta) >= 1e8
 
     def test_zero_exactly_inside_feasible_region(self, rng):
+        cir_4, nonparam_3 = cir(4), nonparam(3)
         for _ in range(50):
             theta = rng.uniform(0.01, 3.0, 3)
-            assert constraint_penalty(theta, KIND_CIR, 4) == 0.0
+            assert cir_4.barrier(theta) == 0.0
             rows = [rng.dirichlet(np.ones(3))[:2] * 0.99 for _ in range(3)]
             theta_np = np.concatenate(rows)
-            assert constraint_penalty(theta_np, KIND_NONPARAM, 3) == 0.0
+            assert nonparam_3.barrier(theta_np) == 0.0
 
 
 class TestFitClassical:
@@ -124,9 +127,7 @@ class TestFitClassical:
         _, _, _, symbols = simulate(dgp, 500, seed=31)
         truth = np.array([SP500.alpha, SP500.beta, SP500.sigma])
         cfg = FitConfig(max_iter=30, seed=1, restarts=1)
-        result, model = fit_classical(
-            symbols, KIND_CIR, 16, 4, dgp.scheme, cfg, theta0=truth
-        )
+        result, model = cir(16, 4, dgp.scheme).fit(symbols, cfg, theta0=truth)
         nll_truth = -log_likelihood_binned(dgp, symbols)
         assert result.nll <= nll_truth + 1e-6
         assert isinstance(model, ClassicalHmm)
@@ -135,26 +136,22 @@ class TestFitClassical:
         dgp = sp500_dgp(n_states=4, k=2)
         _, _, _, symbols = simulate(dgp, 80, seed=7)
         cfg = FitConfig(max_iter=3, seed=2, restarts=1)
-        result, _ = fit_classical(
-            symbols, KIND_NONPARAM, 16, 2, dgp.scheme, cfg,
-            grid=cir_spot_grid(SP500, 16),
-        )
+        result, _ = nonparam(16, 2, dgp.scheme, grid=cir_spot_grid(SP500, 16)).fit(symbols, cfg)
         assert result.theta_hat.size == 240
 
     def test_refit_from_optimum_is_fixed_point(self):
         dgp = sp500_dgp(n_states=4, k=2)
         _, _, _, symbols = simulate(dgp, 120, seed=13)
         cfg = FitConfig(max_iter=4000, ftol=1e-7, xtol=1e-8, seed=3, restarts=1)
-        first, _ = fit_classical(symbols, KIND_CIR, 4, 2, dgp.scheme, cfg)
-        again, _ = fit_classical(
-            symbols, KIND_CIR, 4, 2, dgp.scheme, cfg, theta0=first.theta_hat
-        )
+        spec = cir(4, 2, dgp.scheme)
+        first, _ = spec.fit(symbols, cfg)
+        again, _ = spec.fit(symbols, cfg, theta0=first.theta_hat)
         assert abs(again.nll - first.nll) < cfg.ftol
 
     def test_rejects_empty_data(self):
         dgp = sp500_dgp(n_states=4, k=2)
         with pytest.raises(ValidationError):
-            fit_classical(np.array([]), KIND_CIR, 4, 2, dgp.scheme, FitConfig())
+            cir(4, 2, dgp.scheme).fit(np.array([]), FitConfig())
 
 
 class TestFitQhmm:
@@ -172,7 +169,7 @@ class TestFitQhmm:
         theta0 = np.zeros(1 + spec.n_params)
         theta0[1 + 3 * 4 + 1] = math.pi / 2.0  # last layer, Ry block, qubit 1
         cfg = FitConfig(max_iter=150, seed=5, restarts=1)
-        result, model = fit_qhmm(data, spec, cfg, theta0=theta0)
+        result, model = QhmmFitSpec(spec).fit(data, cfg, theta0=theta0)
         assert abs(result.nll / data.size - math.log(2.0)) < 1e-3
 
     def test_fit_improves_on_start(self):
@@ -180,13 +177,13 @@ class TestFitQhmm:
         _, _, _, symbols = simulate(dgp, 100, seed=17)
         spec = AnsatzSpec(1, 1, reps=2)
         cfg = FitConfig(max_iter=150, seed=9, restarts=2)
-        result, _ = fit_qhmm(symbols, spec, cfg)
+        result, _ = QhmmFitSpec(spec).fit(symbols, cfg)
         assert result.nll <= result.trace[0] + 1e-12
 
     def test_symbol_range_validated(self):
         spec = AnsatzSpec(1, 1, reps=1)
         with pytest.raises(ValidationError):
-            fit_qhmm(np.array([0, 1, 2]), spec, FitConfig())
+            QhmmFitSpec(spec).fit(np.array([0, 1, 2]), FitConfig())
 
 
 class TestFitFailures:
@@ -201,15 +198,13 @@ class TestFitFailures:
         symbols = symbols.copy()
         symbols[5] = -1
         with pytest.raises(ValidationError, match="out of range"):
-            fit_classical(
-                symbols, KIND_NONPARAM, 4, 2, dgp.scheme, FitConfig(max_iter=5, restarts=1),
-                grid=dgp.grid,
-            )
+            nonparam(4, 2, dgp.scheme, grid=dgp.grid).fit(
+                symbols, FitConfig(max_iter=5, restarts=1))
 
     def test_symbol_above_scheme_rejected(self):
         dgp, symbols = self._symbols()
         with pytest.raises(ValidationError, match="out of range"):
-            fit_classical(np.append(symbols, 4), KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=5))
+            cir(4, 2, dgp.scheme).fit(np.append(symbols, 4), FitConfig(max_iter=5))
 
     def test_all_evaluations_failing_raises(self, monkeypatch):
         def impossible(steps):
@@ -218,13 +213,13 @@ class TestFitFailures:
         monkeypatch.setattr(estimate, "log_prob", impossible)
         dgp, symbols = self._symbols()
         with pytest.raises(NumericalError, match="feasible"):
-            fit_classical(symbols, KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=20, restarts=2))
+            cir(4, 2, dgp.scheme).fit(symbols, FitConfig(max_iter=20, restarts=2))
 
     def test_barrier_only_fit_raises(self):
         dgp, symbols = self._symbols()
         with pytest.raises(NumericalError, match="feasible"):
-            fit_classical(symbols, KIND_CIR, 4, 2, dgp.scheme, FitConfig(max_iter=3, restarts=1),
-                          theta0=[-1.0, -0.1, -0.5])
+            cir(4, 2, dgp.scheme).fit(symbols, FitConfig(max_iter=3, restarts=1),
+                                      theta0=[-1.0, -0.1, -0.5])
 
     def test_qhmm_all_evaluations_failing_raises(self, monkeypatch):
         def impossible(steps):
@@ -232,21 +227,41 @@ class TestFitFailures:
 
         monkeypatch.setattr(estimate, "log_prob", impossible)
         with pytest.raises(NumericalError, match="feasible"):
-            fit_qhmm(
-                np.array([0, 1, 1, 0]), AnsatzSpec(1, 1, reps=1), FitConfig(max_iter=10, restarts=2)
-            )
+            QhmmFitSpec(AnsatzSpec(1, 1, reps=1)).fit(
+                np.array([0, 1, 1, 0]), FitConfig(max_iter=10, restarts=2))
 
 
-def scalar_classical_objective(data, kind, n_states, k, scheme, grid=None, data_kind="symbols"):
+class TestCandidateChecks:
+    """A candidate that cannot fit, or data it cannot fit, fail before any evaluation."""
+
+    def test_nonparam_without_grid_rejected(self):
+        with pytest.raises(ValidationError, match="spot grid"):
+            ClassicalFitSpec(KIND_NONPARAM, 3, 2, PRESET_SCHEME)
+
+    @pytest.mark.parametrize("kind", [KIND_CIR, KIND_NONPARAM])
+    def test_single_state_rejected(self, kind):
+        with pytest.raises(ValidationError, match="at least 2 hidden states"):
+            ClassicalFitSpec(kind, 1, 2, PRESET_SCHEME, grid=SpotGrid(values=np.array([0.077])))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_returns_rejected(self, bad):
+        returns = np.random.default_rng(23).normal(0.0, 0.3, 40)
+        returns[7] = bad
+        spec = cir(4, 2, data_kind="returns")
+        with pytest.raises(ValidationError, match="returns must be finite"):
+            spec.fit(returns, FitConfig(max_iter=20, restarts=1))
+
+
+def scalar_classical_objective(data, spec):
     """The fit objective of one parameter vector, from the single-model functions."""
 
     def objective(theta):
-        penalty = constraint_penalty(theta, kind, n_states)
+        penalty = spec.barrier(theta)
         if penalty > 0.0:
             return penalty
         try:
-            model = classical_model_from_theta(theta, kind, n_states, k, scheme, grid=grid)
-            if data_kind == "symbols":
+            model = spec.model(theta)
+            if spec.data_kind == "symbols":
                 return -log_likelihood_binned(model, data)
             return -log_likelihood_continuous(model, data)
         except (ZeroLikelihoodError, NumericalError, ValidationError):
@@ -291,9 +306,10 @@ class TestLockstepRestarts:
         dgp = sp500_dgp(n_states=4, k=2)
         _, _, _, symbols = simulate(dgp, 60, seed=21)
         cfg = FitConfig(max_iter=80, seed=4, restarts=3)
-        result, _ = fit_classical(symbols, KIND_NONPARAM, 4, 2, dgp.scheme, cfg, grid=dgp.grid)
-        objective = scalar_classical_objective(symbols, KIND_NONPARAM, 4, 2, dgp.scheme, dgp.grid)
-        self._assert_sequential(result, objective, cfg, default_classical_start(KIND_NONPARAM, 4))
+        spec = nonparam(4, 2, dgp.scheme, grid=dgp.grid)
+        result, _ = spec.fit(symbols, cfg)
+        objective = scalar_classical_objective(symbols, spec)
+        self._assert_sequential(result, objective, cfg, spec.starts(symbols, cfg)[0])
         assert result.barrier_hits > 0
 
     def test_qhmm(self):
@@ -302,18 +318,17 @@ class TestLockstepRestarts:
         spec = AnsatzSpec(1, 2, reps=1)
         cfg = FitConfig(max_iter=80, seed=6, restarts=3)
         theta0 = np.linspace(0.1, 2.0, 1 + spec.n_params)
-        result, _ = fit_qhmm(symbols, spec, cfg, theta0=theta0)
+        result, _ = QhmmFitSpec(spec).fit(symbols, cfg, theta0=theta0)
         self._assert_sequential(result, scalar_qhmm_objective(symbols, spec), cfg, theta0)
 
     def test_cir_on_returns(self):
         returns = np.random.default_rng(23).normal(0.0, 0.3, 40)
         scheme = build_observation_scheme(4, 1.2)
         cfg = FitConfig(max_iter=20, seed=8, restarts=2)
-        result, _ = fit_classical(returns, KIND_CIR, 4, 2, scheme, cfg, data_kind="returns")
-        objective = scalar_classical_objective(
-            returns, KIND_CIR, 4, 2, scheme, data_kind="returns")
-        start = default_classical_start(KIND_CIR, 4, returns, "returns")
-        self._assert_sequential(result, objective, cfg, start)
+        spec = cir(4, 2, scheme, data_kind="returns")
+        result, _ = spec.fit(returns, cfg)
+        objective = scalar_classical_objective(returns, spec)
+        self._assert_sequential(result, objective, cfg, spec.starts(returns, cfg)[0])
 
 
 class TestBatchObjective:
@@ -329,12 +344,13 @@ class TestBatchObjective:
             [1.0, 1e-4, 0.01],  # the data have probability zero
             [1.0, 0.1, 0.01],  # finite
         ])
-        batch = classical_batch_objective(data, KIND_CIR, 4, 2, scheme)
-        scalar = scalar_classical_objective(data, KIND_CIR, 4, 2, scheme)
+        spec = cir(4, 2, scheme)
+        batch = spec.objective(data)
+        scalar = scalar_classical_objective(data, spec)
         values = batch(rows)
         alone = [batch(row[None, :])[0] for row in rows]
         assert values.tolist() == alone == [scalar(row) for row in rows]
-        assert values[1] == constraint_penalty(rows[1], KIND_CIR, 4)
+        assert values[1] == spec.barrier(rows[1])
         assert values[2] == values[3] == 1e12
         assert values[0] < 1e8 and values[4] < 1e8
 
@@ -344,7 +360,7 @@ class TestBatchObjective:
         scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
         data = np.array([0, 1, 2, 3, 1, 2, 0, 3, 2, 1])
         rows = np.array([[2.1113816820690166, 0.11141600799901562, 8.3e-16], [2.2, 0.077, 1.1]])
-        batch = classical_batch_objective(data, KIND_CIR, 4, 2, scheme)
+        batch = cir(4, 2, scheme).objective(data)
         values = batch(rows)
         assert values[0] == 1e12
         assert values[1] == batch(rows[1:])[0] < 1e8
@@ -354,7 +370,7 @@ class TestBatchObjective:
         data = np.array([0, 2, 1, 3, 0])
         rows = np.random.default_rng(24).uniform(0.0, 2.0 * math.pi, (4, 1 + spec.n_params))
         rows[2] = 0.0  # Kraus operators I, 0, 0, 0: only symbol 0 is possible
-        batch = qhmm_batch_objective(data, spec)
+        batch = QhmmFitSpec(spec).objective(data)
         scalar = scalar_qhmm_objective(data, spec)
         values = batch(rows)
         assert values.tolist() == [batch(row[None, :])[0] for row in rows]
@@ -366,8 +382,10 @@ class TestFitCounts:
     def test_counts_on_a_fit_that_hits_the_barrier(self, monkeypatch):
         seen = []
 
-        def counting(*args, **kwargs):
-            objective = classical_batch_objective(*args, **kwargs)
+        objective_of = ClassicalFitSpec.objective
+
+        def counting(spec, data):
+            objective = objective_of(spec, data)
 
             def counted(rows):
                 values = objective(rows)
@@ -376,13 +394,12 @@ class TestFitCounts:
 
             return counted
 
-        monkeypatch.setattr(estimate, "classical_batch_objective", counting)
+        monkeypatch.setattr(ClassicalFitSpec, "objective", counting)
         dgp = sp500_dgp(n_states=4, k=2)
         _, _, _, symbols = simulate(dgp, 50, seed=25)
         cfg = FitConfig(max_iter=40, seed=1, restarts=2)
         start = np.full(12, 0.33)  # rows sum to 0.99: the first expansions cross the barrier
-        result, _ = fit_classical(
-            symbols, KIND_NONPARAM, 4, 2, dgp.scheme, cfg, grid=dgp.grid, theta0=start)
+        result, _ = nonparam(4, 2, dgp.scheme, grid=dgp.grid).fit(symbols, cfg, theta0=start)
         seen = np.array(seen)
         assert result.evaluations == seen.size
         assert result.barrier_hits == np.sum((seen >= 1e8) & (seen < 1e12)) > 0
@@ -434,7 +451,7 @@ class TestPenalizedSelect:
         _, _, _, symbols = simulate(dgp, 60, seed=23)
         cfg = FitConfig(max_iter=40, seed=4, restarts=1)
         best_idx, model, reports = penalized_select(
-            symbols, [ClassicalFitSpec(KIND_CIR, 4, 2, dgp.scheme)], PenaltyConstants(), cfg
+            symbols, [cir(4, 2, dgp.scheme)], PenaltyConstants(), cfg
         )
         assert best_idx == 0
         assert len(reports) == 1
@@ -444,7 +461,7 @@ class TestPenalizedSelect:
         _, _, _, symbols = simulate(dgp, 60, seed=23)
         with pytest.raises(ValidationError):
             penalized_select(
-                symbols, [ClassicalFitSpec(KIND_CIR, 3, 2, dgp.scheme)], PenaltyConstants(),
+                symbols, [cir(3, 2, dgp.scheme)], PenaltyConstants(),
                 FitConfig(),
             )
 
@@ -452,8 +469,7 @@ class TestPenalizedSelect:
         dgp = sp500_dgp(n_states=4, k=2)
         _, _, _, symbols = simulate(dgp, 60, seed=29)
         cfg = FitConfig(max_iter=30, seed=6, restarts=1)
-        specs = [ClassicalFitSpec(KIND_CIR, 4, 2, dgp.scheme),
-                 ClassicalFitSpec(KIND_NONPARAM, 4, 2, dgp.scheme, grid=cir_spot_grid(SP500, 4))]
+        specs = [cir(4, 2, dgp.scheme), nonparam(4, 2, dgp.scheme, grid=cir_spot_grid(SP500, 4))]
         args = (symbols, specs, PenaltyConstants(), cfg)
         best1, _, reports1 = penalized_select(*args)
         best2, _, reports2 = penalized_select(*args)
@@ -498,11 +514,11 @@ class TestNestedEvaluationMonotonicity:
 
 class TestDefaults:
     def test_default_starts_are_feasible(self):
-        assert constraint_penalty(default_classical_start(KIND_CIR, 4), KIND_CIR, 4) == 0.0
-        theta = default_classical_start(KIND_NONPARAM, 5)
-        assert constraint_penalty(theta, KIND_NONPARAM, 5) == 0.0
+        symbols, cfg = np.array([0, 1]), FitConfig(restarts=1)
+        assert cir(4).barrier(cir(4).starts(symbols, cfg)[0]) == 0.0
+        assert nonparam(5).barrier(nonparam(5).starts(symbols, cfg)[0]) == 0.0
 
     def test_free_param_counts(self):
         scheme = build_observation_scheme(4, 1.0)
-        assert ClassicalFitSpec(KIND_CIR, 16, 4, scheme).free_params == 3
-        assert ClassicalFitSpec(KIND_NONPARAM, 16, 4, scheme).free_params == 240
+        assert cir(16, 4, scheme).free_params == 3
+        assert nonparam(16, 4, scheme).free_params == 240

@@ -18,13 +18,12 @@ from volhmm.errors import ValidationError, ZeroLikelihoodError
 from volhmm.qhmm import AnsatzSpec, build_qhmm, random_qhmm
 
 
-def classical_product(hmm, seq, propagate_first=False):
+def classical_product(hmm, seq):
     """Row vector x0 M_{s1} ... M_{sL} from explicit matrix products."""
     a = hmm.a.probs
     v = hmm.x0.copy()
     for s in seq:
-        d = np.diag(hmm.emission.probs[:, s])
-        v = v @ (a @ d if propagate_first else d @ a)
+        v = v @ (np.diag(hmm.emission.probs[:, s]) @ a)
     return v
 
 
@@ -52,15 +51,14 @@ def readout_qhmm():
 
 
 class TestClassicalOperators:
-    @pytest.mark.parametrize("propagate_first", [False, True])
-    def test_filtered_states_and_steps_match_products(self, rng, propagate_first):
+    def test_filtered_states_and_steps_match_products(self, rng):
         hmm = random_classical_hmm(rng, n_states=3, n_obs=3, k=2)
-        ops = hmm.operators("propagate-first" if propagate_first else "weight-first")
+        ops = hmm.operators()
         seq = rng.integers(0, 3, 12).tolist()
         steps, states = operators.forward(ops, seq, keep_states=True)
         for t in range(len(seq)):
-            v = classical_product(hmm, seq[: t + 1], propagate_first)
-            prev = classical_product(hmm, seq[:t], propagate_first)
+            v = classical_product(hmm, seq[: t + 1])
+            prev = classical_product(hmm, seq[:t])
             assert states[t, 0] == pytest.approx(v / v.sum(), rel=1e-12)
             assert steps[0, t] == pytest.approx(v.sum() / prev.sum(), rel=1e-12)
 
