@@ -23,7 +23,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -37,6 +37,8 @@ from .seeds import derive_seed
 
 _EXACT_KL_CAP = 1_000_000
 _HANKEL_CAP = 10_000
+LLR_HIST_BINS = 40
+RANK_REL_TOL = 1e-9
 
 
 def model_simulate_symbols(model, n_steps: int, seed) -> np.ndarray:
@@ -165,15 +167,15 @@ def llr_summary(samples) -> dict:
     }
 
 
-def llr_histogram(samples, n_bins: int = 40) -> dict:
-    """Fixed-width histogram of the finite LLR values (bin edges included)."""
+def llr_histogram(samples) -> dict:
+    """Fixed-width histogram of the finite LLR values in ``LLR_HIST_BINS`` bins (edges included)."""
     llrs = np.array([s.llr_log10 for s in samples if s.status == "ok"])
     if llrs.size == 0:
         raise ValidationError("no successful trials to histogram")
     lo, hi = float(llrs.min()), float(llrs.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(llrs, bins=n_bins, range=(lo, hi))
+    counts, edges = np.histogram(llrs, bins=LLR_HIST_BINS, range=(lo, hi))
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}
 
 
@@ -217,15 +219,15 @@ def hankel_of_model(model, depth: int) -> HankelMatrix:
     return HankelMatrix(depth=depth, labels=labels, entries=entries.real)
 
 
-def numerical_rank(matrix, rel_tol: float = 1e-9) -> int:
-    """Count of singular values above rel_tol times the largest one."""
+def numerical_rank(matrix) -> int:
+    """Count of singular values above ``RANK_REL_TOL`` times the largest one."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 @dataclass
@@ -275,12 +277,7 @@ def nab_bounds(
             "n_states": n_states,
             "m_classical": m_classical,
             "m_quantum": m_quantum,
-            "c_lambda": consts.c_lambda,
-            "eta": consts.eta,
-            "w_m": consts.w_m,
-            "c_aux": consts.c_aux,
-            "a_const": consts.a_const,
-            "tau": consts.tau,
+            **asdict(consts),
         },
     )
 

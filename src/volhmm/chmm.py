@@ -33,25 +33,20 @@ import numpy as np
 from . import operators
 from .errors import EnumerationCapError, ValidationError
 from .volgrid import (
+    _ROW_SUM_TOL,
     ObservationScheme,
     SpotGrid,
     TransitionMatrix,
+    _freeze,
     matrix_power,
     stationary_distribution,
 )
 
 ENUMERATION_CAP = 10_000_000
-_ROW_SUM_TOL = 1e-10
 
 MULTISET = "multiset"
 INDEX_SUM = "index-sum"
 _MODES = (MULTISET, INDEX_SUM)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,14 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import analysis, chmm, estimate, qhmm, serialize
 from .errors import NumericalError, ValidationError
 from .seeds import derive_seed
-from .volgrid import (
-    CirParams,
-    ObservationScheme,
-    build_observation_scheme,
-    cir_spot_grid,
-    cir_transition_matrix,
-)
+from .volgrid import CirParams, ObservationScheme, build_observation_scheme, cir_spot_grid
 
 _FIT_KINDS = (estimate.KIND_CIR, estimate.KIND_NONPARAM, estimate.KIND_QHMM)
 
@@ -244,10 +238,11 @@ def get_section(config: dict, name: str):
 
 
 def build_dgp(dgp: DgpSection) -> chmm.ClassicalHmm:
-    params = dgp.params
-    grid = cir_spot_grid(params, dgp.n_states)
-    a_hf = cir_transition_matrix(params, grid, dgp.delta / dgp.k)
-    return chmm.build_classical_hmm(grid, a_hf, dgp.k, dgp.scheme, mode=dgp.mode)
+    """The DGP's CIR model, built as a cir fit candidate builds it at (alpha, beta, sigma)."""
+    spec = estimate.ClassicalFitSpec(
+        estimate.KIND_CIR, dgp.n_states, dgp.k, dgp.scheme, dgp.delta, dgp.mode
+    )
+    return spec.model((dgp.alpha, dgp.beta, dgp.sigma))
 
 
 def check_out_base(base: str):
@@ -474,7 +469,7 @@ def cmd_hankel(args) -> int:
         "depth": args.depth,
         "n_strings": len(hankel.labels),
         "numerical_rank": rank,
-        "rel_tol": 1e-9,
+        "rel_tol": analysis.RANK_REL_TOL,
         "singular_values": sv.tolist(),
     }
     serialize.dump_json(doc, args.out)
@@ -492,13 +487,7 @@ def cmd_bounds(args) -> int:
         m_quantum=bounds.m_quantum,
         consts=bounds.constants,
     )
-    doc = {
-        "nab_q": report.nab_q,
-        "classical_excess": report.classical_excess,
-        "nab_p": report.nab_p,
-        "inputs": report.inputs,
-    }
-    serialize.dump_json(doc, args.out)
+    serialize.dump_json(asdict(report), args.out)
     print(f"bounds: nab_q={report.nab_q:.6e}, nab_p={report.nab_p:.6e}; wrote {args.out}")
     return 0
 
@@ -562,10 +551,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -84,8 +84,11 @@ class RestartRecord:
 class FitResult:
     """Best restart's point, value and trace, with counts over all restarts of the fit.
 
-    ``barrier_hits`` counts values in [1e8, 1e12) (infeasible points) and ``sentinel_hits``
-    values >= 1e12 (failed evaluations); ``restarts`` lists every restart in order.
+    ``evaluations`` counts the parameter rows the objective evaluated, ``barrier_hits``
+    those valued in [1e8, 1e12) (infeasible points) and ``sentinel_hits`` those valued
+    >= 1e12 (failed evaluations). A restart whose start repeats an earlier one bit for bit
+    shares that restart's descent and adds nothing to the counts. ``restarts`` lists every
+    restart in order, repeated ones included.
     """
 
     theta_hat: np.ndarray
@@ -198,14 +201,21 @@ def _simplex_descent(x0, cfg: FitConfig):
 
 
 def lockstep_nelder_mead(batch_objective, starts, cfg: FitConfig) -> FitResult:
-    """One simplex descent per start, advanced together; the best result, first on ties.
+    """One simplex descent per distinct start, advanced together; the best result, first
+    on ties.
 
     Each round stacks the points every unfinished descent asks for into one (B, dim)
     array and makes one ``batch_objective`` call, which returns their B values. A
     descent's path depends only on its own values, so it is the same as a descent run
-    alone. The result counts the evaluations of all descents and lists each of them.
+    alone. A start equal bit for bit to an earlier one would repeat that descent, so it
+    runs none and its record repeats the earlier result. The result counts the
+    evaluations of all descents and has one record per start.
     """
-    runs = [_simplex_descent(x0, cfg) for x0 in starts]
+    starts = [np.asarray(x0, dtype=float) for x0 in starts]
+    distinct = {}  # start bytes -> start, in order of first appearance
+    for x0 in starts:
+        distinct.setdefault(x0.tobytes(), x0)
+    runs = [_simplex_descent(x0, cfg) for x0 in distinct.values()]
     pending = [next(run) for run in runs]
     results = [None] * len(runs)
     evaluations = barrier_hits = sentinel_hits = 0
@@ -229,10 +239,8 @@ def lockstep_nelder_mead(batch_objective, starts, cfg: FitConfig) -> FitResult:
             best = result
     best.evaluations, best.barrier_hits = evaluations, barrier_hits
     best.sentinel_hits = sentinel_hits
-    best.restarts = [
-        RestartRecord(np.asarray(x0, dtype=float), r.nll, r.iterations, r.converged)
-        for x0, r in zip(starts, results)
-    ]
+    record_of = {key: (r.nll, r.iterations, r.converged) for key, r in zip(distinct, results)}
+    best.restarts = [RestartRecord(x0, *record_of[x0.tobytes()]) for x0 in starts]
     return best
 
 
@@ -262,7 +270,7 @@ def _check_best(best: FitResult):
 class _FitDriver:
     """The one fit both candidate kinds share.
 
-    A candidate supplies ``data_kind``, ``n_obs``, ``starts(data, cfg, theta0)``,
+    A candidate supplies ``data_kind``, ``n_obs``, ``free_params``, ``starts(data, cfg, theta0)``,
     ``objective(data)`` (values of a (B, dim) batch of parameter rows, each the one its
     row gets alone) and ``model(theta)``.
     """
@@ -270,7 +278,8 @@ class _FitDriver:
     def fit(self, data, cfg: FitConfig, theta0=None):
         """Maximum likelihood fit on ``data``: (FitResult, model).
 
-        The data are checked before any evaluation; the restarts descend in lockstep.
+        The data and theta0 are checked before any evaluation; the restarts descend in
+        lockstep.
         """
         data = np.asarray(data)
         if data.size == 0:
@@ -280,6 +289,10 @@ class _FitDriver:
                 raise ValidationError("returns must be finite")
         elif data.min() < 0 or data.max() >= self.n_obs:
             raise ValidationError(f"data symbols out of range [0, {self.n_obs})")
+        if theta0 is not None and np.shape(theta0) != (self.free_params,):
+            raise ValidationError(
+                f"theta0 must have {self.free_params} entries, got shape {np.shape(theta0)}"
+            )
         best = lockstep_nelder_mead(self.objective(data), self.starts(data, cfg, theta0), cfg)
         _check_best(best)
         return best, self.model(best.theta_hat)
@@ -476,8 +489,6 @@ class QhmmFitSpec(_FitDriver):
         for r in range(cfg.restarts):
             if r == 0 and theta0 is not None:
                 x0 = np.asarray(theta0, dtype=float)
-                if x0.shape != (dim,):
-                    raise ValidationError(f"theta0 must have {dim} entries, got shape {x0.shape}")
             else:
                 rng = np.random.default_rng(derive_seed(cfg.seed, "qhmm-restart", r))
                 x0 = rng.uniform(0.0, 2.0 * math.pi, size=dim)

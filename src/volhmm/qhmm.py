@@ -42,6 +42,7 @@ _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-10
+CAUSAL_BREAK_TOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -351,15 +352,12 @@ def qhmm_sequence_probability(model: QhmmModel, obs) -> float:
     return operators.probability(model.operators(), obs)
 
 
-def qhmm_simulate(model: QhmmModel, n_steps: int, seed, return_states: bool = False):
-    """Sample a symbol sequence (optionally with the latent trajectory)."""
+def qhmm_simulate(model: QhmmModel, n_steps: int, seed) -> np.ndarray:
+    """Sample a symbol sequence."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     uniforms = np.random.default_rng(seed).random(n_steps)
-    symbols, states = operators.sample(model.operators(), uniforms)
-    if return_states:
-        return symbols, [x.reshape(model.rho0.dim, -1) for x in states]
-    return symbols
+    return operators.sample(model.operators(), uniforms)[0]
 
 
 @dataclass
@@ -373,9 +371,7 @@ class CausalBreakReport:
     markovian: bool
 
 
-def causal_break_test(
-    model: QhmmModel, prefix_a, prefix_b, horizon: int, tol: float = 1e-10
-) -> CausalBreakReport:
+def causal_break_test(model: QhmmModel, prefix_a, prefix_b, horizon: int) -> CausalBreakReport:
     """Reset-and-continue check of Markovianity.
 
     Run A filters prefix_a to latent state rho_A and tabulates the law of the
@@ -385,7 +381,7 @@ def causal_break_test(
     is tabulated through a numerically distinct route, stepwise renormalized
     filtering with the normalizers multiplied back. A Markovian channel makes
     the two laws agree; dependence on run B's earlier emissions would show up
-    as a discrepancy.
+    as a discrepancy above ``CAUSAL_BREAK_TOL``.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -403,7 +399,7 @@ def causal_break_test(
         distribution_a=dist_a,
         distribution_b=dist_b,
         max_abs_diff=max_abs_diff,
-        markovian=bool(max_abs_diff < tol),
+        markovian=bool(max_abs_diff < CAUSAL_BREAK_TOL),
     )
 
 

@@ -39,15 +39,26 @@ def classical_to_dict(model: ClassicalHmm) -> dict:
     }
 
 
+def _fields(doc, where: str, *keys) -> list:
+    """The values of ``keys`` in the JSON object ``doc``; a missing key is named."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValidationError(f"{where}: missing required key {key!r}")
+    return [doc[key] for key in keys]
+
+
 def classical_from_dict(doc: dict) -> ClassicalHmm:
-    grid = SpotGrid(values=np.array(doc["grid"], dtype=float))
-    a_hf = TransitionMatrix(probs=np.array(doc["a_hf"], dtype=float), dt=float(doc["dt_hf"]))
-    scheme = ObservationScheme(edges=np.array(doc["scheme_edges"], dtype=float))
-    model = build_classical_hmm(
-        grid, a_hf, int(doc["k"]), scheme, mode=doc["mode"],
-        x0=np.array(doc["x0"], dtype=float),
+    grid, a_hf, dt_hf, k, mode, x0, edges, emission = _fields(
+        doc, "classical model",
+        "grid", "a_hf", "dt_hf", "k", "mode", "x0", "scheme_edges", "emission",
     )
-    stored = np.array(doc["emission"], dtype=float)
+    grid = SpotGrid(values=np.array(grid, dtype=float))
+    a_hf = TransitionMatrix(probs=np.array(a_hf, dtype=float), dt=float(dt_hf))
+    scheme = ObservationScheme(edges=np.array(edges, dtype=float))
+    model = build_classical_hmm(grid, a_hf, int(k), scheme, mode=mode, x0=np.array(x0, dtype=float))
+    stored = np.array(emission, dtype=float)
     if stored.shape != model.emission.probs.shape or np.max(
         np.abs(stored - model.emission.probs)
     ) > _AUDIT_TOL:
@@ -75,18 +86,15 @@ def qhmm_to_dict(model: QhmmModel) -> dict:
 
 
 def qhmm_from_dict(doc: dict) -> QhmmModel:
-    spec_doc = doc["spec"]
-    spec = AnsatzSpec(
-        latent_qubits=int(spec_doc["latent_qubits"]),
-        observed_qubits=int(spec_doc["observed_qubits"]),
-        reps=int(spec_doc["reps"]),
-        entanglement=spec_doc["entanglement"],
+    spec_doc, theta, theta_init, kraus = _fields(
+        doc, "qhmm model", "spec", "theta", "theta_init", "kraus"
     )
-    model = build_qhmm(spec, np.array(doc["theta"], dtype=float),
-                       np.array(doc["theta_init"], dtype=float))
-    stored = np.array(
-        [[[complex(re, im) for re, im in row] for row in op] for op in doc["kraus"]]
+    latent, observed, reps, entanglement = _fields(
+        spec_doc, "qhmm model: spec", "latent_qubits", "observed_qubits", "reps", "entanglement"
     )
+    spec = AnsatzSpec(int(latent), int(observed), int(reps), entanglement)
+    model = build_qhmm(spec, np.array(theta, dtype=float), np.array(theta_init, dtype=float))
+    stored = np.array([[[complex(re, im) for re, im in row] for row in op] for op in kraus])
     if stored.shape != model.kraus.shape or np.max(np.abs(stored - model.kraus)) > _AUDIT_TOL:
         raise ValidationError("stored Kraus operators do not match the rebuilt model")
     return model
@@ -101,7 +109,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
-    kind = doc.get("model_type")
+    (kind,) = _fields(doc, "model file", "model_type")
     if kind == "classical":
         return classical_from_dict(doc)
     if kind == "qhmm":

@@ -20,9 +20,10 @@ overflow.
 
 The Poisson terms (which j are visited, in what order, with what weights)
 depend on the noncentrality alone, never on x. ``poisson_mixture_terms``
-produces them once per law; the scalar CDF and density sum over them, and the
-transition-matrix builder in ``volgrid`` reuses one list for every midpoint of
-a row and one column of P(d/2 + j, x_m/2) values for every row.
+produces them once per law and ``noncentral_chi2_mix`` sums over them: for the
+scalar CDF and density one point at a time, and for the transition-matrix
+builder in ``volgrid`` one whole row of midpoints at a time, with one column of
+P(d/2 + j, x_m/2) values per shape shared by every row.
 """
 
 from __future__ import annotations
@@ -204,17 +205,23 @@ def poisson_mixture_terms(half_lam: float):
     """Poisson weights of the noncentral chi-squared mixture, in summation order.
 
     Returns (terms, tail): ``terms`` lists (j, w_j) with w_j = e^{-h} h^j / j!
-    for h = ``half_lam``, visited outward from the mode (j = floor(h), then
-    alternately one step down and one step up) and formed in log space; ``tail``
-    bounds the Poisson mass left out. h = 0 gives the point mass [(0, 1.0)], the
-    central law. Which terms are visited, in what order and with what weights
-    depends on h alone, so every evaluation point of one law can share the list.
+    for h = ``half_lam``, formed in log space; ``tail`` = max(0, 1 - sum of the
+    listed w_j) bounds the Poisson mass left out. The walk starts at the mode
+    j = floor(h) and alternates one step down and one step up while both flanks
+    run. The lower flank stops after j = 0, or after a weight below 1e-3 *
+    ``POISSON_TAIL_TOL`` at j < mode; the upper flank stops after such a weight
+    at j > mode + 1. The walk ends once the listed mass is within
+    ``POISSON_TAIL_TOL`` of one or both flanks have stopped. h = 0 gives the
+    point mass [(0, 1.0)], the central law. Which terms are visited, in what
+    order and with what weights depends on h alone, so every evaluation point
+    of one law can share the list.
     """
     if not (half_lam >= 0.0):
         raise ValueError(f"poisson_mixture_terms requires half_lam >= 0, got {half_lam}")
     if half_lam == 0.0:
         return [(0, 1.0)], 0.0
     log_half_lam = math.log(half_lam)
+    cutoff = POISSON_TAIL_TOL * 1e-3
 
     def log_pois(j: int) -> float:
         return -half_lam + j * log_half_lam - math.lgamma(j + 1.0)
@@ -222,47 +229,40 @@ def poisson_mixture_terms(half_lam: float):
     mode = int(half_lam)
     terms = []
     weight_acc = 0.0
-    j_down, j_up = mode, mode + 1
-    down_done, up_done = False, False
+    j_down, j_up = mode, mode + 1  # the next term of each flank; None once it has stopped
     for _ in range(_POISSON_MAX_TERMS):
-        progressed = False
-        if not down_done and j_down >= 0:
+        if j_down is not None:
             w = math.exp(log_pois(j_down))
             terms.append((j_down, w))
             weight_acc += w
-            # Left side is finite; once weights vanish the remaining mass there
-            # is dominated by the already-negligible last weight.
-            if w < POISSON_TAIL_TOL * 1e-3 and j_down < mode:
-                down_done = True
-            j_down -= 1
-            progressed = True
-        elif not down_done:
-            down_done = True
-        if not up_done:
+            # The lower flank is finite; once its weights vanish, the mass left
+            # there is dominated by the already-negligible last weight.
+            j_down = None if j_down == 0 or (w < cutoff and j_down < mode) else j_down - 1
+        if j_up is not None:
             w = math.exp(log_pois(j_up))
             terms.append((j_up, w))
             weight_acc += w
-            if w < POISSON_TAIL_TOL * 1e-3 and j_up > mode + 1:
-                up_done = True
-            j_up += 1
-            progressed = True
-        if 1.0 - weight_acc < POISSON_TAIL_TOL or (down_done and up_done):
+            j_up = None if w < cutoff and j_up > mode + 1 else j_up + 1
+        if 1.0 - weight_acc < POISSON_TAIL_TOL or (j_down is None and j_up is None):
             # Either the accumulated mass is within the tolerance, or the weights
             # are exhausted on both flanks: the unaccumulated mass is then below
             # the per-term cutoff times the number of skipped terms, itself
             # bounded by the tail tolerance.
             return terms, max(0.0, 1.0 - weight_acc)
-        if not progressed:  # pragma: no cover - defensive
-            break
     raise NonConvergenceError(
         f"Poisson mixture weights did not converge for half noncentrality {half_lam}"
     )
 
 
-def _noncentral_chi2_mix(law: NoncentralChi2Law, term_fn):
-    """Sum of w_j * term_fn(dof/2 + j) over the law's Poisson terms; returns (value, tail)."""
-    terms, tail = poisson_mixture_terms(0.5 * law.noncentrality)
-    half_dof = 0.5 * law.dof
+def noncentral_chi2_mix(half_dof: float, half_lam: float, term_fn):
+    """Sum of w_j * term_fn(half_dof + j) over the Poisson terms of ``half_lam``.
+
+    Returns (value, tail). half_dof and half_lam are half the degrees of freedom
+    and half the noncentrality. term_fn may return an array (one value per
+    evaluation point of the law); the terms are then summed elementwise, in the
+    same order and with the same operations as for one point.
+    """
+    terms, tail = poisson_mixture_terms(half_lam)
     total = 0.0
     for j, w in terms:
         total += w * term_fn(half_dof + j)
@@ -276,7 +276,9 @@ def noncentral_chi2_cdf_with_bound(x: float, law: NoncentralChi2Law):
     if x == 0.0:
         return 0.0, 0.0
     half_x = 0.5 * x
-    value, tail = _noncentral_chi2_mix(law, lambda a: reg_inc_gamma_lower(a, half_x))
+    value, tail = noncentral_chi2_mix(
+        0.5 * law.dof, 0.5 * law.noncentrality, lambda a: reg_inc_gamma_lower(a, half_x)
+    )
     return min(1.0, max(0.0, value)), tail
 
 
@@ -303,7 +305,9 @@ def noncentral_chi2_pdf(x: float, law: NoncentralChi2Law) -> float:
     """
     if not (x > 0.0):
         raise ValueError(f"noncentral_chi2_pdf requires x > 0, got {x}")
-    value, _ = _noncentral_chi2_mix(law, lambda a: math.exp(_central_chi2_log_pdf(x, a)))
+    value, _ = noncentral_chi2_mix(
+        0.5 * law.dof, 0.5 * law.noncentrality, lambda a: math.exp(_central_chi2_log_pdf(x, a))
+    )
     return max(0.0, value)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .specfun import GammaLaw, gamma_quantile, poisson_mixture_terms, reg_inc_gamma_lower
+from .specfun import GammaLaw, gamma_quantile, noncentral_chi2_mix, reg_inc_gamma_lower
 
 _ROW_SUM_TOL = 1e-10
 
@@ -151,12 +151,11 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     c = 2a / ((1 - e^{-a dt}) s^2), and m_j are midpoints between neighboring
     grid values (+-infinity at the ends, so rows sum to exactly one).
 
-    F is the Poisson mixture of ``specfun``. Row i's Poisson terms (j, w_j)
-    come from ``poisson_mixture_terms`` once for all its midpoints, and the
-    incomplete-gamma column P(dof/2 + j, c m) over the midpoints is computed
-    once per j and shared by every row that visits j. Each row accumulates
-    w_j * column in the order of its terms, which is the same sequence of
-    floating-point operations as ``noncentral_chi2_cdf`` at each midpoint.
+    F is the Poisson mixture ``specfun.noncentral_chi2_mix``, summed for all of
+    row i's midpoints at once: its terms give, per shape a = dof/2 + j, the
+    incomplete-gamma column P(a, c m) over the midpoints, computed once and
+    shared by every row that visits that shape. Each midpoint sees the same
+    sequence of floating-point operations as ``noncentral_chi2_cdf``.
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -169,15 +168,16 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     midpoints = 0.5 * (values[:-1] + values[1:])
     half_x = (0.5 * (2.0 * c * midpoints)).tolist()  # x/2 at x = 2c m, as the scalar CDF forms it
     columns = {}
+
+    def column(a: float) -> np.ndarray:
+        col = columns.get(a)
+        if col is None:
+            col = columns[a] = np.array([reg_inc_gamma_lower(a, x) for x in half_x])
+        return col
+
     cdf = np.empty((n, n - 1))
     for i in range(n):
-        terms, _ = poisson_mixture_terms(0.5 * (2.0 * c * float(values[i]) * decay))
-        total = np.zeros(n - 1)
-        for j, w in terms:
-            col = columns.get(j)
-            if col is None:
-                col = columns[j] = np.array([reg_inc_gamma_lower(half_dof + j, x) for x in half_x])
-            total += w * col
+        total, _ = noncentral_chi2_mix(half_dof, 0.5 * (2.0 * c * float(values[i]) * decay), column)
         cdf[i] = np.minimum(1.0, np.maximum(0.0, total))
     probs = np.empty((n, n))
     if n == 1:

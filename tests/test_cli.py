@@ -380,6 +380,34 @@ class TestHankelCommand:
         assert report["n_strings"] == 15
 
 
+class TestMalformedModelFiles:
+    """A model file that is not a model object, or lacks a required key, exits 2 naming it."""
+
+    def _hankel(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "h.json"
+        return main(["hankel", "--model", str(path), "--depth", "2", "--out", str(out)])
+
+    def test_classical_file_without_k(self, tmp_path, capsys, rng):
+        from conftest import random_classical_hmm
+
+        doc = serialize.model_to_dict(random_classical_hmm(rng, n_states=2, n_obs=2, k=1))
+        del doc["k"]
+        assert self._hankel(tmp_path, doc) == 2
+        assert "classical model: missing required key 'k'" in capsys.readouterr().err
+
+    def test_qhmm_spec_without_reps(self, tmp_path, capsys):
+        doc = serialize.model_to_dict(random_qhmm(AnsatzSpec(1, 1, reps=1), 3))
+        del doc["spec"]["reps"]
+        assert self._hankel(tmp_path, doc) == 2
+        assert "qhmm model: spec: missing required key 'reps'" in capsys.readouterr().err
+
+    def test_file_holding_a_list(self, tmp_path, capsys):
+        assert self._hankel(tmp_path, [1, 2]) == 2
+        assert "model file: expected an object, got list" in capsys.readouterr().err
+
+
 class TestBoundsCommand:
     def test_report_ordering(self, tmp_path):
         cfg = write_config(
@@ -471,6 +499,36 @@ class TestConfigSections:
         assert specs["fit_j"].grid.values.size == 4
         assert sections["fit_i"].config == sections["fit_j"].config
         assert sections["bounds"].constants.tau == 1.0
+
+
+class TestBuildDgp:
+    """``build_dgp`` is the explicit grid -> CIR transition -> classical model chain."""
+
+    @pytest.mark.parametrize("dgp_doc", [
+        None,  # the preset
+        {"alpha": 1.3, "beta": 0.05, "sigma": 0.6, "n_states": 5, "k": 3, "n_obs": 3,
+         "delta": 0.5, "mode": "index-sum"},
+    ])
+    def test_equals_the_explicit_chain(self, tmp_path, dgp_doc):
+        from volhmm.chmm import build_classical_hmm
+        from volhmm.cli import build_dgp, get_section, load_config
+        from volhmm.volgrid import cir_spot_grid, cir_transition_matrix
+
+        path = "configs/sp500_cir.json" if dgp_doc is None else str(
+            write_config(tmp_path / "c.json", dgp=dgp_doc))
+        dgp = get_section(load_config(path), "dgp")
+        grid = cir_spot_grid(dgp.params, dgp.n_states)
+        a_hf = cir_transition_matrix(dgp.params, grid, dgp.delta / dgp.k)
+        explicit = build_classical_hmm(grid, a_hf, dgp.k, dgp.scheme, mode=dgp.mode)
+        model = build_dgp(dgp)
+        assert np.array_equal(model.grid.values, grid.values)
+        assert np.array_equal(model.a_hf.probs, explicit.a_hf.probs)
+        assert model.a_hf.dt == explicit.a_hf.dt
+        for name in ("vbar_values", "g"):
+            assert np.array_equal(getattr(model.table, name), getattr(explicit.table, name))
+        assert (model.table.k, model.table.mode) == (explicit.table.k, explicit.table.mode)
+        assert np.array_equal(model.emission.probs, explicit.emission.probs)
+        assert np.array_equal(model.x0, explicit.x0)
 
 
 class TestModelFiles:

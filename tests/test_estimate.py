@@ -153,6 +153,15 @@ class TestFitClassical:
         with pytest.raises(ValidationError):
             cir(4, 2, dgp.scheme).fit(np.array([]), FitConfig())
 
+    @pytest.mark.parametrize("make, theta0", [
+        (lambda: cir(4), [1.0, 0.1]),
+        (lambda: nonparam(3), np.full(5, 0.2)),
+        (lambda: QhmmFitSpec(AnsatzSpec(1, 2, reps=1)), np.zeros(3)),
+    ])
+    def test_theta0_of_the_wrong_length_rejected(self, make, theta0):
+        with pytest.raises(ValidationError, match="theta0 must have"):
+            make().fit(np.array([0, 1, 2, 3]), FitConfig(max_iter=5, restarts=1), theta0=theta0)
+
 
 class TestFitQhmm:
     def test_parameter_count_with_init(self):
@@ -299,8 +308,11 @@ class TestLockstepRestarts:
         assert (result.nll, result.iterations, result.converged) == (
             best.nll, best.iterations, best.converged)
         assert result.trace == best.trace
+        distinct = {}  # a start repeated bit for bit shares the first one's descent
+        for rec, run in zip(result.restarts, runs):
+            distinct.setdefault(rec.start.tobytes(), run)
         for count in ("evaluations", "barrier_hits", "sentinel_hits"):
-            assert getattr(result, count) == sum(getattr(run, count) for run in runs)
+            assert getattr(result, count) == sum(getattr(run, count) for run in distinct.values())
 
     def test_nonparam(self):
         dgp = sp500_dgp(n_states=4, k=2)
@@ -329,6 +341,24 @@ class TestLockstepRestarts:
         result, _ = spec.fit(returns, cfg)
         objective = scalar_classical_objective(returns, spec)
         self._assert_sequential(result, objective, cfg, spec.starts(returns, cfg)[0])
+
+    def test_repeated_starts_share_one_descent(self):
+        dgp = sp500_dgp(n_states=4, k=2)
+        _, _, _, symbols = simulate(dgp, 60, seed=21)
+        spec = nonparam(4, 2, dgp.scheme, grid=dgp.grid)
+        cfg = FitConfig(max_iter=80, seed=3, restarts=4)
+        starts = spec.starts(symbols, cfg)
+        # every perturbation left the feasible region and fell back to restart 0's point
+        assert all(np.array_equal(x0, starts[0]) for x0 in starts[1:])
+        four, _ = spec.fit(symbols, cfg)
+        one, _ = spec.fit(symbols, FitConfig(max_iter=80, seed=3, restarts=1))
+        assert np.array_equal(four.theta_hat, one.theta_hat)
+        assert (four.nll, four.iterations, four.converged, four.trace) == (
+            one.nll, one.iterations, one.converged, one.trace)
+        for count in ("evaluations", "barrier_hits", "sentinel_hits"):
+            assert getattr(four, count) == getattr(one, count)
+        assert [(r.nll, r.iterations, r.converged) for r in four.restarts] == [
+            (one.nll, one.iterations, one.converged)] * 4
 
 
 class TestBatchObjective:

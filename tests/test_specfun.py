@@ -7,6 +7,7 @@ from scipy import stats
 
 from volhmm.errors import NonConvergenceError
 from volhmm.specfun import (
+    POISSON_TAIL_TOL,
     GammaLaw,
     NoncentralChi2Law,
     gamma_cdf,
@@ -16,6 +17,7 @@ from volhmm.specfun import (
     noncentral_chi2_cdf,
     noncentral_chi2_cdf_with_bound,
     noncentral_chi2_pdf,
+    poisson_mixture_terms,
     reg_inc_gamma_lower,
 )
 
@@ -183,6 +185,59 @@ class TestNoncentralChi2Cdf:
     def test_domain(self):
         with pytest.raises(ValueError):
             noncentral_chi2_cdf(-1.0, NoncentralChi2Law(1.0, 1.0))
+
+
+# Number of Poisson terms the mixture walk visits at each half noncentrality h; the
+# transition matrices sum exactly these terms, so a change in the walk shows here.
+POISSON_TERM_COUNTS = {0.0: 1, 1e-12: 2, 0.3: 12, 1.0: 17, 7.5: 38, 40.0: 98, 2e3: 743, 4e5: 8116}
+
+
+class TestPoissonMixtureTerms:
+    """The walk outward from the mode, checked against its documented rules."""
+
+    @staticmethod
+    def _flank_stops(j, w, mode, down):
+        cutoff = POISSON_TAIL_TOL * 1e-3
+        if down:
+            return j == 0 or (w < cutoff and j < mode)
+        return w < cutoff and j > mode + 1
+
+    @pytest.mark.parametrize("h", sorted(POISSON_TERM_COUNTS))
+    def test_walk(self, h):
+        terms, tail = poisson_mixture_terms(h)
+        assert len(terms) == POISSON_TERM_COUNTS[h]
+        if h == 0.0:
+            assert (terms, tail) == ([(0, 1.0)], 0.0)
+            return
+        js = [j for j, _ in terms]
+        mode = math.floor(h)
+        assert js[0] == mode
+        assert len(set(js)) == len(js)
+        down = [(j, w) for j, w in terms if j <= mode]
+        up = [(j, w) for j, w in terms if j > mode]
+        assert [j for j, _ in down] == list(range(mode, mode - len(down), -1))
+        assert [j for j, _ in up] == list(range(mode + 1, mode + 1 + len(up)))
+        # One step down then one up per round while both flanks run, then the longer flank.
+        m = min(len(down), len(up))
+        rounds = [[d, u] for d, u in zip(down, up)] + [[t] for t in down[m:] + up[m:]]
+        assert [t for r in rounds for t in r] == terms
+        w = np.array([w for _, w in terms])
+        # Log-space weights: at h = 4e5 the exponent's terms near 5e6 carry ~1e-9 error.
+        assert np.allclose(w, stats.poisson.pmf(js, h), rtol=1e-7, atol=0.0)
+        acc, partial = 0.0, []
+        for r in rounds:
+            for _, weight in r:
+                acc += weight
+            partial.append(acc)
+        assert tail == max(0.0, 1.0 - acc)
+        # The walk ends in the first round whose mass is within the tolerance or after
+        # which both flanks have stopped; a flank stops at the first term its rule names.
+        assert all(1.0 - p >= POISSON_TAIL_TOL for p in partial[:-1])
+        by_mass = 1.0 - acc < POISSON_TAIL_TOL
+        for flank, is_down in ((down, True), (up, False)):
+            flags = [self._flank_stops(j, weight, mode, is_down) for j, weight in flank]
+            assert not any(flags[:-1])
+            assert flags[-1] or by_mass
 
 
 class TestNoncentralChi2Pdf:
