@@ -5,9 +5,9 @@ KL divergences between sequence models are taken on the binned-symbol
 filtration: exactly by summing over every symbol string of a fixed length, or
 by Monte Carlo averaging of per-sequence log-likelihood ratios under the data
 generating model. The likelihood-ratio experiment repeats the generate/fit/
-compare loop over seeded trials and is embarrassingly parallel; per-trial
-seeds derive from (seed, purpose, trial), so results do not depend on the
-worker count.
+compare loop over seeded trials; per-trial seeds derive from (seed, purpose,
+trial), and the trials of a worker's chunk are fitted in lockstep with the fits
+each gets alone, so results do not depend on the worker count.
 
 A sequence model's generalized Hankel matrix holds string probabilities
 indexed by (prefix, suffix) pairs; its numerical rank bounds the minimal
@@ -96,25 +96,39 @@ class LlrSample:
     message: str = ""
 
 
-def _llr_trial(trial, dgp, spec_i, spec_j, n_steps, cfg, seed):
-    data = simulate(dgp, n_steps, derive_seed(seed, "llr-data", trial))[3]
-    try:
-        cfg_i = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_i.label))
-        cfg_j = replace(cfg, seed=derive_seed(seed, "llr-fit", trial, spec_j.label))
-        result_i, _ = spec_i.fit(data, cfg_i)
-        result_j, _ = spec_j.fit(data, cfg_j)
-    except NumericalError as exc:  # a failed fit is recorded, not fatal
-        return LlrSample(
-            trial=trial, loglik_model_i=math.nan, loglik_model_j=math.nan,
-            llr_log10=math.nan, status="failed", message=f"{type(exc).__name__}: {exc}",
-        )
-    ll_i, ll_j = -result_i.nll, -result_j.nll
-    return LlrSample(
-        trial=trial,
-        loglik_model_i=ll_i,
-        loglik_model_j=ll_j,
-        llr_log10=(ll_i - ll_j) / math.log(10.0),
-    )
+def _llr_chunk(trials, dgp, spec_i, spec_j, n_steps, cfg, seed) -> list:
+    """The LLR samples of a run of trials; the trials' fits of each spec advance in lockstep
+    (``spec.fit_all``), so each is the fit the trial gets alone.
+
+    A trial whose fit of spec_i fails is not fitted with spec_j. A failed fit is recorded
+    on its own trial, not raised.
+    """
+    datas = {t: simulate(dgp, n_steps, derive_seed(seed, "llr-data", t))[3] for t in trials}
+    logliks = {t: [] for t in trials}
+    failures = {}
+    for spec in (spec_i, spec_j):
+        live = [t for t in trials if t not in failures]
+        cfgs = [replace(cfg, seed=derive_seed(seed, "llr-fit", t, spec.label)) for t in live]
+        for t, outcome in zip(live, spec.fit_all([datas[t] for t in live], cfgs)):
+            if isinstance(outcome, NumericalError):
+                failures[t] = outcome
+            else:
+                logliks[t].append(-outcome[0].nll)
+    samples = []
+    for t in trials:
+        if t in failures:
+            exc = failures[t]
+            samples.append(LlrSample(
+                trial=t, loglik_model_i=math.nan, loglik_model_j=math.nan,
+                llr_log10=math.nan, status="failed", message=f"{type(exc).__name__}: {exc}",
+            ))
+        else:
+            ll_i, ll_j = logliks[t]
+            samples.append(LlrSample(
+                trial=t, loglik_model_i=ll_i, loglik_model_j=ll_j,
+                llr_log10=(ll_i - ll_j) / math.log(10.0),
+            ))
+    return samples
 
 
 def llr_experiment(
@@ -133,21 +147,27 @@ def llr_experiment(
     Each spec (``estimate.ClassicalFitSpec`` or ``QhmmFitSpec``) fits the DGP's
     symbols with the bins, substeps, period length and grouping it holds. Fit seeds
     depend on (seed, trial, spec label), so identical specs produce identical fits
-    and an all-zero LLR column. Trials run in parallel when workers > 1; output is
-    ordered and worker-count independent.
+    and an all-zero LLR column. The trials are split into ``workers`` contiguous chunks
+    (at most one per trial; sizes differ by at most one, larger first), each run by one
+    process. Within a chunk every trial's fits of a spec advance together, one batched
+    objective call per round for the whole chunk, and each fit is the one its trial gets
+    alone, so the output is ordered and the same for any worker count. ``progress`` sees
+    each sample, in trial order, once its chunk is done.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    chunks = [c.tolist() for c in np.array_split(np.arange(trials), min(workers or 1, trials))]
     task = partial(
-        _llr_trial, dgp=dgp, spec_i=spec_i, spec_j=spec_j, n_steps=n_steps, cfg=cfg, seed=seed
+        _llr_chunk, dgp=dgp, spec_i=spec_i, spec_j=spec_j, n_steps=n_steps, cfg=cfg, seed=seed
     )
     samples = []
-    pool = ProcessPoolExecutor(max_workers=workers) if (workers or 1) > 1 else None
+    pool = ProcessPoolExecutor(max_workers=len(chunks)) if len(chunks) > 1 else None
     with pool or nullcontext():
-        for sample in (pool.map if pool else map)(task, range(trials)):
-            samples.append(sample)
-            if progress is not None:
-                progress(sample)
+        for chunk in (pool.map if pool else map)(task, chunks):
+            for sample in chunk:
+                samples.append(sample)
+                if progress is not None:
+                    progress(sample)
     return samples
 
 

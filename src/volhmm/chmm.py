@@ -31,18 +31,21 @@ from functools import lru_cache
 import numpy as np
 
 from . import operators
-from .errors import EnumerationCapError, ValidationError
+from .errors import EnumerationCapError, NonConvergenceError, ValidationError
 from .volgrid import (
     _ROW_SUM_TOL,
     ObservationScheme,
     SpotGrid,
     TransitionMatrix,
     _freeze,
+    _gth,
     matrix_power,
     stationary_distribution,
 )
 
 ENUMERATION_CAP = 10_000_000
+# path probabilities of one block of a batched build; weights and ids of one bincount
+BLOCK_BYTES = 1 << 20
 
 MULTISET = "multiset"
 INDEX_SUM = "index-sum"
@@ -140,8 +143,41 @@ class ClassicalHmm:
 
     def operators(self) -> operators.OperatorModel:
         """Operators diag(e_s) A, with start x0 and out = 1."""
-        e, a = self.emission.probs.T, self.a.probs  # row s of e is the emission column e_s
-        return operators.OperatorModel(self.x0, e[:, :, None] * a, np.ones(self.n_states))
+        return _operator_form(self.emission.probs, self.a.probs, self.x0)
+
+
+def _operator_form(emission, a, x0) -> operators.OperatorModel:
+    """x0, diag(e_s) A per symbol and out = 1, of one model or of a batch on the leading axis."""
+    e = np.swapaxes(emission, -1, -2)  # row s of e is the emission column e_s
+    ops = e[..., :, :, None] * a[..., None, :, :]
+    return operators.OperatorModel(x0, ops, np.ones(a.shape[-1]))
+
+
+@dataclass(frozen=True)
+class ClassicalBatch:
+    """Models of one state count, substep count and grouping, with a leading model axis.
+
+    Row b holds the arrays ``build_classical_hmm`` gives model b alone, bit for bit: the
+    Vbar values and distribution g, the emission probabilities, the period matrix
+    a = a_hf^k and its stationary law x0.
+    """
+
+    vbar: np.ndarray  # (n_vbar,) when the models share one spot grid, else (B, n_vbar)
+    g: np.ndarray  # (B, n_states, n_vbar)
+    emission: np.ndarray  # (B, n_states, n_obs)
+    a: np.ndarray  # (B, n_states, n_states)
+    x0: np.ndarray  # (B, n_states)
+
+    def operators(self) -> operators.OperatorModel:
+        return _operator_form(self.emission, self.a, self.x0)
+
+    def log_likelihood_continuous(self, returns) -> np.ndarray:
+        """Row b's ``log_likelihood_continuous`` of returns[b], for (B, T) returns."""
+        vbar = np.broadcast_to(self.vbar, self.g.shape[:1] + self.vbar.shape[-1:])
+        return np.array([
+            _returns_loglik(*parts)
+            for parts in zip(vbar, self.g, self.a, self.x0, returns)
+        ])
 
 
 @dataclass
@@ -189,7 +225,8 @@ def _path_layout(n_states: int, k: int, mode: str):
 
 
 def _path_probs(a_hf: np.ndarray, k: int) -> np.ndarray:
-    """(n_states, n_paths) probability of each substep path from each start state.
+    """(..., n_states, n_paths) probability of each substep path from each start state, for
+    a (..., n_states, n_states) stack of substep matrices.
 
     Paths are in lexicographic order, as in ``_path_layout``. The chain
     product a[p0,p1] a[p1,p2] ... is built one outer product per substep, left
@@ -197,11 +234,53 @@ def _path_probs(a_hf: np.ndarray, k: int) -> np.ndarray:
     """
     if k == 1:
         return a_hf.copy()
-    n = a_hf.shape[0]
+    *batch, n, _ = a_hf.shape
     chain = a_hf
-    for _ in range(k - 2):
-        chain = chain[..., None] * a_hf
-    return (a_hf[:, :, None] * chain.reshape(1, n, -1)).reshape(n, -1)
+    for depth in range(1, k - 1):
+        chain = chain[..., None] * a_hf.reshape(*batch, *(1,) * depth, n, n)
+    return (a_hf[..., None] * chain.reshape(*batch, 1, n, -1)).reshape(*batch, n, -1)
+
+
+def _grouped(weights: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sums of each row of ``weights`` (R, n_paths) over the paths of each group: (R, n_groups).
+
+    One bincount per block of rows, each row's ids offset by n_groups times its place in
+    the block, so a group adds its paths in the order a one-row bincount does. A block's
+    weights and ids stay within BLOCK_BYTES; a row above that goes alone, on the shared ids.
+    """
+    rows, n_paths = weights.shape
+    step = max(1, BLOCK_BYTES // ((weights.itemsize + group_ids.itemsize) * n_paths))
+    out = np.empty((rows, n_groups))
+    for r0 in range(0, rows, step):
+        block = weights[r0 : r0 + step]
+        m = len(block)
+        ids = group_ids if m == 1 else (group_ids + n_groups * np.arange(m)[:, None]).ravel()
+        out[r0 : r0 + m] = np.bincount(
+            ids, weights=block.ravel(), minlength=m * n_groups
+        ).reshape(m, n_groups)
+    return out
+
+
+def _vbar_values(values: np.ndarray, k: int, mode: str) -> np.ndarray:
+    """Vbar column values (..., n_vbar) of spot grids (..., n_states)."""
+    paths, group_ids, n_groups, member_counts, reps = _path_layout(values.shape[-1], k, mode)
+    if mode == MULTISET:
+        # All paths in a multiset group share the same average; evaluate it on
+        # the canonical (sorted) representative.
+        return values[..., reps].mean(axis=-1)
+    path_avgs = values[..., paths].mean(axis=-1)
+    sums = _grouped(path_avgs.reshape(-1, len(paths)), group_ids, n_groups)
+    return sums.reshape(*values.shape[:-1], n_groups) / member_counts
+
+
+def _group_mass(a_hf: np.ndarray, k: int, mode: str) -> np.ndarray:
+    """Vbar distribution g (..., n_states, n_vbar) of a stack of substep matrices."""
+    _, group_ids, n_groups, _, _ = _path_layout(a_hf.shape[-1], k, mode)
+    probs = _path_probs(a_hf, k)  # (..., n, n_paths)
+    g = _grouped(probs.reshape(-1, probs.shape[-1]), group_ids, n_groups)
+    g = g.reshape(*probs.shape[:-1], n_groups)
+    g /= g.sum(axis=-1, keepdims=True)
+    return g
 
 
 def build_integrated_table(
@@ -212,41 +291,36 @@ def build_integrated_table(
         raise ValidationError(f"k must be >= 1, got {k}")
     if a_hf.n_states != grid.n_states:
         raise ValidationError("transition matrix and grid disagree on the state count")
-    n = grid.n_states
-    paths, group_ids, n_groups, member_counts, reps = _path_layout(n, k, mode)
-    probs = _path_probs(a_hf.probs, k)  # (n, n_paths)
-
-    # Group probability mass per start state, one bincount per row: no (n, n_paths) index array.
-    g = np.stack([np.bincount(group_ids, weights=row, minlength=n_groups) for row in probs])
-    g /= g.sum(axis=1, keepdims=True)
-
-    if mode == MULTISET:
-        # All paths in a multiset group share the same average; evaluate it on
-        # the canonical (sorted) representative.
-        vbar = grid.values[reps].mean(axis=1)
-    else:
-        path_avgs = grid.values[paths].mean(axis=1)
-        vbar = np.bincount(group_ids, weights=path_avgs, minlength=n_groups) / member_counts
-    return IntegratedVolTable(vbar_values=vbar, g=g, k=k, mode=mode)
+    return IntegratedVolTable(
+        vbar_values=_vbar_values(grid.values, k, mode), g=_group_mass(a_hf.probs, k, mode),
+        k=k, mode=mode,
+    )
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _bin_masses(vbar: np.ndarray, scheme: ObservationScheme) -> np.ndarray:
-    """(n_vbar, n_bins) symbol distribution when the period return is N(0, vbar[v]).
+    """(..., n_bins) symbol distribution when the period return is N(0, vbar), per vbar value.
 
     The edge CDFs are ``specfun.gaussian_cdf(edge / sd)`` for all values at
     once, with ``math.erfc`` applied elementwise so every value is the same
     float as the scalar call.
     """
-    z = scheme.edges[None, :] / np.sqrt(vbar)[:, None]
+    z = scheme.edges / np.sqrt(vbar)[..., None]
     cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
-    out = np.empty((vbar.size, scheme.n_bins))
-    out[:, 0] = cdf[:, 0]
-    out[:, 1:-1] = np.diff(cdf, axis=1)
-    out[:, -1] = 1.0 - cdf[:, -1]
+    out = np.empty(vbar.shape + (scheme.n_bins,))
+    out[..., 0] = cdf[..., 0]
+    out[..., 1:-1] = np.diff(cdf, axis=-1)
+    out[..., -1] = 1.0 - cdf[..., -1]
     return out
+
+
+def grid_emissions(values: np.ndarray, k: int, scheme: ObservationScheme, mode: str = MULTISET):
+    """Vbar values (..., n_vbar) of spot grids (..., n_states) and their bin masses
+    (..., n_vbar, n_bins): what a batched build needs of the grids."""
+    vbar = _vbar_values(values, k, mode)
+    return vbar, _bin_masses(vbar, scheme)
 
 
 def emission_given_vbar(vbar: float, scheme: ObservationScheme) -> np.ndarray:
@@ -259,6 +333,57 @@ def emission_given_vbar(vbar: float, scheme: ObservationScheme) -> np.ndarray:
 def build_emission_matrix(table: IntegratedVolTable, scheme: ObservationScheme) -> EmissionMatrix:
     """Mix the Gaussian bin masses over the integrated-variance distribution."""
     return EmissionMatrix(probs=table.g @ _bin_masses(table.vbar_values, scheme))
+
+
+def build_classical_batches(a_hf: np.ndarray, k: int, scheme: ObservationScheme, mode: str,
+                            values: np.ndarray, emissions=None):
+    """The models of substep matrices a_hf (B, n, n), a block of models at a time.
+
+    ``values`` is the spot grid every model shares (n,), with its ``grid_emissions`` in
+    ``emissions`` when the caller has them, or each model's grid (B, n). Yields (rows,
+    batch): the indices of the block's models that built and a ClassicalBatch of them. A
+    model whose period chain has no unique stationary law is left out. A block's tables
+    and emissions are computed at once; the period matrix and the stationary solve run
+    per model, on the operations ``ClassicalHmm`` runs. A block's path probabilities stay
+    within BLOCK_BYTES; a model above that goes alone.
+    """
+    shared = values.ndim == 1
+    if shared and emissions is None:
+        emissions = grid_emissions(values, k, scheme, mode)
+    n = a_hf.shape[-1]
+    per_block = max(1, BLOCK_BYTES // (a_hf.itemsize * n ** (k + 1)))
+    for b0 in range(0, len(a_hf), per_block):
+        stop = b0 + per_block
+        rows, batch = _classical_block(
+            a_hf[b0:stop], k, scheme, mode, None if shared else values[b0:stop], emissions
+        )
+        if rows.size:
+            yield b0 + rows, batch
+
+
+def _classical_block(a_hf, k, scheme, mode, values, emissions):
+    """One block of ``build_classical_batches``: (rows that built, their ClassicalBatch).
+
+    The grid emissions are ``emissions`` (shared), else those of the block's grids
+    ``values``, formed after the path probabilities are gone."""
+    g = _group_mass(a_hf, k, mode)
+    vbar, masses = emissions or grid_emissions(values, k, scheme, mode)
+    emission = np.clip(g @ masses, 0.0, 1.0)
+    # as matrix_power and stationary_distribution on each model's TransitionMatrix
+    a = np.clip(np.stack([np.linalg.matrix_power(p, k) for p in a_hf]), 0.0, 1.0)
+    rows, x0 = [], []
+    for i, p in enumerate(a):
+        try:
+            x0.append(_gth(p))
+        except NonConvergenceError:
+            continue
+        rows.append(i)
+    keep = slice(None) if len(rows) == len(a) else rows  # no copies when every model built
+    if vbar.ndim > 1:
+        vbar = vbar[keep]
+    return np.array(rows, dtype=np.int64), ClassicalBatch(
+        vbar, g[keep], emission[keep], a[keep], np.array(x0).reshape(len(rows), -1)
+    )
 
 
 def build_classical_hmm(
@@ -289,7 +414,7 @@ def log_likelihood_binned(hmm: ClassicalHmm, obs) -> float:
     return operators.log_likelihood(hmm.operators(), obs)
 
 
-def _returns_steps(hmm: ClassicalHmm, returns):
+def _returns_steps(vbar, g, a, x0, returns):
     """The returns filter: per return dy, yields (log-likelihood increment, next state).
 
     A state's weight is sum_j g[i,j] phi(dy; 0, Vbar_j), taken relative to the
@@ -297,13 +422,10 @@ def _returns_steps(hmm: ClassicalHmm, returns):
     Gaussian log-normalizers and variances are formed once for the whole
     sequence, and each step works in one reused buffer.
     """
-    vbar = hmm.table.vbar_values
-    g = hmm.table.g
-    a = hmm.a.probs
     log_norm = -0.5 * (math.log(2.0 * math.pi) + np.log(vbar))
     two_vbar = 2.0 * vbar
     logphi = np.empty_like(vbar)
-    x = hmm.x0
+    x = x0
     for dy in np.asarray(returns, dtype=float).tolist():
         np.subtract(log_norm, np.divide(dy * dy, two_vbar, out=logphi), out=logphi)
         shift = logphi.max()
@@ -315,12 +437,20 @@ def _returns_steps(hmm: ClassicalHmm, returns):
         yield inc, x
 
 
-def log_likelihood_continuous(hmm: ClassicalHmm, returns) -> float:
-    """Log-likelihood of raw returns under the Gaussian-mixture emission densities."""
+def _returns_loglik(vbar, g, a, x0, returns) -> float:
     total = 0.0
-    for inc, _ in _returns_steps(hmm, returns):
+    for inc, _ in _returns_steps(vbar, g, a, x0, returns):
         total += inc
     return total
+
+
+def _parts(hmm: ClassicalHmm) -> tuple:
+    return hmm.table.vbar_values, hmm.table.g, hmm.a.probs, hmm.x0
+
+
+def log_likelihood_continuous(hmm: ClassicalHmm, returns) -> float:
+    """Log-likelihood of raw returns under the Gaussian-mixture emission densities."""
+    return _returns_loglik(*_parts(hmm), returns)
 
 
 def filter_path(hmm: ClassicalHmm, obs=None, returns=None) -> FilterTrace:
@@ -337,7 +467,7 @@ def filter_path(hmm: ClassicalHmm, obs=None, returns=None) -> FilterTrace:
     else:
         states = np.empty((len(returns), hmm.n_states))
         incs = np.empty(len(returns))
-        for t, (inc, x) in enumerate(_returns_steps(hmm, returns)):
+        for t, (inc, x) in enumerate(_returns_steps(*_parts(hmm), returns)):
             incs[t], states[t] = inc, x
     prior = np.vstack([hmm.x0, states])[:-1]  # the state each period starts from
     expected_vbar = hmm.table.g @ hmm.table.vbar_values

@@ -4,12 +4,13 @@ Every model class (square-root-diffusion parametric, non-parametric transition
 matrix, quantum channel) is fitted with the same machinery: a deterministic
 Nelder-Mead simplex descent on the negative log-likelihood, with infeasible
 parameter vectors rejected through a large finite barrier rather than a
-reparameterization. A fit's restarts descend in lockstep: each round evaluates
-every point they ask for in one call of a batched objective, and each descent
-follows the path it would follow alone. A fit candidate (``ClassicalFitSpec`` or
-``QhmmFitSpec``) holds a model kind and every setting its fit needs, and owns its
-barrier, restart starts, batched objective and model builder; one driver,
-``spec.fit(data, cfg)``, checks the data and runs them for either kind. Model order
+reparameterization. A fit's restarts descend in lockstep, and so do the fits of
+several data sets: each round evaluates every point they ask for in one call of a
+batched objective, and each descent follows the path it would follow alone. A fit
+candidate (``ClassicalFitSpec`` or ``QhmmFitSpec``) holds a model kind and every
+setting its fit needs, and owns its barrier, restart starts, batched objective and
+model builder; one driver, ``spec.fit_all(datas, cfgs)``, checks the data and runs
+them for either kind, and ``spec.fit(data, cfg)`` is its one-fit case. Model order
 selection maximizes loglik/T - Lambda_T with the complexity penalty
 
     Lambda_T = (C/eta) (ln T)^10 / T * { w + (ln T)^4 (m n_L + n_L^2 - 1)
@@ -28,10 +29,11 @@ import numpy as np
 from .chmm import (
     MULTISET,
     ClassicalHmm,
+    build_classical_batches,
     build_classical_hmm,
-    log_likelihood_continuous,
+    grid_emissions,
 )
-from .errors import NumericalError, ValidationError, ZeroLikelihoodError
+from .errors import NumericalError, ValidationError
 from .operators import OperatorModel, forward, log_prob, stack
 from .qhmm import AnsatzSpec, build_qhmm, qhmm_operators
 from .seeds import derive_seed
@@ -41,6 +43,7 @@ from .volgrid import (
     SpotGrid,
     cir_spot_grid,
     cir_transition_matrix,
+    nonparam_rows,
     nonparam_transition_matrix,
 )
 
@@ -200,60 +203,103 @@ def _simplex_descent(x0, cfg: FitConfig):
     )
 
 
-def lockstep_nelder_mead(batch_objective, starts, cfg: FitConfig) -> FitResult:
-    """One simplex descent per distinct start, advanced together; the best result, first
-    on ties.
+class _Descents:
+    """The simplex descents of one fit in ``lockstep_nelder_mead``."""
 
-    Each round stacks the points every unfinished descent asks for into one (B, dim)
-    array and makes one ``batch_objective`` call, which returns their B values. A
-    descent's path depends only on its own values, so it is the same as a descent run
-    alone. A start equal bit for bit to an earlier one would repeat that descent, so it
-    runs none and its record repeats the earlier result. The result counts the
-    evaluations of all descents and has one record per start.
+    def __init__(self, starts, cfg: FitConfig):
+        self.starts = [np.asarray(x0, dtype=float) for x0 in starts]
+        self.distinct = {}  # start bytes -> start, in order of first appearance
+        for x0 in self.starts:
+            self.distinct.setdefault(x0.tobytes(), x0)
+        self.runs = [_simplex_descent(x0, cfg) for x0 in self.distinct.values()]
+        self.pending = [next(run) for run in self.runs]
+        self.results = [None] * len(self.runs)
+        self.error = None
+        self.evaluations = self.barrier_hits = self.sentinel_hits = 0
+
+    def advance(self, i, values):
+        """Send descent i the values of the points it asked for."""
+        self.evaluations += values.size
+        barrier = (values >= _BARRIER) & (values < _OBJECTIVE_FAIL)
+        self.barrier_hits += int(np.count_nonzero(barrier))
+        self.sentinel_hits += int(np.count_nonzero(values >= _OBJECTIVE_FAIL))
+        try:
+            self.pending[i] = self.runs[i].send(values)
+        except StopIteration as done:
+            self.results[i], self.pending[i] = done.value, None
+        except NumericalError as exc:
+            self.error = exc
+
+    def outcome(self):
+        if self.error is not None:
+            return self.error
+        best = None
+        for result in self.results:
+            if best is None or result.nll < best.nll:
+                best = result
+        best.evaluations, best.barrier_hits = self.evaluations, self.barrier_hits
+        best.sentinel_hits = self.sentinel_hits
+        record_of = {
+            key: (r.nll, r.iterations, r.converged) for key, r in zip(self.distinct, self.results)
+        }
+        best.restarts = [RestartRecord(x0, *record_of[x0.tobytes()]) for x0 in self.starts]
+        return best
+
+
+def lockstep_nelder_mead(batch_objective, starts, cfgs) -> list:
+    """Simplex descents of several fits, advanced together: per fit, its FitResult, or the
+    NumericalError that ended it.
+
+    Fit f runs one descent per distinct start of ``starts[f]``, with ``cfgs[f]``. Each
+    round stacks the points every unfinished descent asks for into one (B, dim) array
+    and makes one ``batch_objective(points, fits)`` call, ``fits[b]`` being the fit that
+    asked for row b, which returns their B values. A descent's path depends only on its
+    own values, so it is the same as a descent run alone. A start equal bit for bit to an
+    earlier one of its fit would repeat that descent, so it runs none and its record
+    repeats the earlier result. A fit's result is its best descent, first on ties, with
+    the evaluations of all its descents and one record per start. A descent whose start
+    value is not finite ends its fit, and the fit's other descents stop.
     """
-    starts = [np.asarray(x0, dtype=float) for x0 in starts]
-    distinct = {}  # start bytes -> start, in order of first appearance
-    for x0 in starts:
-        distinct.setdefault(x0.tobytes(), x0)
-    runs = [_simplex_descent(x0, cfg) for x0 in distinct.values()]
-    pending = [next(run) for run in runs]
-    results = [None] * len(runs)
-    evaluations = barrier_hits = sentinel_hits = 0
-    while any(points is not None for points in pending):
-        live = [i for i, points in enumerate(pending) if points is not None]
-        values = np.asarray(batch_objective(np.concatenate([pending[i] for i in live])), float)
-        evaluations += values.size
-        barrier_hits += int(np.count_nonzero((values >= _BARRIER) & (values < _OBJECTIVE_FAIL)))
-        sentinel_hits += int(np.count_nonzero(values >= _OBJECTIVE_FAIL))
+    fits = [_Descents(fit_starts, cfg) for fit_starts, cfg in zip(starts, cfgs)]
+    while True:
+        live = [
+            (f, i)
+            for f, fit in enumerate(fits)
+            if fit.error is None
+            for i, points in enumerate(fit.pending)
+            if points is not None
+        ]
+        if not live:
+            return [fit.outcome() for fit in fits]
+        points = [fits[f].pending[i] for f, i in live]
+        tags = np.repeat([f for f, _ in live], [len(p) for p in points])
+        values = np.asarray(batch_objective(np.concatenate(points), tags), dtype=float)
         offset = 0
-        for i in live:
-            n = len(pending[i])
-            try:
-                pending[i] = runs[i].send(values[offset : offset + n])
-            except StopIteration as done:
-                results[i], pending[i] = done.value, None
-            offset += n
-    best = None
-    for result in results:
-        if best is None or result.nll < best.nll:
-            best = result
-    best.evaluations, best.barrier_hits = evaluations, barrier_hits
-    best.sentinel_hits = sentinel_hits
-    record_of = {key: (r.nll, r.iterations, r.converged) for key, r in zip(distinct, results)}
-    best.restarts = [RestartRecord(x0, *record_of[x0.tobytes()]) for x0 in starts]
-    return best
+        for (f, i), asked in zip(live, points):
+            if fits[f].error is None:
+                fits[f].advance(i, values[offset : offset + len(asked)])
+            offset += len(asked)
 
 
 def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
     """Simplex descent from x0 on a scalar objective (see ``_simplex_descent``)."""
-    return lockstep_nelder_mead(
-        lambda points: [float(objective(x)) for x in points], [x0], cfg
+    (outcome,) = lockstep_nelder_mead(
+        lambda points, fits: [float(objective(x)) for x in points], [[x0]], [cfg]
     )
+    if isinstance(outcome, NumericalError):
+        raise outcome
+    return outcome
+
+
+def _strings(data, sets):
+    """What the rows of a batch read of a (F, T) data stack: the one data set they all
+    read, or (B, T) with row b's own."""
+    return data[sets[0]] if np.all(sets == sets[0]) else data[sets]
 
 
 def _batch_nll(model: OperatorModel, data) -> np.ndarray:
-    """Negative log-likelihood of ``data`` under each model of a batch; the failure
-    sentinel where the data have probability zero."""
+    """Negative log-likelihood of ``data`` (one string, or one per model) under each model
+    of a batch; the failure sentinel where the data have probability zero."""
     nll = -log_prob(forward(model, data)[0])
     nll[nll == math.inf] = _OBJECTIVE_FAIL
     return nll
@@ -271,17 +317,45 @@ class _FitDriver:
     """The one fit both candidate kinds share.
 
     A candidate supplies ``data_kind``, ``n_obs``, ``free_params``, ``starts(data, cfg, theta0)``,
-    ``objective(data)`` (values of a (B, dim) batch of parameter rows, each the one its
-    row gets alone) and ``model(theta)``.
+    ``objective(data)`` and ``model(theta)``. The objective of one data set, or of a (F, T)
+    stack of F, is a function ``objective(thetas, sets=None)`` of a (B, dim) batch of
+    parameter rows, row b valued on data set ``sets[b]`` (the first when sets is None);
+    each row gets the value it gets alone.
     """
 
     def fit(self, data, cfg: FitConfig, theta0=None):
-        """Maximum likelihood fit on ``data``: (FitResult, model).
+        """Maximum likelihood fit on ``data``: (FitResult, model), ``fit_all`` of one data set."""
+        (outcome,) = self.fit_all([data], [cfg], theta0)
+        if isinstance(outcome, NumericalError):
+            raise outcome
+        return outcome
 
-        The data and theta0 are checked before any evaluation; the restarts descend in
-        lockstep.
+    def fit_all(self, datas, cfgs, theta0=None) -> list:
+        """Fits of data sets of one length, in lockstep: per data set, (FitResult, model) or
+        the NumericalError that ended its fit.
+
+        Data set f is fitted with ``cfgs[f]``, so its result is the one ``fit`` gives it
+        alone. Every data set and theta0 are checked before any evaluation. Each round
+        makes one objective call for the descents of all the fits.
         """
-        data = np.asarray(data)
+        datas = [self._checked(data) for data in datas]
+        if len({data.shape for data in datas}) > 1:
+            raise ValidationError("data sets fitted together must have one length")
+        if theta0 is not None and np.shape(theta0) != (self.free_params,):
+            raise ValidationError(
+                f"theta0 must have {self.free_params} entries, got shape {np.shape(theta0)}"
+            )
+        if not datas:
+            return []
+        starts = [self.starts(data, cfg, theta0) for data, cfg in zip(datas, cfgs)]
+        try:
+            outcomes = lockstep_nelder_mead(self.objective(np.stack(datas)), starts, cfgs)
+        except NumericalError as exc:  # the objective failed for every row at once
+            outcomes = [exc] * len(datas)
+        return [self._finished(outcome) for outcome in outcomes]
+
+    def _checked(self, data) -> np.ndarray:
+        data = np.asarray(data).reshape(-1)
         if data.size == 0:
             raise ValidationError("data must be nonempty")
         if self.data_kind == "returns":
@@ -289,13 +363,16 @@ class _FitDriver:
                 raise ValidationError("returns must be finite")
         elif data.min() < 0 or data.max() >= self.n_obs:
             raise ValidationError(f"data symbols out of range [0, {self.n_obs})")
-        if theta0 is not None and np.shape(theta0) != (self.free_params,):
-            raise ValidationError(
-                f"theta0 must have {self.free_params} entries, got shape {np.shape(theta0)}"
-            )
-        best = lockstep_nelder_mead(self.objective(data), self.starts(data, cfg, theta0), cfg)
-        _check_best(best)
-        return best, self.model(best.theta_hat)
+        return data
+
+    def _finished(self, outcome):
+        if isinstance(outcome, NumericalError):
+            return outcome
+        try:
+            _check_best(outcome)
+            return outcome, self.model(outcome.theta_hat)
+        except NumericalError as exc:
+            return exc
 
 
 @dataclass(frozen=True)
@@ -339,42 +416,43 @@ class ClassicalFitSpec(_FitDriver):
         """cir: alpha, beta, sigma; nonparam: n - 1 free entries per transition row."""
         return 3 if self.kind == KIND_CIR else self.n_states * (self.n_states - 1)
 
-    def barrier(self, theta) -> float:
-        """Zero inside the feasible region, a large finite barrier outside it."""
+    def barrier(self, theta):
+        """Zero inside the feasible region, a large finite barrier outside it, per parameter
+        row of a (..., dim) array."""
         theta = np.asarray(theta, dtype=float)
         if self.kind == KIND_CIR:
-            violation = float(np.clip(-theta, 0.0, None).sum())
-            if np.any(theta <= 0.0):
-                violation = max(violation, 1e-12)
+            violation = np.clip(-theta, 0.0, None).sum(axis=-1)
+            violation = np.where(np.any(theta <= 0.0, axis=-1), np.maximum(violation, 1e-12),
+                                 violation)
         else:
             n = self.n_states
-            if theta.shape != (n * (n - 1),):
+            if theta.shape[-1:] != (n * (n - 1),):
                 raise ValidationError(
                     f"expected {n * (n - 1)} parameters for {n} states, got shape {theta.shape}"
                 )
-            low = float(np.clip(-theta, 0.0, None).sum())
-            high = float(np.clip(theta - 1.0, 0.0, None).sum())
+            low = np.clip(-theta, 0.0, None).sum(axis=-1)
+            high = np.clip(theta - 1.0, 0.0, None).sum(axis=-1)
             violation = low + high
-            if np.any(theta <= 0.0) or np.any(theta >= 1.0):
-                violation = max(violation, 1e-12)
-            groups = theta.reshape(n, n - 1)
-            row_excess = np.clip(groups.sum(axis=1) - 1.0, 0.0, None).sum()
-            if np.any(groups.sum(axis=1) >= 1.0):
-                violation = max(violation + float(row_excess), 1e-12)
-        if violation == 0.0:
-            return 0.0
-        return _BARRIER * (1.0 + violation)
+            outside = np.any(theta <= 0.0, axis=-1) | np.any(theta >= 1.0, axis=-1)
+            violation = np.where(outside, np.maximum(violation, 1e-12), violation)
+            sums = theta.reshape(theta.shape[:-1] + (n, n - 1)).sum(axis=-1)
+            row_excess = np.clip(sums - 1.0, 0.0, None).sum(axis=-1)
+            violation = np.where(np.any(sums >= 1.0, axis=-1),
+                                 np.maximum(violation + row_excess, 1e-12), violation)
+        return np.where(violation == 0.0, 0.0, _BARRIER * (1.0 + violation))[()]
 
-    def model(self, theta) -> ClassicalHmm:
-        """The model at a parameter vector; x0 is the stationary law of its chain."""
+    def _substep(self, theta):
+        """Spot grid and substep transition matrix at one parameter vector."""
         dt = self.delta / self.k
         if self.kind == KIND_CIR:
             params = CirParams(alpha=float(theta[0]), beta=float(theta[1]), sigma=float(theta[2]))
             grid = cir_spot_grid(params, self.n_states)
-            a_hf = cir_transition_matrix(params, grid, dt)
-        else:
-            grid = self.grid
-            a_hf = nonparam_transition_matrix(theta, self.n_states, dt=dt)
+            return grid, cir_transition_matrix(params, grid, dt)
+        return self.grid, nonparam_transition_matrix(theta, self.n_states, dt=dt)
+
+    def model(self, theta) -> ClassicalHmm:
+        """The model at a parameter vector; x0 is the stationary law of its chain."""
+        grid, a_hf = self._substep(theta)
         return build_classical_hmm(grid, a_hf, self.k, self.scheme, mode=self.mode)
 
     def starts(self, data, cfg: FitConfig, theta0=None) -> list:
@@ -402,31 +480,49 @@ class ClassicalFitSpec(_FitDriver):
         return starts
 
     def objective(self, data):
-        """Negative log-likelihood of ``data`` on a (B, dim) batch of parameter rows.
+        """Negative log-likelihood on a (B, dim) batch of parameter rows (see ``_FitDriver``).
 
         A row outside the feasible region gets its barrier value and is never built; a row
-        whose model cannot be built or evaluated gets the failure sentinel. Symbol data run
-        through one batched forward pass; raw returns through each row's returns filter.
+        whose model cannot be built or evaluated gets the failure sentinel. The feasible
+        rows are built together (``chmm.build_classical_batches``; a nonparam spot grid's
+        Vbar values and bin masses once per objective). Symbol data run through one
+        batched forward pass, raw returns through each row's returns filter.
         """
+        data = np.atleast_2d(data)
+        n, k, scheme, mode = self.n_states, self.k, self.scheme, self.mode
+        fixed = None if self.kind == KIND_CIR else grid_emissions(self.grid.values, k, scheme, mode)
 
-        def objective(thetas):
-            values = np.empty(len(thetas))
-            symbol_rows, symbol_models = [], []
-            for i, theta in enumerate(thetas):
-                values[i] = self.barrier(theta)
-                if values[i] > 0.0:
-                    continue
-                try:
-                    model = self.model(theta)
-                    if self.data_kind == "returns":
-                        values[i] = -log_likelihood_continuous(model, data)
-                    else:
-                        symbol_rows.append(i)
-                        symbol_models.append(model.operators())
-                except (ZeroLikelihoodError, NumericalError, ValidationError):
-                    values[i] = _OBJECTIVE_FAIL
+        def objective(thetas, sets=None):
+            thetas = np.asarray(thetas, dtype=float)
+            sets = np.zeros(len(thetas), dtype=np.int64) if sets is None else np.asarray(sets)
+            values = self.barrier(thetas)
+            rows = np.flatnonzero(~(values > 0.0))
+            if self.kind == KIND_CIR:
+                grids, a_hf = [], []
+                for i in rows:
+                    try:
+                        grid, tm = self._substep(thetas[i])
+                    except (NumericalError, ValidationError):
+                        values[i] = _OBJECTIVE_FAIL
+                        continue
+                    grids.append(grid.values)
+                    a_hf.append(tm.probs)
+                rows = rows[~(values[rows] > 0.0)]
+                grids, a_hf = np.array(grids).reshape(-1, n), np.array(a_hf).reshape(-1, n, n)
+            else:
+                grids, a_hf = self.grid.values, nonparam_rows(thetas[rows], n)
+            values[rows] = _OBJECTIVE_FAIL  # a row the build leaves out keeps it
+            symbol_rows, models = [], []
+            for built, batch in build_classical_batches(a_hf, k, scheme, mode, grids, fixed):
+                built = rows[built]
+                if self.data_kind == "returns":
+                    values[built] = -batch.log_likelihood_continuous(data[sets[built]])
+                else:
+                    symbol_rows.append(built)
+                    models.append(batch.operators())
             if symbol_rows:
-                values[symbol_rows] = _batch_nll(stack(symbol_models), data)
+                symbol_rows = np.concatenate(symbol_rows)
+                values[symbol_rows] = _batch_nll(stack(models), _strings(data, sets[symbol_rows]))
             return values
 
         return objective
@@ -496,13 +592,15 @@ class QhmmFitSpec(_FitDriver):
         return starts
 
     def objective(self, data):
-        """Negative log-likelihood of ``data`` on a (B, dim) batch of packed angles."""
+        """Negative log-likelihood on a (B, dim) batch of packed angles (see ``_FitDriver``)."""
+        data = np.atleast_2d(data)
         n_init = self.ansatz.latent_qubits
 
-        def objective(packed):
-            return _batch_nll(
-                qhmm_operators(self.ansatz, packed[:, n_init:], packed[:, :n_init]), data
-            )
+        def objective(packed, sets=None):
+            packed = np.asarray(packed, dtype=float)
+            sets = np.zeros(len(packed), dtype=np.int64) if sets is None else np.asarray(sets)
+            model = qhmm_operators(self.ansatz, packed[:, n_init:], packed[:, :n_init])
+            return _batch_nll(model, _strings(data, sets))
 
         return objective
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ValidationError, ZeroLikelihoodError
 
 MIN_STEP_PROB = 1e-300  # a step probability at or below this counts as zero
+GATHER_BYTES = 1 << 20  # operators a (B, T) pass gathers at once
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,13 @@ class OperatorModel:
 
 
 def stack(models) -> OperatorModel:
-    """One batched model from single models of one dimension and alphabet."""
+    """One batched model from models of one dimension and alphabet, single or batched."""
     models = list(models)
+    dim = models[0].out.size
     return OperatorModel(
-        np.stack([m.x0 for m in models]), np.stack([m.ops for m in models]), models[0].out
+        np.concatenate([m.x0.reshape(-1, dim) for m in models]),
+        np.concatenate([m.ops.reshape(-1, *m.ops.shape[-3:]) for m in models]),
+        models[0].out,
     )
 
 
@@ -51,15 +55,24 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
     """Normalised pass of ``obs`` from each row of ``x`` (default x0): (steps, states).
 
     A single model runs every row of x through its operators; a batch runs row b through
-    model b. steps (B, T) are P(s_t | s_1 .. s_{t-1}); states are the normalised (B, D) rows
-    after the last symbol, or (T, B, D) after each. Both are 0 from a step <= MIN_STEP_PROB on.
+    model b. ``obs`` is one string (T,) that every row reads, or for a batch of B models a
+    (B, T) array whose row b model b reads. steps (B, T) are P(s_t | s_1 .. s_{t-1});
+    states are the normalised (B, D) rows after the last symbol, or (T, B, D) after each.
+    Both are 0 from a step <= MIN_STEP_PROB on. A row's floats do not depend on the other
+    rows or on whether the rows share one string.
     """
-    obs = np.asarray(obs, dtype=np.int64).reshape(-1)
+    obs = np.asarray(obs, dtype=np.int64)
+    if obs.ndim != 2:
+        obs = obs.reshape(-1)
     if obs.size and (obs.min() < 0 or obs.max() >= model.n_obs):
         raise ValidationError(f"symbols out of range [0, {model.n_obs})")
     batched = model.ops.ndim == 4
     x = np.asarray(model.x0 if x is None else x).reshape(-1, model.out.size)
     rows, dim = x.shape
+    if obs.ndim == 2 and not (batched and obs.shape[0] == rows):
+        raise ValidationError(f"a (B, T) obs needs a batch of B models, got {obs.shape[0]} strings "
+                              f"for {rows} rows")
+    n_steps = obs.shape[-1]
     # x [M_s | M_s out] = [y | p]: one product gives the next vector and its probability.
     step_ops = np.concatenate([model.ops, (model.ops @ model.out)[..., None]], axis=-1)
     if batched:
@@ -67,11 +80,15 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
         # as a single model's one-row pass, so a row's floats do not depend on the batch.
         step_ops = step_ops.swapaxes(0, 1)
         x = x[:, None, :]
-    probs = np.empty((obs.size, rows))
-    states = np.empty((obs.size, rows, dim), step_ops.dtype) if keep_states else None
+    probs = np.empty((n_steps, rows))
+    states = np.empty((n_steps, rows, dim), step_ops.dtype) if keep_states else None
+    if obs.ndim == 2:
+        per_step = _gathered(step_ops, obs)
+    else:
+        per_step = map(step_ops.__getitem__, obs.tolist())
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t, s in enumerate(obs.tolist()):
-            y = x @ step_ops[s]
+        for t, ops in enumerate(per_step):
+            y = x @ ops
             p = y[..., -1:].real
             x = y[..., :-1] / p
             probs[t] = p.reshape(rows)
@@ -86,6 +103,16 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
         if keep_states:
             states[dead.T] = 0.0
     return steps, (states if keep_states else x)
+
+
+def _gathered(step_ops, obs):
+    """Per step t, the (B, D, D + 1) operators of a (n_obs, B, D, D + 1) batch that the rows'
+    symbols obs[:, t] select, gathered a block of steps at a time (at most GATHER_BYTES)."""
+    rows, n_steps = obs.shape
+    block = max(1, GATHER_BYTES // step_ops[0].nbytes)
+    row_index = np.arange(rows)
+    for t0 in range(0, n_steps, block):
+        yield from step_ops[obs[:, t0 : t0 + block].T, row_index]
 
 
 def log_prob(steps) -> np.ndarray:

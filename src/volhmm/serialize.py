@@ -39,28 +39,61 @@ def classical_to_dict(model: ClassicalHmm) -> dict:
     }
 
 
-def _fields(doc, where: str, *keys) -> list:
-    """The values of ``keys`` in the JSON object ``doc``; a missing key is named."""
+def _fields(doc, where: str, **readers) -> list:
+    """The values of the keys of the JSON object ``doc``, each passed through its reader;
+    a missing key, or a value its reader rejects, is named."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: expected an object, got {type(doc).__name__}")
-    for key in keys:
+    for key in readers:
         if key not in doc:
             raise ValidationError(f"{where}: missing required key {key!r}")
-    return [doc[key] for key in keys]
+    values = []
+    for key, read in readers.items():
+        try:
+            values.append(read(doc[key]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}: bad value for {key!r}: {exc}") from None
+    return values
+
+
+def _as_is(value):
+    return value
+
+
+def _floats(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _complex_pairs(value) -> np.ndarray:
+    """Nested lists of [re, im] pairs, three levels deep, as a complex array."""
+    return np.array([[[complex(re, im) for re, im in row] for row in op] for op in value])
 
 
 def classical_from_dict(doc: dict) -> ClassicalHmm:
     grid, a_hf, dt_hf, k, mode, x0, edges, emission = _fields(
-        doc, "classical model",
-        "grid", "a_hf", "dt_hf", "k", "mode", "x0", "scheme_edges", "emission",
+        doc, "classical model", grid=_floats, a_hf=_floats, dt_hf=float, k=_integer,
+        mode=_text, x0=_floats, scheme_edges=_floats, emission=_floats,
     )
-    grid = SpotGrid(values=np.array(grid, dtype=float))
-    a_hf = TransitionMatrix(probs=np.array(a_hf, dtype=float), dt=float(dt_hf))
-    scheme = ObservationScheme(edges=np.array(edges, dtype=float))
-    model = build_classical_hmm(grid, a_hf, int(k), scheme, mode=mode, x0=np.array(x0, dtype=float))
-    stored = np.array(emission, dtype=float)
-    if stored.shape != model.emission.probs.shape or np.max(
-        np.abs(stored - model.emission.probs)
+    grid = SpotGrid(values=grid)
+    a_hf = TransitionMatrix(probs=a_hf, dt=dt_hf)
+    scheme = ObservationScheme(edges=edges)
+    model = build_classical_hmm(grid, a_hf, k, scheme, mode=mode, x0=x0)
+    if emission.shape != model.emission.probs.shape or np.max(
+        np.abs(emission - model.emission.probs)
     ) > _AUDIT_TOL:
         raise ValidationError("stored emission matrix does not match the rebuilt model")
     return model
@@ -87,15 +120,14 @@ def qhmm_to_dict(model: QhmmModel) -> dict:
 
 def qhmm_from_dict(doc: dict) -> QhmmModel:
     spec_doc, theta, theta_init, kraus = _fields(
-        doc, "qhmm model", "spec", "theta", "theta_init", "kraus"
+        doc, "qhmm model", spec=_as_is, theta=_floats, theta_init=_floats, kraus=_complex_pairs
     )
     latent, observed, reps, entanglement = _fields(
-        spec_doc, "qhmm model: spec", "latent_qubits", "observed_qubits", "reps", "entanglement"
+        spec_doc, "qhmm model: spec", latent_qubits=_integer, observed_qubits=_integer,
+        reps=_integer, entanglement=_text,
     )
-    spec = AnsatzSpec(int(latent), int(observed), int(reps), entanglement)
-    model = build_qhmm(spec, np.array(theta, dtype=float), np.array(theta_init, dtype=float))
-    stored = np.array([[[complex(re, im) for re, im in row] for row in op] for op in kraus])
-    if stored.shape != model.kraus.shape or np.max(np.abs(stored - model.kraus)) > _AUDIT_TOL:
+    model = build_qhmm(AnsatzSpec(latent, observed, reps, entanglement), theta, theta_init)
+    if kraus.shape != model.kraus.shape or np.max(np.abs(kraus - model.kraus)) > _AUDIT_TOL:
         raise ValidationError("stored Kraus operators do not match the rebuilt model")
     return model
 
@@ -109,7 +141,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
-    (kind,) = _fields(doc, "model file", "model_type")
+    (kind,) = _fields(doc, "model file", model_type=_as_is)
     if kind == "classical":
         return classical_from_dict(doc)
     if kind == "qhmm":

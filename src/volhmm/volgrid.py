@@ -202,7 +202,6 @@ def nonparam_transition_matrix(theta, n_states: int, dt: float = 1.0) -> Transit
             f"expected {expected} parameters for {n_states} states, got shape {theta.shape}"
         )
     groups = theta.reshape(n_states, n_states - 1)
-    probs = np.empty((n_states, n_states))
     for r in range(n_states):
         g = groups[r]
         if np.any(g <= 0.0) or np.any(g >= 1.0):
@@ -210,9 +209,14 @@ def nonparam_transition_matrix(theta, n_states: int, dt: float = 1.0) -> Transit
         s = g.sum()
         if s >= 1.0:
             raise ValidationError(f"row {r}: parameter group sums to {s} >= 1")
-        probs[r, :-1] = g
-        probs[r, -1] = 1.0 - s
-    return TransitionMatrix(probs=probs, dt=dt)
+    return TransitionMatrix(probs=nonparam_rows(theta, n_states), dt=dt)
+
+
+def nonparam_rows(theta, n_states: int) -> np.ndarray:
+    """The (..., n, n) rows of ``nonparam_transition_matrix`` for (..., n(n-1)) free entries,
+    unchecked."""
+    groups = theta.reshape(theta.shape[:-1] + (n_states, n_states - 1))
+    return np.concatenate([groups, 1.0 - groups.sum(axis=-1, keepdims=True)], axis=-1)
 
 
 def _is_primitive(probs: np.ndarray) -> bool:
@@ -241,11 +245,16 @@ def stationary_distribution(a: TransitionMatrix) -> np.ndarray:
     is nonnegative and accurate even for self-transitions near one. Raises
     NonConvergenceError for reducible or periodic chains (no unique law).
     """
-    if not _is_primitive(a.probs):
+    return _freeze(_gth(a.probs))
+
+
+def _gth(probs: np.ndarray) -> np.ndarray:
+    """``stationary_distribution`` of a row-stochastic array."""
+    if not _is_primitive(probs):
         raise NonConvergenceError(
             "chain is reducible or periodic; stationary distribution is not well-defined"
         )
-    p = np.array(a.probs, dtype=float)
+    p = np.array(probs, dtype=float)
     for k in range(len(p) - 1, 0, -1):
         # Censor state k: its transitions to lower states feed the paths through it.
         p[:k, k] /= p[k, :k].sum()
@@ -253,7 +262,7 @@ def stationary_distribution(a: TransitionMatrix) -> np.ndarray:
     pi = np.ones(len(p))
     for k in range(1, len(p)):
         pi[k] = pi[:k] @ p[:k, k]
-    return _freeze(pi / pi.sum())
+    return pi / pi.sum()
 
 
 def matrix_power(a: TransitionMatrix, k: int) -> TransitionMatrix:

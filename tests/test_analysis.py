@@ -18,7 +18,7 @@ from volhmm.analysis import (
 )
 from volhmm.chmm import build_classical_hmm
 from volhmm.errors import ValidationError
-from volhmm.estimate import ClassicalFitSpec, FitConfig, PenaltyConstants
+from volhmm.estimate import ClassicalFitSpec, FitConfig, PenaltyConstants, QhmmFitSpec
 from volhmm.qhmm import AnsatzSpec, build_qhmm, random_qhmm
 from volhmm.volgrid import ObservationScheme, SpotGrid, TransitionMatrix
 
@@ -158,7 +158,7 @@ class TestLlrExperiment:
         class BrokenSpec:
             label = "broken"
 
-            def fit(self, data, cfg):
+            def fit_all(self, datas, cfgs):
                 raise TypeError("not a fit failure")
 
         dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
@@ -166,6 +166,57 @@ class TestLlrExperiment:
         with pytest.raises(TypeError, match="not a fit failure"):
             llr_experiment(dgp, BrokenSpec(), BrokenSpec(), trials=2, n_steps=20, cfg=cfg, seed=7,
                            workers=1)
+
+    @staticmethod
+    def _chunk_case(rng):
+        dgp = random_classical_hmm(rng, n_states=2, n_obs=2, k=1)
+        spec_q = QhmmFitSpec(AnsatzSpec(1, 1, reps=1))
+        spec_c = ClassicalFitSpec(
+            kind="nonparam", n_states=2, k=1, scheme=dgp.scheme, delta=dgp.a.dt, grid=dgp.grid
+        )
+        return dgp, spec_q, spec_c, FitConfig(max_iter=30, restarts=2)
+
+    def test_chunks_give_the_samples_of_one_worker(self, rng):
+        # 8 trials in chunks of 8, 4 + 4, 3 + 3 + 2 and 1 each
+        dgp, spec_q, spec_c, cfg = self._chunk_case(rng)
+        runs = [
+            repr(llr_experiment(dgp, spec_q, spec_c, trials=8, n_steps=20, cfg=cfg, seed=11,
+                                workers=workers))
+            for workers in (1, 2, 3, 10)
+        ]
+        assert runs[1:] == runs[:1] * 3
+        assert "'ok'" in runs[0]
+
+    @pytest.mark.parametrize("failing_first", [False, True])
+    def test_failed_fit_fails_only_its_trial(self, rng, monkeypatch, failing_first):
+        from volhmm import analysis
+        from volhmm.chmm import simulate
+        from volhmm.seeds import derive_seed
+
+        dgp, spec_q, spec_c, cfg = self._chunk_case(rng)
+        specs = (spec_c, spec_q) if failing_first else (spec_q, spec_c)
+        target = simulate(dgp, 20, derive_seed(7, "llr-data", 2))[3]
+        objective_of = ClassicalFitSpec.objective
+
+        def failing_on_trial_2(spec, data):
+            objective = objective_of(spec, data)
+            stack = np.atleast_2d(data)
+
+            def patched(thetas, sets=None):
+                values = objective(thetas, sets)
+                strings = stack[np.zeros(len(thetas), dtype=int) if sets is None else sets]
+                values[np.all(strings == target, axis=1)] = 1e12
+                return values
+
+            return patched
+
+        monkeypatch.setattr(ClassicalFitSpec, "objective", failing_on_trial_2)
+        samples = llr_experiment(dgp, *specs, trials=4, n_steps=20, cfg=cfg, seed=7, workers=1)
+        assert [s.status for s in samples] == ["ok", "ok", "failed", "ok"]
+        assert samples[2].message.startswith("NumericalError: no restart reached")
+        for t in (0, 1, 3):
+            (alone,) = analysis._llr_chunk([t], dgp, *specs, n_steps=20, cfg=cfg, seed=7)
+            assert repr(samples[t]) == repr(alone)
 
     def test_summary_and_histogram(self):
         from volhmm.analysis import LlrSample

@@ -5,9 +5,10 @@ transition matrix as per-midpoint ``noncentral_chi2_cdf`` differences, the
 emission matrix as stacked per-Vbar ``gaussian_cdf`` bin masses, the path
 weights as a gather over the enumerated paths, the returns filter with the
 Gaussian log-densities recomputed at every step, and the quantum ansatz as a
-per-model chain of 2x2 gates and ``np.kron`` products. The builders must reproduce
-the same floats, not merely close ones, so fits and their output files do not
-move.
+per-model chain of 2x2 gates and ``np.kron`` products. The batched classical
+builder (``chmm.build_classical_batches``, behind ``ClassicalFitSpec.objective``)
+is held to the one-model build row by row. The builders must reproduce the same
+floats, not merely close ones, so fits and their output files do not move.
 """
 
 import math
@@ -21,13 +22,16 @@ from volhmm.chmm import (
     MULTISET,
     _path_layout,
     _path_probs,
+    build_classical_batches,
+    build_classical_hmm,
     build_emission_matrix,
     build_integrated_table,
     emission_given_vbar,
     filter_path,
+    log_likelihood_binned,
     log_likelihood_continuous,
 )
-from volhmm.errors import NonConvergenceError
+from volhmm.errors import NonConvergenceError, NumericalError, ValidationError
 from volhmm.estimate import ClassicalFitSpec
 from volhmm.qhmm import (
     AnsatzSpec,
@@ -266,3 +270,125 @@ def test_batched_ansatz_equals_kron_chain_per_model(spec):
         assert np.array_equal(one.rho0.matrix, rho0[b])
         single = one.operators()
         assert np.array_equal(ops.ops[b], single.ops) and np.array_equal(ops.x0[b], single.x0)
+
+
+def lone_objective(spec, theta, data):
+    """One parameter row's fit objective from the one-model functions."""
+    barrier = spec.barrier(theta)
+    if barrier > 0.0:
+        return barrier
+    try:
+        model = spec.model(theta)
+        if spec.data_kind == "returns":
+            return -log_likelihood_continuous(model, data)
+        return -log_likelihood_binned(model, data)
+    except (NumericalError, ValidationError):
+        return 1e12
+
+
+def assert_rows_equal_lone_models(blocks, models):
+    """Each built row's arrays equal its lone ClassicalHmm's; ``models[b]`` is row b's."""
+    for rows, batch in blocks:
+        vbar = np.broadcast_to(batch.vbar, (len(rows), batch.vbar.shape[-1]))
+        for j, b in enumerate(rows):
+            model = models[b]
+            assert np.array_equal(vbar[j], model.table.vbar_values)
+            assert np.array_equal(batch.g[j], model.table.g)
+            assert np.array_equal(batch.emission[j], model.emission.probs)
+            assert np.array_equal(batch.a[j], model.a.probs)
+            assert np.array_equal(batch.x0[j], model.x0)
+
+
+@pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
+def test_batched_build_leaves_out_a_non_primitive_chain(mode, rng):
+    n, k = 3, 3
+    grid = SpotGrid(np.sort(rng.uniform(0.01, 1.0, n)))
+    scheme = build_observation_scheme(4, 1.0)
+    a_hf = rng.dirichlet(np.ones(n), size=(5, n))
+    a_hf[2] = np.roll(np.eye(n), 1, axis=1)  # a 3-cycle: A = a_hf^3 = I is reducible
+    with pytest.raises(NonConvergenceError, match="reducible"):
+        build_classical_hmm(grid, TransitionMatrix(a_hf[2], 1.0 / k), k, scheme, mode)
+    blocks = list(build_classical_batches(a_hf, k, scheme, mode, grid.values))
+    assert np.concatenate([rows for rows, _ in blocks]).tolist() == [0, 1, 3, 4]
+    models = {b: build_classical_hmm(grid, TransitionMatrix(a_hf[b], 1.0 / k), k, scheme, mode)
+              for b in (0, 1, 3, 4)}
+    assert_rows_equal_lone_models(blocks, models)
+
+
+def mixed_rows(kind, rng):
+    """Feasible rows with barrier rows and rows whose build raises among them."""
+    if kind == "cir":
+        return np.array([
+            [1.0, 0.1, 0.5],
+            [-1.0, 0.1, 0.5],  # barrier
+            [1.0, 1.0, 0.002],  # the build raises: the incomplete gamma does not converge
+            [2.2, 0.077, 1.1],
+            [0.0, 0.2, 0.3],  # barrier at the boundary
+            [0.8, 0.15, 0.4],
+            [5.0, 0.001, 0.001],  # the build raises: the spot grid's quantile does not converge
+            [1.0, 1e-4, 0.01],
+        ])
+    rows = rng.uniform(0.02, 0.45, (12, 6))  # 3 states: two free entries per row
+    rows[3, :2] = [0.7, 0.4]  # a row group summing past one: barrier
+    rows[7, 4] = -0.1  # barrier
+    rows[9, 1] = 1.0  # barrier at the boundary
+    return rows
+
+
+@pytest.mark.parametrize("kind, data_kind", [("nonparam", "symbols"), ("cir", "symbols"),
+                                             ("cir", "returns")])
+@pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
+def test_batched_objective_equals_lone_rows(kind, data_kind, mode, rng):
+    scheme = build_observation_scheme(4, 1.2)
+    grid = SpotGrid(np.array([0.05, 0.2, 0.6])) if kind == "nonparam" else None
+    spec = ClassicalFitSpec(kind, 3, 3, scheme, mode=mode, grid=grid, data_kind=data_kind)
+    rows = mixed_rows(kind, rng)
+    if data_kind == "returns":
+        data = rng.normal(0.0, 0.4, (3, 25))
+    else:
+        data = rng.integers(0, 4, (3, 25))
+    sets = rng.integers(0, 3, len(rows))
+    values = spec.objective(data)(rows, sets)
+    for i, theta in enumerate(rows):
+        alone = spec.objective(data[sets[i]])(theta[None, :])[0]
+        assert values[i] == alone == lone_objective(spec, theta, data[sets[i]])
+    assert np.sum(values >= 1e8) >= 3 and np.sum(values < 1e8) >= 3
+    # the builder's arrays for the rows that build
+    built, grids, a_hf = [], [], []
+    for i, theta in enumerate(rows):
+        try:
+            if spec.barrier(theta) == 0.0:
+                grid_i, tm = spec._substep(theta)
+                grids.append(grid_i.values)
+                a_hf.append(tm.probs)
+                built.append(i)
+        except NumericalError:
+            continue
+    values_of = np.array(grids) if kind == "cir" else grid.values
+    blocks = build_classical_batches(np.array(a_hf), 3, scheme, mode, values_of)
+    assert_rows_equal_lone_models(blocks, [spec.model(rows[i]) for i in built])
+
+
+def test_batches_hold_path_arrays_within_the_block_cap(monkeypatch):
+    shapes = []
+    path_probs = chmm._path_probs
+
+    def recording(a_hf, k):
+        probs = path_probs(a_hf, k)
+        shapes.append(probs.shape)
+        return probs
+
+    monkeypatch.setattr(chmm, "_path_probs", recording)
+    scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+    data = np.random.default_rng(3).integers(0, 4, 30)
+    # a preset cir row's path array (16 x 16^4 floats, 8.4 MB) is above the cap: one at a time
+    cir = ClassicalFitSpec("cir", 16, 4, scheme)
+    cir.objective(data)(np.array([[2.2, 0.077, 1.1], [2.0, 0.08, 1.0], [2.5, 0.07, 1.2]]))
+    assert shapes == [(1, 16, 16**4)] * 3
+    # nonparam-4 rows (4 x 4^4 floats, 8 KB) go 128 to a block
+    shapes.clear()
+    grid = cir_spot_grid(CirParams(2.2, 0.077, 1.1), 4)
+    spec = ClassicalFitSpec("nonparam", 4, 4, scheme, grid=grid)
+    spec.objective(data)(np.full((200, 12), 0.25))
+    assert shapes == [(128, 4, 256), (72, 4, 256)]
+    assert 128 * 4 * 256 * 8 == chmm.BLOCK_BYTES

@@ -248,6 +248,16 @@ class TestLlrCommand:
         assert len(hist["histogram"]["counts"]) == 40
         assert "negative_fraction" in hist["summary"]
 
+    def test_chunked_workers_write_identical_files(self, tmp_path):
+        cfg = self._llr_config(tmp_path)
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            argv = ["llr", "--config", str(cfg), "--out", str(out), "--trials", "5"]
+            assert main(argv + ["--workers", workers]) == 0
+        for suffix in (".csv", ".hist.json"):
+            files = [(tmp_path / f"w{w}{suffix}").read_bytes() for w in "123"]
+            assert files[1:] == files[:1] * 2
+
     def test_missing_out_directory_fails_before_trials(self, tmp_path, monkeypatch):
         from volhmm import analysis
 
@@ -381,7 +391,8 @@ class TestHankelCommand:
 
 
 class TestMalformedModelFiles:
-    """A model file that is not a model object, or lacks a required key, exits 2 naming it."""
+    """A model file that is not a model object, or lacks a required key or holds a value of
+    the wrong type, exits 2 naming it."""
 
     def _hankel(self, tmp_path, doc):
         path = tmp_path / "m.json"
@@ -406,6 +417,21 @@ class TestMalformedModelFiles:
     def test_file_holding_a_list(self, tmp_path, capsys):
         assert self._hankel(tmp_path, [1, 2]) == 2
         assert "model file: expected an object, got list" in capsys.readouterr().err
+
+    def test_classical_file_with_null_k(self, tmp_path, capsys, rng):
+        from conftest import random_classical_hmm
+
+        doc = serialize.model_to_dict(random_classical_hmm(rng, n_states=2, n_obs=2, k=1))
+        doc["k"] = None
+        assert self._hankel(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "classical model: bad value for 'k': expected an integer, got None" in err
+
+    def test_qhmm_file_with_flat_kraus_entries(self, tmp_path, capsys):
+        doc = serialize.model_to_dict(random_qhmm(AnsatzSpec(1, 1, reps=1), 3))
+        doc["kraus"] = [[[1]]]
+        assert self._hankel(tmp_path, doc) == 2
+        assert "qhmm model: bad value for 'kraus'" in capsys.readouterr().err
 
 
 class TestBoundsCommand:

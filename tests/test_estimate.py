@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -361,6 +362,67 @@ class TestLockstepRestarts:
             (one.nll, one.iterations, one.converged)] * 4
 
 
+class TestLockstepFits:
+    """Fits of several data sets run in lockstep equal the fits each data set gets alone."""
+
+    @staticmethod
+    def _assert_same_fit(together, alone):
+        (result, model), (one, one_model) = together, alone
+        assert np.array_equal(result.theta_hat, one.theta_hat)
+        assert (result.nll, result.iterations, result.converged, result.trace) == (
+            one.nll, one.iterations, one.converged, one.trace)
+        for count in ("evaluations", "barrier_hits", "sentinel_hits"):
+            assert getattr(result, count) == getattr(one, count)
+        assert [(r.start.tobytes(), r.nll, r.iterations, r.converged) for r in result.restarts] == [
+            (r.start.tobytes(), r.nll, r.iterations, r.converged) for r in one.restarts]
+        assert np.array_equal(model.operators().ops, one_model.operators().ops)
+
+    @pytest.mark.parametrize("kind", ["nonparam", "qhmm"])
+    def test_each_fit_equals_its_lone_fit(self, kind):
+        dgp = sp500_dgp(n_states=4, k=2)
+        datas = [simulate(dgp, 40, seed=30 + f)[3] for f in range(3)]
+        cfgs = [FitConfig(max_iter=60, seed=seed, restarts=2) for seed in (1, 2, 3)]
+        if kind == "qhmm":
+            spec = QhmmFitSpec(AnsatzSpec(1, 2, reps=1))
+        else:
+            spec = nonparam(4, 2, dgp.scheme, grid=dgp.grid)
+        outcomes = spec.fit_all(datas, cfgs)
+        for outcome, data, cfg in zip(outcomes, datas, cfgs):
+            self._assert_same_fit(outcome, spec.fit(data, cfg))
+
+    def test_a_failed_fit_fails_alone(self):
+        dgp = sp500_dgp(n_states=4, k=2)
+        datas = [simulate(dgp, 40, seed=30 + f)[3] for f in range(3)]
+        cfgs = [FitConfig(max_iter=40, seed=seed, restarts=2) for seed in (1, 2, 3)]
+        spec = nonparam(4, 2, dgp.scheme, grid=dgp.grid)
+        objective_of = spec.objective
+
+        class FailingOnSecond(ClassicalFitSpec):
+            def objective(self, data):
+                objective = objective_of(data)
+
+                def failing(rows, sets=None):
+                    values = objective(rows, sets)
+                    if len(data) == 3:
+                        values[sets == 1] = 1e12
+                    return values
+
+                return failing
+
+        failing = FailingOnSecond(*(getattr(spec, f.name) for f in dataclasses.fields(spec)))
+        outcomes = failing.fit_all(datas, cfgs)
+        assert isinstance(outcomes[1], NumericalError)
+        assert "no restart reached a feasible" in str(outcomes[1])
+        for f in (0, 2):
+            self._assert_same_fit(outcomes[f], spec.fit(datas[f], cfgs[f]))
+
+    def test_data_sets_of_different_lengths_rejected(self):
+        dgp = sp500_dgp(n_states=4, k=2)
+        spec = nonparam(4, 2, dgp.scheme, grid=dgp.grid)
+        with pytest.raises(ValidationError, match="one length"):
+            spec.fit_all([np.zeros(5, dtype=int), np.zeros(6, dtype=int)], [FitConfig()] * 2)
+
+
 class TestBatchObjective:
     """Each row of a batch gets the value it would get alone, whatever else is in the batch."""
 
@@ -417,8 +479,8 @@ class TestFitCounts:
         def counting(spec, data):
             objective = objective_of(spec, data)
 
-            def counted(rows):
-                values = objective(rows)
+            def counted(rows, *sets):
+                values = objective(rows, *sets)
                 seen.extend(values.tolist())
                 return values
 

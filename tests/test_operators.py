@@ -159,6 +159,69 @@ class TestModelBatch:
             operators.forward(models[1], [0])[0][0, 0], 0.0, 0.0, 0.0]
 
 
+    # per-row strings: row b reads strings[b]; the gather block is set to a few steps so
+    # that T is covered both as a multiple of it and not
+    def _check_own_strings(self, models, strings):
+        batch = operators.stack(models)
+        steps, states = operators.forward(batch, strings, keep_states=True)
+        last_steps, last = operators.forward(batch, strings)
+        assert np.array_equal(steps, last_steps)
+        for b, model in enumerate(models):
+            one_steps, one_states = operators.forward(model, strings[b], keep_states=True)
+            one_last_steps, one_last = operators.forward(model, strings[b])
+            assert np.array_equal(steps[b], one_steps[0])
+            assert np.array_equal(states[:, b], one_states[:, 0])
+            assert np.array_equal(last_steps[b], one_last_steps[0])
+            assert np.array_equal(last[b], one_last[0])
+        return steps, last
+
+    @staticmethod
+    def _set_block(monkeypatch, models, block_steps):
+        """Gather ``block_steps`` steps at a time for this batch."""
+        ops = operators.stack(models).ops
+        rows, _, dim, _ = ops.shape
+        step_bytes = rows * dim * (dim + 1) * ops.itemsize  # one step's [M_s | M_s out] per row
+        monkeypatch.setattr(operators, "GATHER_BYTES", block_steps * step_bytes)
+
+    @pytest.mark.parametrize("block_steps, n_steps", [(3, 12), (3, 13), (1, 5), (64, 9)])
+    def test_classical_rows_read_their_own_strings(self, rng, monkeypatch, block_steps, n_steps):
+        models = [random_classical_hmm(rng, n_states=4, n_obs=3, k=2).operators()
+                  for _ in range(5)]
+        self._set_block(monkeypatch, models, block_steps)
+        strings = rng.integers(0, 3, (5, n_steps))
+        self._check_own_strings(models, strings)
+        # rows reading one string match the shared-string pass
+        shared = np.repeat(strings[:1], 5, axis=0)
+        steps, last = operators.forward(operators.stack(models), strings[0])
+        assert np.array_equal(self._check_own_strings(models, shared)[0], steps)
+
+    @pytest.mark.parametrize("block_steps, n_steps", [(2, 8), (2, 7)])
+    def test_quantum_row_that_hits_a_zero_step_dies_alone(self, monkeypatch, block_steps,
+                                                          n_steps):
+        spec = AnsatzSpec(1, 1, reps=1)
+        models = [random_qhmm(spec, seed).operators() for seed in range(3)]
+        models.insert(1, readout_qhmm().operators())  # gives symbol 1 probability zero
+        models.append(readout_qhmm().operators())
+        self._set_block(monkeypatch, models, block_steps)
+        strings = np.random.default_rng(5).integers(0, 2, (5, n_steps))
+        strings[1, :3] = [0, 0, 1]  # the readout row dies at step 2
+        strings[4] = 0  # the other readout row never sees symbol 1
+        steps, last = self._check_own_strings(models, strings)
+        assert steps[1].tolist() == [1.0, 1.0] + [0.0] * (n_steps - 2)
+        assert not np.any(last[1])
+        assert steps[4].tolist() == [1.0] * n_steps
+        assert np.all(steps[[0, 2, 3]] > 0.0)
+
+    def test_own_strings_out_of_range(self, rng):
+        batch = operators.stack([random_classical_hmm(rng, n_states=2, n_obs=2, k=1).operators()
+                                 for _ in range(2)])
+        for bad in ([[0, 1], [2, 0]], [[0, -1], [1, 1]]):
+            with pytest.raises(ValidationError, match="out of range"):
+                operators.forward(batch, np.array(bad))
+        with pytest.raises(ValidationError, match="batch of B models"):
+            operators.forward(batch, np.zeros((3, 2), dtype=int))
+
+
 class TestZeroProbability:
     def test_zero_step_zeroes_the_rest_of_the_row(self):
         ops = readout_qhmm().operators()
