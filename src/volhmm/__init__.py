@@ -38,6 +38,7 @@ from .chmm import (
     log_likelihood_continuous,
     sequence_probability,
     simulate,
+    simulate_many,
 )
 from .errors import (
     EnumerationCapError,
@@ -70,6 +71,7 @@ from .qhmm import (
     qhmm_sequence_logprob,
     qhmm_sequence_probability,
     qhmm_simulate,
+    qhmm_simulate_many,
     qhmm_step,
 )
 from .serialize import load_model, model_from_dict, model_to_dict, save_model

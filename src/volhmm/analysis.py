@@ -28,11 +28,11 @@ from functools import partial
 
 import numpy as np
 
-from .chmm import ClassicalHmm, simulate
+from .chmm import BLOCK_BYTES, ClassicalHmm, simulate_many
 from .errors import NumericalError, ValidationError
 from .estimate import FitConfig, PenaltyConstants, penalty_lambda
 from .operators import forward, leaves, log_likelihood, log_prob, vectors
-from .qhmm import QhmmModel, qhmm_simulate
+from .qhmm import QhmmModel, qhmm_simulate_many
 from .seeds import derive_seed
 
 _EXACT_KL_CAP = 1_000_000
@@ -41,12 +41,13 @@ LLR_HIST_BINS = 40
 RANK_REL_TOL = 1e-9
 
 
-def model_simulate_symbols(model, n_steps: int, seed) -> np.ndarray:
-    """Symbols from either family (a classical model draws its substep path)."""
+def model_simulate_symbols(model, n_steps: int, seeds) -> np.ndarray:
+    """Symbols (B, n_steps) from either family, row b from seeds[b] (a classical model
+    draws its substep path)."""
     if isinstance(model, ClassicalHmm):
-        return simulate(model, n_steps, seed)[3]
+        return simulate_many(model, n_steps, seeds)[3]
     if isinstance(model, QhmmModel):
-        return qhmm_simulate(model, n_steps, seed)
+        return qhmm_simulate_many(model, n_steps, seeds)
     raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
@@ -70,19 +71,32 @@ def kl_exact_small(dgp, candidate, n_steps: int) -> float:
 def kl_monte_carlo(dgp, candidate, trials: int, n_steps: int, seed):
     """Monte-Carlo KL estimate and its standard error from simulated sequences.
 
-    A sequence the candidate gives probability zero makes the divergence infinite:
-    the result is then (inf, nan), as ``kl_exact_small`` gives inf.
+    Trial t's sequence is drawn from the seed derive_seed(seed, "kl-mc", t). The trials
+    are drawn and scored a block at a time (one batched draw, one forward pass per model),
+    a block's strings within BLOCK_BYTES. A sequence the candidate gives probability zero
+    makes the divergence infinite: the result is then (inf, nan), as ``kl_exact_small``
+    gives inf; one the DGP gives probability zero raises ZeroLikelihoodError. The first
+    such trial decides.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
     ops_p, ops_q = dgp.operators(), candidate.operators()
     diffs = np.empty(trials)
-    for trial in range(trials):
-        seq = model_simulate_symbols(dgp, n_steps, derive_seed(seed, "kl-mc", trial))
-        logq = log_prob(forward(ops_q, seq)[0])[0]
-        if logq == -math.inf:
-            return math.inf, math.nan
-        diffs[trial] = log_likelihood(ops_p, seq) - logq
+    per_block = max(1, BLOCK_BYTES // (8 * n_steps))
+    for t0 in range(0, trials, per_block):
+        block = range(t0, min(t0 + per_block, trials))
+        seqs = model_simulate_symbols(dgp, n_steps, [derive_seed(seed, "kl-mc", t) for t in block])
+        logq = log_prob(forward(ops_q, seqs)[0])
+        logp = log_prob(forward(ops_p, seqs)[0])
+        impossible = np.flatnonzero((logq == -math.inf) | (logp == -math.inf))
+        if impossible.size:
+            first = impossible[0]
+            if logq[first] == -math.inf:
+                return math.inf, math.nan
+            log_likelihood(ops_p, seqs[first])  # raises at the string's first impossible step
+        diffs[t0 : t0 + len(block)] = logp - logq
     return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(trials))
 
 
@@ -103,7 +117,8 @@ def _llr_chunk(trials, dgp, spec_i, spec_j, n_steps, cfg, seed) -> list:
     A trial whose fit of spec_i fails is not fitted with spec_j. A failed fit is recorded
     on its own trial, not raised.
     """
-    datas = {t: simulate(dgp, n_steps, derive_seed(seed, "llr-data", t))[3] for t in trials}
+    seeds = [derive_seed(seed, "llr-data", t) for t in trials]
+    datas = dict(zip(trials, simulate_many(dgp, n_steps, seeds)[3]))
     logliks = {t: [] for t in trials}
     failures = {}
     for spec in (spec_i, spec_j):

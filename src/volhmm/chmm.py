@@ -44,7 +44,8 @@ from .volgrid import (
 )
 
 ENUMERATION_CAP = 10_000_000
-# path probabilities of one block of a batched build; weights and ids of one bincount
+# path probabilities of one block of a batched build; weights and ids of one bincount;
+# the substep maps of one block of a batched draw
 BLOCK_BYTES = 1 << 20
 
 MULTISET = "multiset"
@@ -481,29 +482,90 @@ def simulate(hmm: ClassicalHmm, n_periods: int, seed):
     high-frequency matrix; Vbar is the average spot variance over the period's
     k new substates; the return is N(0, Vbar) and is then binned.
     """
+    return tuple(row[0] for row in simulate_many(hmm, n_periods, [seed]))
+
+
+def simulate_many(hmm: ClassicalHmm, n_periods: int, seeds):
+    """``simulate`` of each seed: the four arrays with a leading row per seed, (B, n_periods).
+
+    Seed b's generator draws 1 + n_periods k uniforms, then n_periods standard normals.
+    The first uniform picks the start state from x0, one per substep picks the next
+    state from its transition row; a draw goes to the first state whose cumulative
+    probability exceeds it (the last state, past the last sum). The return is
+    0.0 + sqrt(Vbar) z, as ``Generator.normal`` forms it. A block of rows is drawn and
+    walked at a time, its substep maps within BLOCK_BYTES; a row above that goes alone.
+    """
     if n_periods < 1:
         raise ValidationError(f"n_periods must be >= 1, got {n_periods}")
-    rng = np.random.default_rng(seed)
-    n = hmm.n_states
-    k = hmm.table.k
-    cum_rows = np.cumsum(hmm.a_hf.probs, axis=1)
+    seeds = list(seeds)
+    n, k = hmm.n_states, hmm.table.k
+    n_sub = n_periods * k
     cum_x0 = np.cumsum(hmm.x0)
-    uniforms = rng.random(1 + n_periods * k)
-    state = min(int(np.searchsorted(cum_x0, uniforms[0], side="right")), n - 1)
-    spot_states = np.empty(n_periods, dtype=np.int64)
-    vbars = np.empty(n_periods)
-    u_idx = 1
-    for t in range(n_periods):
-        acc = 0.0
-        for _ in range(k):
-            state = min(int(np.searchsorted(cum_rows[state], uniforms[u_idx], side="right")), n - 1)
-            u_idx += 1
-            acc += hmm.grid.values[state]
-        spot_states[t] = state
-        vbars[t] = acc / k
-    rets = rng.normal(0.0, np.sqrt(vbars))
+    cum_rows = np.cumsum(hmm.a_hf.probs, axis=1)
+    cum_x0[-1] = cum_rows[:, -1] = np.inf  # no draw passes the last state
+    ranked = _ranked_maps(cum_rows)
+    spot_states = np.empty((len(seeds), n_periods), dtype=np.int64)
+    vbars = np.empty((len(seeds), n_periods))
+    normals = np.empty((len(seeds), n_periods))
+    per_block = max(1, BLOCK_BYTES // (8 * n * n_sub))
+    for b0 in range(0, len(seeds), per_block):
+        block = seeds[b0 : b0 + per_block]
+        rows = slice(b0, b0 + len(block))
+        uniforms = np.empty((len(block), 1 + n_sub))
+        for i, seed in enumerate(block):
+            rng = np.random.default_rng(seed)
+            rng.random(out=uniforms[i])
+            rng.standard_normal(out=normals[b0 + i])
+        start = np.searchsorted(cum_x0, uniforms[:, 0], side="right")
+        path = _walk(ranked, start, uniforms[:, 1:])
+        spot_states[rows] = path[:, k - 1 :: k]
+        vbars[rows] = sum(hmm.grid.values[path[:, j::k]] for j in range(k)) / k  # substep order
+    rets = 0.0 + np.sqrt(vbars) * normals
     symbols = np.searchsorted(hmm.scheme.edges, rets, side="right").astype(np.int64)
     return spot_states, vbars, rets, symbols
+
+
+def _ranked_maps(cum_rows):
+    """(sums, maps): every row's cumulative sums in one sorted array, and for each count j
+    of them at or below a draw u, the substep map (n,) that takes state i to the count of
+    row i's sums at or below u. A draw's map is maps[searchsorted(sums, u, "right")]: u
+    ranks among n^2 sums, so n^2 + 1 maps are all there are ((n^2 + 1) n small integers,
+    4 KB at 16 states)."""
+    n = len(cum_rows)
+    flat = cum_rows.ravel()
+    order = np.argsort(flat)
+    maps = np.zeros((flat.size + 1, n), dtype=np.min_scalar_type(n))
+    maps[np.arange(1, flat.size + 1), order // n] = 1  # the j-th smallest sum is row order // n's
+    return flat[order], maps.cumsum(axis=0, dtype=maps.dtype)
+
+
+def _walk(ranked, state, uniforms):
+    """Chain states (R, S) after each substep: row r starts at state[r], and substep s
+    takes state i to the count of row i's cumulative sums at or below uniforms[r, s].
+
+    A span of substeps goes at once: each substep's map i -> next state comes from
+    ``_ranked_maps``, and the maps are composed by doubling, so a span costs about log2
+    of its length array passes instead of one per substep. Integer maps compose exactly.
+    A span's index arrays (R, S, n) stay within BLOCK_BYTES (a span has at least one
+    substep).
+    """
+    sums, maps_by_rank = ranked
+    rows, n_sub = uniforms.shape
+    n = maps_by_rank.shape[1]
+    path = np.empty((rows, n_sub), dtype=np.int64)
+    span = max(1, BLOCK_BYTES // (8 * n * rows))
+    for s0 in range(0, n_sub, span):
+        u = uniforms[:, s0 : s0 + span]
+        maps = maps_by_rank[np.searchsorted(sums, u, side="right")]
+        flat = maps.reshape(-1)
+        offsets = np.arange(0, maps.size, n).reshape(u.shape)  # where map (r, s) starts
+        d = 1
+        while d < u.shape[1]:  # maps[:, s] becomes map s after map s - d after ...
+            maps[:, d:] = flat[offsets[:, d:, None] + maps[:, :-d]]
+            d *= 2
+        path[:, s0 : s0 + u.shape[1]] = flat[offsets + state[:, None]]
+        state = path[:, s0 + u.shape[1] - 1]
+    return path
 
 
 def sequence_probability(hmm: ClassicalHmm, obs) -> float:

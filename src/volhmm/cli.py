@@ -246,7 +246,8 @@ def build_dgp(dgp: DgpSection) -> chmm.ClassicalHmm:
 
 
 def check_out_base(base: str):
-    """Fail before any computation if files named ``base + suffix`` cannot be created."""
+    """Fail before any computation if the file ``base``, or files named ``base + suffix``,
+    cannot be created."""
     parent = os.path.dirname(os.path.abspath(base))
     if not os.path.isdir(parent):
         raise ValidationError(f"--out: directory {parent} does not exist")
@@ -302,6 +303,7 @@ def read_data_csv(path):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    check_out_base(args.out)
     config = load_config(args.config)
     dgp = get_section(config, "dgp")
     exp = _override(get_section(config, "experiment"), seed=args.seed)
@@ -426,6 +428,8 @@ def _parse_prefix(text: str, n_obs: int, name: str):
 
 
 def cmd_markov_test(args) -> int:
+    if args.out:
+        check_out_base(args.out)
     model = serialize.load_model(args.model)
     if not isinstance(model, qhmm.QhmmModel):
         raise ValidationError("markov-test only applies to qhmm models")
@@ -458,6 +462,7 @@ def cmd_markov_test(args) -> int:
 
 
 def cmd_hankel(args) -> int:
+    check_out_base(args.out)
     model = serialize.load_model(args.model)
     if args.depth < 1:
         raise ValidationError(f"--depth must be >= 1, got {args.depth}")
@@ -478,6 +483,7 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    check_out_base(args.out)
     bounds = get_section(load_config(args.config), "bounds")
     report = analysis.nab_bounds(
         kl_inf_estimate=bounds.kl_inf_estimate,

@@ -8,13 +8,17 @@ out = vec(I). The state dimension D
 (n_L, or d^2) bounds the rank of the Hankel matrix H = P S^T of forward and
 backward vectors (Hsu, Kakade & Zhang 2012). ``forward`` is the one loop that
 applies per-symbol operators; likelihoods, filters, sequence probabilities,
-sampling and prefix-tree walks are built on it.
+sampling and prefix-tree walks are built on it. It runs one model or a batch of
+models, over one string that every row reads or over (B, T) strings, one per
+row, whose operators it gathers a block at a time. ``sample`` draws B sequences
+together from (B, T) uniforms, one ``forward`` step per symbol.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +43,12 @@ class OperatorModel:
     def n_obs(self) -> int:
         return self.ops.shape[-3]
 
+    @cached_property
+    def step_ops(self) -> np.ndarray:
+        """[M_s | M_s out] per symbol: x @ step_ops[s] = [y | p] gives the next vector and
+        its probability in one product."""
+        return np.concatenate([self.ops, (self.ops @ self.out)[..., None]], axis=-1)
+
 
 def stack(models) -> OperatorModel:
     """One batched model from models of one dimension and alphabet, single or batched."""
@@ -55,11 +65,13 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
     """Normalised pass of ``obs`` from each row of ``x`` (default x0): (steps, states).
 
     A single model runs every row of x through its operators; a batch runs row b through
-    model b. ``obs`` is one string (T,) that every row reads, or for a batch of B models a
-    (B, T) array whose row b model b reads. steps (B, T) are P(s_t | s_1 .. s_{t-1});
-    states are the normalised (B, D) rows after the last symbol, or (T, B, D) after each.
-    Both are 0 from a step <= MIN_STEP_PROB on. A row's floats do not depend on the other
-    rows or on whether the rows share one string.
+    model b. ``obs`` is one string (T,) that every row reads, or B strings (B, T) of which
+    row b reads string b: for a batch of B models, or for a single model, whose x then
+    has one row (the start of every string) or B rows. steps (B, T) are
+    P(s_t | s_1 .. s_{t-1}); states are the normalised (B, D) rows after the last symbol,
+    or (T, B, D) after each. Both are 0 from a step <= MIN_STEP_PROB on. A row of a batch,
+    or of (B, T) obs, has the floats of its own one-row, one-string pass; the rows of a
+    single model reading one string go through one matrix product.
     """
     obs = np.asarray(obs, dtype=np.int64)
     if obs.ndim != 2:
@@ -68,51 +80,72 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
         raise ValidationError(f"symbols out of range [0, {model.n_obs})")
     batched = model.ops.ndim == 4
     x = np.asarray(model.x0 if x is None else x).reshape(-1, model.out.size)
+    if obs.ndim == 2 and not batched and len(x) == 1 < len(obs):
+        x = np.broadcast_to(x, (len(obs), x.shape[1]))
     rows, dim = x.shape
-    if obs.ndim == 2 and not (batched and obs.shape[0] == rows):
-        raise ValidationError(f"a (B, T) obs needs a batch of B models, got {obs.shape[0]} strings "
-                              f"for {rows} rows")
+    if obs.ndim == 2 and obs.shape[0] != rows:
+        raise ValidationError(f"a (B, T) obs needs a batch of B models or B start rows, got "
+                              f"{obs.shape[0]} strings for {rows} rows")
     n_steps = obs.shape[-1]
-    # x [M_s | M_s out] = [y | p]: one product gives the next vector and its probability.
-    step_ops = np.concatenate([model.ops, (model.ops @ model.out)[..., None]], axis=-1)
+    step_ops = model.step_ops
     if batched:
-        # Row b as a (1, D) matrix against operator (b, s): the same vector-matrix product
+        step_ops = step_ops.swapaxes(0, 1)  # (n_obs, B, D, D + 1)
+    if batched or obs.ndim == 2:
+        # Row b as a (1, D) matrix against its own operator: the same vector-matrix product
         # as a single model's one-row pass, so a row's floats do not depend on the batch.
-        step_ops = step_ops.swapaxes(0, 1)
         x = x[:, None, :]
-    probs = np.empty((n_steps, rows))
-    states = np.empty((n_steps, rows, dim), step_ops.dtype) if keep_states else None
     if obs.ndim == 2:
-        per_step = _gathered(step_ops, obs)
+        blocks = _gathered(step_ops, obs, batched)
     else:
-        per_step = map(step_ops.__getitem__, obs.tolist())
+        blocks = [(slice(None), map(step_ops.__getitem__, obs.tolist()))]
+    probs = np.empty((n_steps, rows))
+    dtype = np.result_type(x, step_ops)
+    states = np.empty((n_steps, rows, dim), dtype) if keep_states else None
+    last = np.empty((rows, dim), dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t, ops in enumerate(per_step):
-            y = x @ ops
-            p = y[..., -1:].real
-            x = y[..., :-1] / p
-            probs[t] = p.reshape(rows)
-            if keep_states:
-                states[t] = x.reshape(rows, dim)
-    x = x.reshape(rows, dim)
+        for block, per_step in blocks:
+            xb, pb = x[block], probs[:, block]
+            sb = states[:, block] if keep_states else None
+            for t, ops in enumerate(per_step):
+                y = xb @ ops
+                p = y[..., -1:].real
+                xb = y[..., :-1] / p
+                pb[t] = p.reshape(-1)
+                if keep_states:
+                    sb[t] = xb.reshape(-1, dim)
+            last[block] = xb.reshape(-1, dim)
     steps = np.ascontiguousarray(probs.T)
-    dead = ~np.logical_and.accumulate(steps > MIN_STEP_PROB, axis=1)  # NaN is dead too
-    if dead.any():
+    alive = steps > MIN_STEP_PROB  # NaN is dead too
+    if not alive.all():
+        dead = ~np.logical_and.accumulate(alive, axis=1)
         steps[dead] = 0.0
-        x[dead[:, -1]] = 0.0
+        last[dead[:, -1]] = 0.0
         if keep_states:
             states[dead.T] = 0.0
-    return steps, (states if keep_states else x)
+    return steps, (states if keep_states else last)
 
 
-def _gathered(step_ops, obs):
-    """Per step t, the (B, D, D + 1) operators of a (n_obs, B, D, D + 1) batch that the rows'
-    symbols obs[:, t] select, gathered a block of steps at a time (at most GATHER_BYTES)."""
+def _gathered(step_ops, obs, batched):
+    """Per block of rows, (rows, per-step operators): for each step t, the (R, D, D + 1)
+    operators that the rows' symbols obs[:, t] select from one model's (n_obs, D, D + 1)
+    stack, or row b's from a batch's (n_obs, B, D, D + 1).
+
+    A block holds as many rows as GATHER_BYTES of one step's operators allows (at least
+    one), and its steps are gathered a block at a time, at most GATHER_BYTES each.
+    """
     rows, n_steps = obs.shape
-    block = max(1, GATHER_BYTES // step_ops[0].nbytes)
-    row_index = np.arange(rows)
-    for t0 in range(0, n_steps, block):
-        yield from step_ops[obs[:, t0 : t0 + block].T, row_index]
+    op_bytes = step_ops.itemsize * step_ops.shape[-2] * step_ops.shape[-1]
+    per_block = max(1, min(rows, GATHER_BYTES // op_bytes))
+    steps = max(1, GATHER_BYTES // (per_block * op_bytes))
+    for r0 in range(0, rows, per_block):
+        block = slice(r0, r0 + per_block)
+        which = (np.arange(rows)[block],) if batched else ()
+        yield block, _steps(step_ops, obs[block], which, steps)
+
+
+def _steps(step_ops, obs, which, steps):
+    for t0 in range(0, obs.shape[1], steps):
+        yield from step_ops[(obs[:, t0 : t0 + steps].T, *which)]
 
 
 def log_prob(steps) -> np.ndarray:
@@ -168,16 +201,22 @@ def vectors(model: OperatorModel, depth: int, backward: bool = False) -> np.ndar
     return np.concatenate([np.exp(logp)[:, None] * x for logp, x in levels])
 
 
-def sample(model: OperatorModel, uniforms):
-    """One symbol per uniform from the predictive law; returns (symbols, states after each)."""
+def sample(model: OperatorModel, uniforms) -> np.ndarray:
+    """One symbol per uniform from the predictive law, of the uniforms' shape.
+
+    ``uniforms`` is one sequence (T,) or B sequences (B, T), each drawn from x0. A uniform
+    goes to the first symbol whose cumulative conditional probability exceeds it (the
+    last symbol, past the last sum). A row's symbols do not depend on the other rows.
+    """
+    uniforms = np.asarray(uniforms, dtype=float)
+    u = uniforms.reshape(-1, uniforms.shape[-1])
+    rows, n_steps = u.shape
     effects = model.ops @ model.out  # state . effects[s] = P(next symbol is s)
-    x = model.x0[None, :]
-    symbols = np.empty(len(uniforms), dtype=np.int64)
-    states = []
-    for t, u in enumerate(uniforms):
-        probs = np.maximum(0.0, (effects @ x[0]).real)
-        cum = np.cumsum(probs / probs.sum())
-        symbols[t] = min(int(np.searchsorted(cum, u, side="right")), len(model.ops) - 1)
-        x = forward(model, symbols[t : t + 1], x)[1]
-        states.append(x[0])
-    return symbols, states
+    x = np.broadcast_to(model.x0, (rows, model.out.size))
+    symbols = np.empty((rows, n_steps), dtype=np.int64)
+    for t in range(n_steps):
+        probs = np.maximum(0.0, (effects @ x[..., None])[..., 0].real)
+        cum = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+        symbols[:, t] = (cum[:, :-1] <= u[:, t, None]).sum(axis=1)
+        x = forward(model, symbols[:, t : t + 1], x)[1]
+    return symbols.reshape(uniforms.shape)

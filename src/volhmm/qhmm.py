@@ -354,10 +354,16 @@ def qhmm_sequence_probability(model: QhmmModel, obs) -> float:
 
 def qhmm_simulate(model: QhmmModel, n_steps: int, seed) -> np.ndarray:
     """Sample a symbol sequence."""
+    return qhmm_simulate_many(model, n_steps, [seed])[0]
+
+
+def qhmm_simulate_many(model: QhmmModel, n_steps: int, seeds) -> np.ndarray:
+    """``qhmm_simulate`` of each seed: (B, n_steps) symbols, row b sampled from the
+    n_steps uniforms of seeds[b]."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    uniforms = np.random.default_rng(seed).random(n_steps)
-    return operators.sample(model.operators(), uniforms)[0]
+    uniforms = np.array([np.random.default_rng(seed).random(n_steps) for seed in seeds])
+    return operators.sample(model.operators(), uniforms.reshape(-1, n_steps))
 
 
 @dataclass

@@ -113,6 +113,24 @@ class TestKlMonteCarlo:
         assert est == math.inf
         assert math.isnan(se)
 
+    def test_quantum_dgp_agrees_with_exact(self, rng):
+        dgp = random_qhmm(AnsatzSpec(1, 2, reps=2), 5)
+        cand = random_classical_hmm(rng, n_states=3, n_obs=4, k=2)
+        exact = kl_exact_small(dgp, cand, 5)
+        est, se = kl_monte_carlo(dgp, cand, trials=2000, n_steps=5, seed=2024)
+        assert abs(est - exact) < 3.0 * se
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_no_steps_rejected_before_any_draw(self, rng, monkeypatch, n_steps):
+        from volhmm import analysis
+
+        calls = []
+        monkeypatch.setattr(analysis, "model_simulate_symbols", lambda *a: calls.append(a))
+        model = random_classical_hmm(rng, n_obs=2)
+        with pytest.raises(ValidationError, match="n_steps must be >= 1"):
+            kl_monte_carlo(model, model, trials=10, n_steps=n_steps, seed=1)
+        assert calls == []
+
 
 class TestLlrExperiment:
     def test_identical_specs_give_zero_llr(self, rng):

@@ -9,6 +9,12 @@ per-model chain of 2x2 gates and ``np.kron`` products. The batched classical
 builder (``chmm.build_classical_batches``, behind ``ClassicalFitSpec.objective``)
 is held to the one-model build row by row. The builders must reproduce the same
 floats, not merely close ones, so fits and their output files do not move.
+
+The batched draws (``chmm.simulate_many``, ``qhmm.qhmm_simulate_many``) and the
+blocked Monte-Carlo KL are held to their per-seed forms: a substep walk with one
+``searchsorted`` per substep, a sampler with one ``searchsorted`` and one
+one-string forward step per symbol, and a KL loop that draws and scores one
+trial at a time.
 """
 
 import math
@@ -16,7 +22,8 @@ import math
 import numpy as np
 import pytest
 
-from volhmm import chmm
+from conftest import random_classical_hmm
+from volhmm import analysis, chmm, operators
 from volhmm.chmm import (
     INDEX_SUM,
     MULTISET,
@@ -31,10 +38,11 @@ from volhmm.chmm import (
     log_likelihood_binned,
     log_likelihood_continuous,
 )
-from volhmm.errors import NonConvergenceError, NumericalError, ValidationError
+from volhmm.errors import NonConvergenceError, NumericalError, ValidationError, ZeroLikelihoodError
 from volhmm.estimate import ClassicalFitSpec
 from volhmm.qhmm import (
     AnsatzSpec,
+    QhmmModel,
     _bit_position,
     _cnot_permutation,
     _entanglement_pairs,
@@ -43,7 +51,11 @@ from volhmm.qhmm import (
     initial_latent_state,
     kraus_from_unitary,
     qhmm_operators,
+    qhmm_simulate,
+    qhmm_simulate_many,
+    random_qhmm,
 )
+from volhmm.seeds import derive_seed
 from volhmm.specfun import NoncentralChi2Law, gaussian_cdf, noncentral_chi2_cdf
 from volhmm.volgrid import (
     CirParams,
@@ -392,3 +404,228 @@ def test_batches_hold_path_arrays_within_the_block_cap(monkeypatch):
     spec.objective(data)(np.full((200, 12), 0.25))
     assert shapes == [(128, 4, 256), (72, 4, 256)]
     assert 128 * 4 * 256 * 8 == chmm.BLOCK_BYTES
+
+
+def reference_simulate(hmm, n_periods, seed):
+    """One seed's draw, one substep at a time."""
+    rng = np.random.default_rng(seed)
+    n = hmm.n_states
+    k = hmm.table.k
+    cum_rows = np.cumsum(hmm.a_hf.probs, axis=1)
+    cum_x0 = np.cumsum(hmm.x0)
+    uniforms = rng.random(1 + n_periods * k)
+    state = min(int(np.searchsorted(cum_x0, uniforms[0], side="right")), n - 1)
+    spot_states = np.empty(n_periods, dtype=np.int64)
+    vbars = np.empty(n_periods)
+    u_idx = 1
+    for t in range(n_periods):
+        acc = 0.0
+        for _ in range(k):
+            state = min(int(np.searchsorted(cum_rows[state], uniforms[u_idx], side="right")), n - 1)
+            u_idx += 1
+            acc += hmm.grid.values[state]
+        spot_states[t] = state
+        vbars[t] = acc / k
+    rets = rng.normal(0.0, np.sqrt(vbars))
+    symbols = np.searchsorted(hmm.scheme.edges, rets, side="right").astype(np.int64)
+    return spot_states, vbars, rets, symbols
+
+
+def reference_qhmm_simulate(model, n_steps, seed):
+    """One seed's symbols, one predictive law and one one-string forward step per symbol."""
+    ops = model.operators()
+    effects = ops.ops @ ops.out
+    x = ops.x0[None, :]
+    symbols = np.empty(n_steps, dtype=np.int64)
+    for t, u in enumerate(np.random.default_rng(seed).random(n_steps)):
+        probs = np.maximum(0.0, (effects @ x[0]).real)
+        cum = np.cumsum(probs / probs.sum())
+        symbols[t] = min(int(np.searchsorted(cum, u, side="right")), len(ops.ops) - 1)
+        x = operators.forward(ops, symbols[t : t + 1], x)[1]
+    return symbols
+
+
+def reference_draw(model, n_steps, seed):
+    if isinstance(model, QhmmModel):
+        return reference_qhmm_simulate(model, n_steps, seed)
+    return reference_simulate(model, n_steps, seed)[3]
+
+
+def reference_kl_monte_carlo(dgp, candidate, trials, n_steps, seed, draw=reference_draw):
+    """The KL estimate one trial at a time: draw, score under the candidate, then the DGP."""
+    ops_p, ops_q = dgp.operators(), candidate.operators()
+    diffs = np.empty(trials)
+    for trial in range(trials):
+        seq = draw(dgp, n_steps, derive_seed(seed, "kl-mc", trial))
+        logq = operators.log_prob(operators.forward(ops_q, seq)[0])[0]
+        if logq == -math.inf:
+            return math.inf, math.nan
+        diffs[trial] = operators.log_likelihood(ops_p, seq) - logq
+    return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(trials))
+
+
+def assert_draws_equal(hmm, n_periods, seeds):
+    many = chmm.simulate_many(hmm, n_periods, seeds)
+    for b, seed in enumerate(seeds):
+        ref = reference_simulate(hmm, n_periods, seed)
+        for lone, rows, want in zip(chmm.simulate(hmm, n_periods, seed), many, ref):
+            assert lone.dtype == rows.dtype == want.dtype
+            assert np.array_equal(lone, want) and np.array_equal(rows[b], want)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
+def test_simulate_equals_per_seed_walk(k, mode, rng):
+    hmm = random_classical_hmm(rng, n_states=5, n_obs=4, k=k, mode=mode)
+    assert_draws_equal(hmm, 37, [0, 1, 2**63 + 5, 77, 12345])
+    assert_draws_equal(hmm, 1, [3, 4])
+
+
+def test_simulate_preset_in_walk_spans(monkeypatch):
+    scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+    preset = ClassicalFitSpec("cir", 16, 4, scheme).model(np.array([2.2, 0.077, 1.1]))
+    assert_draws_equal(preset, 500, [7])
+    # a block cap of 40 substep maps: rows go one at a time, in spans of 40 substeps
+    monkeypatch.setattr(chmm, "BLOCK_BYTES", 40 * 16 * 8)
+    assert_draws_equal(preset, 30, [7, 8, 9])
+
+
+def test_simulate_chains_with_tied_sums(monkeypatch):
+    """Zero transition probabilities tie cumulative sums, within a row and across rows."""
+    a_hf = np.array([[0.0, 1.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25],
+                     [0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.75, 0.25]])
+    scheme = build_observation_scheme(3, 1.0)
+    grid = SpotGrid(np.array([0.05, 0.2, 0.4, 0.6]))
+    for k in (1, 3):
+        hmm = build_classical_hmm(grid, TransitionMatrix(a_hf, 1.0 / k), k, scheme,
+                                  x0=np.array([0.5, 0.0, 0.5, 0.0]))
+        assert_draws_equal(hmm, 40, [0, 1, 2])
+    # draws equal to a cumulative sum go past it
+    sums = np.unique(np.cumsum(a_hf, axis=1)[:, :-1])
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed, make=np.random.default_rng: PushedUniforms(make, seed, sums))
+    assert_draws_equal(hmm, 40, [0, 1, 2])
+    one = build_classical_hmm(SpotGrid(np.array([0.1])), TransitionMatrix(np.ones((1, 1)), 1.0),
+                              1, scheme)
+    assert_draws_equal(one, 5, [4, 5])
+
+
+class PushedUniforms:
+    """A generator whose every third uniform is replaced, cycling through ``values``."""
+
+    def __init__(self, make, seed, values):
+        self.rng = make(seed)
+        self.values = np.asarray(values)
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        u[::3] = np.resize(self.values, u[::3].shape)
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("scale", [1.0 - 2e-11, 1.0 + 2e-11])
+def test_simulate_draws_past_the_last_cumulative_sum(scale, monkeypatch, rng):
+    n, k = 3, 2
+    grid = SpotGrid(np.array([0.05, 0.2, 0.6]))
+    a_hf = TransitionMatrix(rng.dirichlet(np.ones(n), size=n) * scale, 1.0 / k)
+    x0 = rng.dirichlet(np.ones(n)) * scale
+    hmm = build_classical_hmm(grid, a_hf, k, build_observation_scheme(4, 1.0), x0=x0)
+    assert np.all((np.cumsum(a_hf.probs, axis=1)[:, -1] < 1.0 - 1e-12) == (scale < 1.0))
+    make = np.random.default_rng
+    # 1 - 1e-12 lies past any cumulative row that ends below it, before any that ends above
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: PushedUniforms(make, seed, [1.0 - 1e-12]))
+    assert_draws_equal(hmm, 20, [1, 2, 3])
+    # period t ends on uniform k (t + 1); those at multiples of 3 go to the last state
+    assert np.all(reference_simulate(hmm, 20, 1)[0][2::3] == n - 1)
+
+
+@pytest.mark.parametrize("spec", ANSATZ_SPECS[:3], ids=str)
+def test_qhmm_symbols_equal_per_seed_sampler(spec):
+    model = random_qhmm(spec, spec.n_params)
+    seeds = [5, 6, 2**64 - 1, 8]
+    many = qhmm_simulate_many(model, 40, seeds)
+    for b, seed in enumerate(seeds):
+        want = reference_qhmm_simulate(model, 40, seed)
+        assert np.array_equal(qhmm_simulate(model, 40, seed), want)
+        assert np.array_equal(many[b], want) and many.dtype == want.dtype
+
+
+def test_qhmm_symbols_of_a_readout_channel():
+    spec = AnsatzSpec(1, 2, reps=0)  # Kraus operators I, 0, 0, 0: symbol 0 only
+    model = build_qhmm(spec, np.zeros(spec.n_params), np.zeros(1))
+    many = qhmm_simulate_many(model, 12, [1, 2])
+    assert not np.any(many)
+    assert np.array_equal(many[1], reference_qhmm_simulate(model, 12, 2))
+
+
+def kl_pairs():
+    rng = np.random.default_rng(11)
+    classical = random_classical_hmm(rng, n_states=3, n_obs=4, k=2)
+    quantum = random_qhmm(AnsatzSpec(1, 2, reps=2), 4)
+    scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+    preset = ClassicalFitSpec("cir", 16, 4, scheme).model(np.array([2.2, 0.077, 1.1]))
+    spec = AnsatzSpec(1, 2, reps=0)  # Kraus operators I, 0, 0, 0: symbol 0 only
+    readout = build_qhmm(spec, np.zeros(spec.n_params), np.zeros(1))
+    return {"classical-quantum": (classical, quantum), "quantum-classical": (quantum, classical),
+            "preset-quantum": (preset, quantum), "unsupported": (classical, readout)}
+
+
+@pytest.mark.parametrize("pair", ["classical-quantum", "quantum-classical", "preset-quantum",
+                                  "unsupported"])
+@pytest.mark.parametrize("cap", [None, 3 * 5 * 8])
+def test_kl_monte_carlo_equals_per_trial_loop(pair, cap, monkeypatch):
+    dgp, cand = kl_pairs()[pair]
+    if cap:  # blocks of three trials
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", cap)
+    got = analysis.kl_monte_carlo(dgp, cand, 40, 5, 321)
+    want = reference_kl_monte_carlo(dgp, cand, 40, 5, 321)
+    assert repr(got) == repr(want)
+    assert (got[0] == math.inf) == (pair == "unsupported")
+
+
+class ZeroOps:
+    """An operator model over 3 symbols with one symbol made impossible."""
+
+    def __init__(self, base, symbol):
+        ops = base.ops.copy()
+        ops[symbol] = 0.0
+        self.ops = operators.OperatorModel(base.x0, ops, base.out)
+
+    def operators(self):
+        return self.ops
+
+
+@pytest.mark.parametrize("first", ["dgp", "candidate", "both"])
+@pytest.mark.parametrize("cap", [None, 4 * 6 * 8])
+def test_kl_monte_carlo_first_impossible_trial_decides(first, cap, monkeypatch):
+    base = random_classical_hmm(np.random.default_rng(2), n_states=3, n_obs=3, k=1).operators()
+    dgp, cand = ZeroOps(base, 2), ZeroOps(base, 1)  # the DGP never emits 2, the candidate 1
+    trials, seed = 30, 8
+    bad = {5: {"dgp": [2], "candidate": [1], "both": [1, 2]}[first],
+           17: {"dgp": [1], "candidate": [2], "both": [2]}[first]}
+    trial_of = {derive_seed(seed, "kl-mc", t): t for t in range(trials)}
+
+    def strings(model, n_steps, seed):
+        s = np.zeros(n_steps, dtype=np.int64)
+        for i, symbol in enumerate(bad.get(trial_of[seed], [])):
+            s[3 - i] = symbol
+        return s
+
+    monkeypatch.setattr(analysis, "model_simulate_symbols",
+                        lambda model, n, seeds: np.array([strings(model, n, s) for s in seeds]))
+    if cap:  # blocks of four trials
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", cap)
+    if first == "dgp":
+        with pytest.raises(ZeroLikelihoodError) as got:
+            analysis.kl_monte_carlo(dgp, cand, trials, 6, seed)
+        with pytest.raises(ZeroLikelihoodError) as want:
+            reference_kl_monte_carlo(dgp, cand, trials, 6, seed, strings)
+        assert str(got.value) == str(want.value) and got.value.step == want.value.step == 3
+    else:
+        got = analysis.kl_monte_carlo(dgp, cand, trials, 6, seed)
+        assert repr(got) == repr(reference_kl_monte_carlo(dgp, cand, trials, 6, seed, strings))
+        assert repr(got) == repr((math.inf, math.nan))

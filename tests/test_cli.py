@@ -459,6 +459,39 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.json")]) == 2
 
 
+class TestOutCheckedFirst:
+    """Every command that writes --out checks its directory before computing: exit 2, the
+    directory named, nothing on standard output."""
+
+    @pytest.mark.parametrize("command", ["simulate", "hankel", "markov-test", "bounds"])
+    def test_missing_out_directory(self, tmp_path, monkeypatch, capsys, command):
+        from volhmm import analysis, chmm, qhmm
+
+        cfg = write_config(tmp_path / "c.json", bounds={
+            "kl_inf_estimate": 0.05, "n_periods": 500, "n_states": 16,
+            "m_classical": 240, "m_quantum": 33,
+        })
+        model = tmp_path / "m.json"
+        serialize.save_model(random_qhmm(AnsatzSpec(1, 1, reps=1), 3), model)
+        calls = []
+        for module, name in [(chmm, "simulate"), (analysis, "hankel_of_model"),
+                             (qhmm, "causal_break_test"), (analysis, "nab_bounds")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
+        out = tmp_path / "missing_dir" / "o.json"
+        argv = {
+            "simulate": ["--config", cfg],
+            "hankel": ["--model", model, "--depth", "2"],
+            "markov-test": ["--model", model, "--prefix-a", "1", "--prefix-b", "0",
+                            "--horizon", "2"],
+            "bounds": ["--config", cfg],
+        }[command]
+        assert main([command, *map(str, argv), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert calls == []
+        assert captured.out == ""
+        assert f"--out: directory {tmp_path / 'missing_dir'} does not exist" in captured.err
+
+
 class TestConfigValues:
     """Out-of-range values in sections that fill a dataclass are rejected by its own checks."""
 

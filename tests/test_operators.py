@@ -222,6 +222,89 @@ class TestModelBatch:
             operators.forward(batch, np.zeros((3, 2), dtype=int))
 
 
+class TestSingleModelOwnStrings:
+    """One model with (B, T) obs: row b reads string b with the floats of its one-string pass."""
+
+    @staticmethod
+    def _check(model, strings, starts=None):
+        steps, states = operators.forward(model, strings, starts, keep_states=True)
+        last_steps, last = operators.forward(model, strings, starts)
+        assert np.array_equal(steps, last_steps)
+        for b, string in enumerate(strings):
+            x = starts if starts is None or len(starts) == 1 else starts[b : b + 1]
+            one_steps, one_states = operators.forward(model, string, x, keep_states=True)
+            assert np.array_equal(steps[b], one_steps[0])
+            assert np.array_equal(states[:, b], one_states[:, 0])
+            assert np.array_equal(last[b], one_states[-1, 0])
+        return steps, last
+
+    @staticmethod
+    def _classical_with_a_dead_symbol(rng):
+        ops = random_classical_hmm(rng, n_states=4, n_obs=3, k=2).operators()
+        dead = ops.ops.copy()
+        dead[2] = 0.0  # symbol 2 impossible
+        return operators.OperatorModel(ops.x0, dead, ops.out)
+
+    def test_real_rows_with_dead_rows(self, rng):
+        model = self._classical_with_a_dead_symbol(rng)
+        strings = rng.integers(0, 2, (9, 11))
+        strings[[2, 6], [0, 7]] = 2
+        steps, last = self._check(model, strings)
+        assert np.all(steps[2] == 0.0) and steps[6, 6] > 0.0 and np.all(steps[6, 7:] == 0.0)
+        assert not np.any(last[[2, 6]])
+        assert np.all(steps[[0, 1, 3, 4, 5, 7, 8]] > 0.0)
+        self._check(model, strings, rng.dirichlet(np.ones(4), size=9))  # a start row per string
+
+    def test_complex_rows_with_dead_rows(self):
+        model = readout_qhmm().operators()  # symbol 1 impossible
+        strings = np.zeros((5, 6), dtype=np.int64)
+        strings[1, 2] = strings[4, 5] = 1
+        steps, last = self._check(model, strings)
+        assert steps[1].tolist() == [1.0, 1.0] + [0.0] * 4 and steps[4, 4] == 1.0
+        assert steps[4, 5] == 0.0 and not np.any(last[[1, 4]])
+        quantum = random_qhmm(AnsatzSpec(1, 2, reps=2), 6).operators()
+        self._check(quantum, np.random.default_rng(4).integers(0, 4, (7, 13)))
+
+    @pytest.mark.parametrize("cap_ops", [1, 5, 12, 30, 60])
+    def test_gathered_blocks_stay_within_the_cap(self, rng, monkeypatch, cap_ops):
+        """12 strings of 7 steps; a block takes min(12, cap_ops) rows and as many steps as fit."""
+        model = random_classical_hmm(rng, n_states=3, n_obs=3, k=1).operators()
+        op_bytes = 3 * 4 * 8  # one [M_s | M_s out]
+        monkeypatch.setattr(operators, "GATHER_BYTES", cap_ops * op_bytes)
+        rows_per_block = min(12, cap_ops)
+        blocks = []
+        gathered = operators._gathered
+
+        def recording(step_ops, obs, batched):
+            for rows, per_step in gathered(step_ops, obs, batched):
+                blocks.append((rows, []))
+
+                def steps(per_step=per_step, bases=blocks[-1][1]):
+                    for ops in per_step:
+                        if not bases or ops.base is not bases[-1]:
+                            bases.append(ops.base)
+                        yield ops
+
+                yield rows, steps()
+
+        strings = rng.integers(0, 3, (12, 7))
+        self._check(model, strings)
+        monkeypatch.setattr(operators, "_gathered", recording)
+        operators.forward(model, strings)
+        assert [rows.start for rows, _ in blocks] == list(range(0, 12, rows_per_block))
+        for rows, bases in blocks:
+            assert sum(len(b) for b in bases) == 7  # every step gathered once
+            assert all(b.nbytes <= operators.GATHER_BYTES for b in bases)
+            assert all(b.shape[1] == len(range(12)[rows]) <= rows_per_block for b in bases)
+
+    def test_strings_for_a_different_number_of_rows(self, rng):
+        model = random_classical_hmm(rng, n_states=2, n_obs=2, k=1).operators()
+        with pytest.raises(ValidationError, match="B start rows"):
+            operators.forward(model, np.zeros((3, 2), dtype=int), np.full((2, 2), 0.5))
+        with pytest.raises(ValidationError, match="out of range"):
+            operators.forward(model, np.array([[0, 1], [2, 0]]))
+
+
 class TestZeroProbability:
     def test_zero_step_zeroes_the_rest_of_the_row(self):
         ops = readout_qhmm().operators()
@@ -312,7 +395,8 @@ class TestSampler:
         model = random_qhmm(AnsatzSpec(1, 1, reps=2), 3)
         ops = model.operators()
         uniforms = np.random.default_rng(4).random(6)
-        symbols, states = operators.sample(ops, uniforms)
+        symbols = operators.sample(ops, uniforms)
+        states = operators.forward(ops, symbols, keep_states=True)[1][:, 0]
         d = model.rho0.dim
         for t in range(6):
             sigma = kraus_product(model, symbols[: t + 1])
