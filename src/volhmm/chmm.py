@@ -3,7 +3,7 @@
 One observation period spans k high-frequency substeps of the spot-variance
 chain. Conditional on the spot state at the start of a period, the integrated
 variance Vbar (average spot variance over the period's k substeps) has a
-discrete distribution g obtained by enumerating all n_L^k substep paths; the
+discrete distribution g obtained by grouping all n_L^k substep paths; the
 period return is N(0, Vbar) and is recorded as a bin symbol. The emission
 matrix therefore attaches to the state at the *start* of each period,
 
@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import operators
-from .errors import EnumerationCapError, NonConvergenceError, ValidationError
+from .errors import EnumerationCapError, NonConvergenceError, ValidationError, ZeroLikelihoodError
 from .volgrid import (
     _ROW_SUM_TOL,
     ObservationScheme,
@@ -44,8 +44,8 @@ from .volgrid import (
 )
 
 ENUMERATION_CAP = 10_000_000
-# path probabilities of one block of a batched build; weights and ids of one bincount;
-# the substep maps of one block of a batched draw
+# chain products of one block of a batched build; weights and ids of one bincount;
+# the Gaussian kernel of one block of returns; the substep maps of one block of a batched draw
 BLOCK_BYTES = 1 << 20
 
 MULTISET = "multiset"
@@ -159,13 +159,13 @@ class ClassicalBatch:
     """Models of one state count, substep count and grouping, with a leading model axis.
 
     Row b holds the arrays ``build_classical_hmm`` gives model b alone, bit for bit: the
-    Vbar values and distribution g, the emission probabilities, the period matrix
-    a = a_hf^k and its stationary law x0.
+    Vbar values and distribution g, the emission probabilities (unless built without a
+    scheme), the period matrix a = a_hf^k and its stationary law x0.
     """
 
     vbar: np.ndarray  # (n_vbar,) when the models share one spot grid, else (B, n_vbar)
     g: np.ndarray  # (B, n_states, n_vbar)
-    emission: np.ndarray  # (B, n_states, n_obs)
+    emission: np.ndarray | None  # (B, n_states, n_obs); None when built without a scheme
     a: np.ndarray  # (B, n_states, n_states)
     x0: np.ndarray  # (B, n_states)
 
@@ -173,12 +173,16 @@ class ClassicalBatch:
         return _operator_form(self.emission, self.a, self.x0)
 
     def log_likelihood_continuous(self, returns) -> np.ndarray:
-        """Row b's ``log_likelihood_continuous`` of returns[b], for (B, T) returns."""
+        """Row b's ``log_likelihood_continuous`` of returns[b], for (B, T) returns; -inf for
+        a row whose filter meets a period of zero likelihood."""
         vbar = np.broadcast_to(self.vbar, self.g.shape[:1] + self.vbar.shape[-1:])
-        return np.array([
-            _returns_loglik(*parts)
-            for parts in zip(vbar, self.g, self.a, self.x0, returns)
-        ])
+        out = np.empty(len(self.g))
+        for b, parts in enumerate(zip(vbar, self.g, self.a, self.x0, returns)):
+            try:
+                out[b] = _returns_loglik(*parts)
+            except ZeroLikelihoodError:
+                out[b] = -math.inf
+        return out
 
 
 @dataclass
@@ -194,9 +198,11 @@ class FilterTrace:
 def _path_layout(n_states: int, k: int, mode: str):
     """Substep-path index arrays shared by every table build at (n_states, k, mode).
 
-    Returns (paths, group_ids, n_groups, member_counts): paths is the
-    (n_paths, k) array of state-index sequences in lexicographic order, and
-    group_ids maps each path to its Vbar column.
+    Returns (paths, group_ids, n_groups, member_counts, reps, first_ids): paths is the
+    (n_paths, k) array of state-index sequences in lexicographic order, group_ids maps
+    each path to its Vbar column, reps holds each multiset column's sorted path (None for
+    index-sum), and first_ids keys each path by its first state and column,
+    first_state * n_groups + column.
     """
     n_paths = n_states**k
     if n_paths > ENUMERATION_CAP:
@@ -215,31 +221,32 @@ def _path_layout(n_states: int, k: int, mode: str):
         reps = _freeze(reps)
     else:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
+    group_ids = np.asarray(group_ids, dtype=np.int64).reshape(-1)
     member_counts = np.bincount(group_ids, minlength=n_groups)
     return (
         _freeze(paths),
-        _freeze(np.asarray(group_ids, dtype=np.int64).reshape(-1)),
+        _freeze(group_ids),
         n_groups,
         _freeze(member_counts),
         reps,
+        _freeze(paths[:, 0] * n_groups + group_ids),
     )
 
 
-def _path_probs(a_hf: np.ndarray, k: int) -> np.ndarray:
-    """(..., n_states, n_paths) probability of each substep path from each start state, for
-    a (..., n_states, n_states) stack of substep matrices.
+def _chain_products(a_hf: np.ndarray, k: int) -> np.ndarray:
+    """(..., n_paths) chain product a[p0,p1] a[p1,p2] ... a[p_{k-2},p_{k-1}] of each substep
+    path, for a (..., n_states, n_states) stack of substep matrices; 1 for every path at k = 1.
 
-    Paths are in lexicographic order, as in ``_path_layout``. The chain
-    product a[p0,p1] a[p1,p2] ... is built one outer product per substep, left
-    to right, and the start-state factor a[i,p0] multiplies it last.
+    Paths are in lexicographic order, as in ``_path_layout``. The product is built one
+    outer product per substep, left to right.
     """
-    if k == 1:
-        return a_hf.copy()
     *batch, n, _ = a_hf.shape
+    if k == 1:
+        return np.ones((*batch, n))
     chain = a_hf
     for depth in range(1, k - 1):
         chain = chain[..., None] * a_hf.reshape(*batch, *(1,) * depth, n, n)
-    return (a_hf[..., None] * chain.reshape(*batch, 1, n, -1)).reshape(*batch, n, -1)
+    return chain.reshape(*batch, -1)
 
 
 def _grouped(weights: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
@@ -264,7 +271,7 @@ def _grouped(weights: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.nd
 
 def _vbar_values(values: np.ndarray, k: int, mode: str) -> np.ndarray:
     """Vbar column values (..., n_vbar) of spot grids (..., n_states)."""
-    paths, group_ids, n_groups, member_counts, reps = _path_layout(values.shape[-1], k, mode)
+    paths, group_ids, n_groups, member_counts, reps, _ = _path_layout(values.shape[-1], k, mode)
     if mode == MULTISET:
         # All paths in a multiset group share the same average; evaluate it on
         # the canonical (sorted) representative.
@@ -275,11 +282,18 @@ def _vbar_values(values: np.ndarray, k: int, mode: str) -> np.ndarray:
 
 
 def _group_mass(a_hf: np.ndarray, k: int, mode: str) -> np.ndarray:
-    """Vbar distribution g (..., n_states, n_vbar) of a stack of substep matrices."""
-    _, group_ids, n_groups, _, _ = _path_layout(a_hf.shape[-1], k, mode)
-    probs = _path_probs(a_hf, k)  # (..., n, n_paths)
-    g = _grouped(probs.reshape(-1, probs.shape[-1]), group_ids, n_groups)
-    g = g.reshape(*probs.shape[:-1], n_groups)
+    """Vbar distribution g (..., n_states, n_vbar) of a stack of substep matrices.
+
+    g[i, j] sums a_hf[i, p0] times the chain product of every path p = (p0, ...) in column
+    j, factored through the first substep: g = a_hf @ H, where H[p0, j] is the bincount of
+    the chain products of column j's paths that start at p0. That groups n^k products,
+    not n^(k+1) path probabilities. Rows are then normalised to sum to 1.
+    """
+    *batch, n, _ = a_hf.shape
+    _, _, n_groups, _, _, first_ids = _path_layout(n, k, mode)
+    chain = _chain_products(a_hf, k)
+    h = _grouped(chain.reshape(-1, chain.shape[-1]), first_ids, n * n_groups)
+    g = a_hf @ h.reshape(*batch, n, n_groups)
     g /= g.sum(axis=-1, keepdims=True)
     return g
 
@@ -317,11 +331,12 @@ def _bin_masses(vbar: np.ndarray, scheme: ObservationScheme) -> np.ndarray:
     return out
 
 
-def grid_emissions(values: np.ndarray, k: int, scheme: ObservationScheme, mode: str = MULTISET):
+def grid_emissions(values: np.ndarray, k: int, scheme: ObservationScheme | None,
+                   mode: str = MULTISET):
     """Vbar values (..., n_vbar) of spot grids (..., n_states) and their bin masses
-    (..., n_vbar, n_bins): what a batched build needs of the grids."""
+    (..., n_vbar, n_bins), None without a scheme: what a batched build needs of the grids."""
     vbar = _vbar_values(values, k, mode)
-    return vbar, _bin_masses(vbar, scheme)
+    return vbar, None if scheme is None else _bin_masses(vbar, scheme)
 
 
 def emission_given_vbar(vbar: float, scheme: ObservationScheme) -> np.ndarray:
@@ -336,23 +351,24 @@ def build_emission_matrix(table: IntegratedVolTable, scheme: ObservationScheme) 
     return EmissionMatrix(probs=table.g @ _bin_masses(table.vbar_values, scheme))
 
 
-def build_classical_batches(a_hf: np.ndarray, k: int, scheme: ObservationScheme, mode: str,
-                            values: np.ndarray, emissions=None):
+def build_classical_batches(a_hf: np.ndarray, k: int, scheme: ObservationScheme | None,
+                            mode: str, values: np.ndarray, emissions=None):
     """The models of substep matrices a_hf (B, n, n), a block of models at a time.
 
     ``values`` is the spot grid every model shares (n,), with its ``grid_emissions`` in
     ``emissions`` when the caller has them, or each model's grid (B, n). Yields (rows,
     batch): the indices of the block's models that built and a ClassicalBatch of them. A
-    model whose period chain has no unique stationary law is left out. A block's tables
-    and emissions are computed at once; the period matrix and the stationary solve run
-    per model, on the operations ``ClassicalHmm`` runs. A block's path probabilities stay
-    within BLOCK_BYTES; a model above that goes alone.
+    model whose period chain has no unique stationary law is left out. Without a scheme
+    the batches hold no emission (the returns filter reads none), and no bin masses are
+    formed. A block's tables and emissions are computed at once; the period matrix and the
+    stationary solve run per model, on the operations ``ClassicalHmm`` runs. A block's
+    chain products (n^k per model) stay within BLOCK_BYTES; a model above that goes alone.
     """
     shared = values.ndim == 1
     if shared and emissions is None:
         emissions = grid_emissions(values, k, scheme, mode)
     n = a_hf.shape[-1]
-    per_block = max(1, BLOCK_BYTES // (a_hf.itemsize * n ** (k + 1)))
+    per_block = max(1, BLOCK_BYTES // (a_hf.itemsize * n**k))
     for b0 in range(0, len(a_hf), per_block):
         stop = b0 + per_block
         rows, batch = _classical_block(
@@ -366,10 +382,10 @@ def _classical_block(a_hf, k, scheme, mode, values, emissions):
     """One block of ``build_classical_batches``: (rows that built, their ClassicalBatch).
 
     The grid emissions are ``emissions`` (shared), else those of the block's grids
-    ``values``, formed after the path probabilities are gone."""
+    ``values``, formed after the chain products are gone."""
     g = _group_mass(a_hf, k, mode)
     vbar, masses = emissions or grid_emissions(values, k, scheme, mode)
-    emission = np.clip(g @ masses, 0.0, 1.0)
+    emission = None if masses is None else np.clip(g @ masses, 0.0, 1.0)
     # as matrix_power and stationary_distribution on each model's TransitionMatrix
     a = np.clip(np.stack([np.linalg.matrix_power(p, k) for p in a_hf]), 0.0, 1.0)
     rows, x0 = [], []
@@ -382,8 +398,10 @@ def _classical_block(a_hf, k, scheme, mode, values, emissions):
     keep = slice(None) if len(rows) == len(a) else rows  # no copies when every model built
     if vbar.ndim > 1:
         vbar = vbar[keep]
+    if emission is not None:
+        emission = emission[keep]
     return np.array(rows, dtype=np.int64), ClassicalBatch(
-        vbar, g[keep], emission[keep], a[keep], np.array(x0).reshape(len(rows), -1)
+        vbar, g[keep], emission, a[keep], np.array(x0).reshape(len(rows), -1)
     )
 
 
@@ -418,24 +436,42 @@ def log_likelihood_binned(hmm: ClassicalHmm, obs) -> float:
 def _returns_steps(vbar, g, a, x0, returns):
     """The returns filter: per return dy, yields (log-likelihood increment, next state).
 
-    A state's weight is sum_j g[i,j] phi(dy; 0, Vbar_j), taken relative to the
-    step's largest Gaussian log-density, which the increment adds back. The
-    Gaussian log-normalizers and variances are formed once for the whole
-    sequence, and each step works in one reused buffer.
+    A state's weight is sum_j g[i,j] phi(dy; 0, Vbar_j), taken relative to the bound
+    max_j log_norm_j - dy^2 / (2 Vmax) on the period's Gaussian log-densities, which the
+    increment adds back. The normalisers exp(log_norm_j - max log_norm) are folded into g
+    once; a block of BLOCK_BYTES // (8 n_vbar) periods then forms its kernel
+    exp(dy^2 (1/(2 Vmax) - 1/(2 Vbar_j))), every exponent <= 0, in one pass and the state
+    weights in one product with the folded g. The state recursion runs period by period;
+    a period whose weights all vanish raises ZeroLikelihoodError, as does a return whose
+    square overflows.
     """
     log_norm = -0.5 * (math.log(2.0 * math.pi) + np.log(vbar))
-    two_vbar = 2.0 * vbar
-    logphi = np.empty_like(vbar)
+    top = log_norm.max()
+    folded = (g * np.exp(log_norm - top)).T  # (n_vbar, n_states)
+    inv = 0.5 / vbar
+    inv_min = inv.min()
+    gap = inv_min - inv
+    returns = np.asarray(returns, dtype=float)
+    with np.errstate(over="ignore"):
+        dy2 = returns * returns
+    span = max(1, BLOCK_BYTES // (8 * vbar.size))
+    kernel = np.empty((min(span, dy2.size), vbar.size))
     x = x0
-    for dy in np.asarray(returns, dtype=float).tolist():
-        np.subtract(log_norm, np.divide(dy * dy, two_vbar, out=logphi), out=logphi)
-        shift = logphi.max()
-        e = g @ np.exp(np.subtract(logphi, shift, out=logphi), out=logphi)
-        w = x * e
-        s = w.sum()
-        inc = math.log(s) + shift
-        x = (w / s) @ a
-        yield inc, x
+    for t0 in range(0, dy2.size, span):
+        block = dy2[t0 : t0 + span]
+        e = kernel[: block.size]
+        with np.errstate(invalid="ignore"):  # inf * 0: an overflowed dy^2, raised below
+            np.exp(np.multiply.outer(block, gap, out=e), out=e)
+        shifts = (top - block * inv_min).tolist()
+        for t, (weight, shift) in enumerate(zip(e @ folded, shifts), t0):
+            w = x * weight
+            s = w.sum()
+            if not s > 0.0:  # every density underflowed, or dy^2 overflowed
+                raise ZeroLikelihoodError(
+                    f"zero likelihood at period {t} (return {float(returns[t])})", step=t
+                )
+            x = (w / s) @ a
+            yield math.log(s) + shift, x
 
 
 def _returns_loglik(vbar, g, a, x0, returns) -> float:

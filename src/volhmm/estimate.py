@@ -297,12 +297,18 @@ def _strings(data, sets):
     return data[sets[0]] if np.all(sets == sets[0]) else data[sets]
 
 
-def _batch_nll(model: OperatorModel, data) -> np.ndarray:
-    """Negative log-likelihood of ``data`` (one string, or one per model) under each model
-    of a batch; the failure sentinel where the data have probability zero."""
-    nll = -log_prob(forward(model, data)[0])
+def _nll(loglik: np.ndarray) -> np.ndarray:
+    """Negative log-likelihoods of a batch; the failure sentinel where the data have
+    probability zero."""
+    nll = -loglik
     nll[nll == math.inf] = _OBJECTIVE_FAIL
     return nll
+
+
+def _batch_nll(model: OperatorModel, data) -> np.ndarray:
+    """Negative log-likelihood of ``data`` (one string, or one per model) under each model
+    of a batch (see ``_nll``)."""
+    return _nll(log_prob(forward(model, data)[0]))
 
 
 def _check_best(best: FitResult):
@@ -485,11 +491,14 @@ class ClassicalFitSpec(_FitDriver):
         A row outside the feasible region gets its barrier value and is never built; a row
         whose model cannot be built or evaluated gets the failure sentinel. The feasible
         rows are built together (``chmm.build_classical_batches``; a nonparam spot grid's
-        Vbar values and bin masses once per objective). Symbol data run through one
-        batched forward pass, raw returns through each row's returns filter.
+        Vbar values, and on symbol data its bin masses, once per objective). Symbol data
+        run through one batched forward pass, raw returns through each row's returns
+        filter, which reads no bin masses; a row whose returns have zero likelihood gets
+        the failure sentinel.
         """
         data = np.atleast_2d(data)
-        n, k, scheme, mode = self.n_states, self.k, self.scheme, self.mode
+        n, k, mode = self.n_states, self.k, self.mode
+        scheme = self.scheme if self.data_kind == "symbols" else None
         fixed = None if self.kind == KIND_CIR else grid_emissions(self.grid.values, k, scheme, mode)
 
         def objective(thetas, sets=None):
@@ -516,7 +525,7 @@ class ClassicalFitSpec(_FitDriver):
             for built, batch in build_classical_batches(a_hf, k, scheme, mode, grids, fixed):
                 built = rows[built]
                 if self.data_kind == "returns":
-                    values[built] = -batch.log_likelihood_continuous(data[sets[built]])
+                    values[built] = _nll(batch.log_likelihood_continuous(data[sets[built]]))
                 else:
                     symbol_rows.append(built)
                     models.append(batch.operators())

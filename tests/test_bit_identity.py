@@ -1,14 +1,21 @@
-"""The vectorised model builders equal their scalar definitions bit for bit.
+"""The vectorised model builders equal their scalar definitions.
 
 Each reference below is the straightforward scalar form of a builder: the
 transition matrix as per-midpoint ``noncentral_chi2_cdf`` differences, the
-emission matrix as stacked per-Vbar ``gaussian_cdf`` bin masses, the path
-weights as a gather over the enumerated paths, the returns filter with the
-Gaussian log-densities recomputed at every step, and the quantum ansatz as a
-per-model chain of 2x2 gates and ``np.kron`` products. The batched classical
-builder (``chmm.build_classical_batches``, behind ``ClassicalFitSpec.objective``)
-is held to the one-model build row by row. The builders must reproduce the same
-floats, not merely close ones, so fits and their output files do not move.
+emission matrix as stacked per-Vbar ``gaussian_cdf`` bin masses, the chain
+products of the substep paths as a gather over the enumerated paths, and the
+quantum ansatz as a per-model chain of 2x2 gates and ``np.kron`` products. These
+builders reproduce the same floats, not merely close ones, and so does the
+batched classical builder (``chmm.build_classical_batches``, behind
+``ClassicalFitSpec.objective``), held to the one-model build row by row, so fits
+and their output files do not move between one model and many.
+
+Two builders are held to their references within rounding instead, since the
+Vbar table and the returns filter were re-baselined when they became faster: the
+Vbar distribution g, factored through the first substep, against the n^(k+1)
+enumeration of path probabilities grouped by ``bincount``; and the blocked
+returns filter against the per-step filter with the Gaussian log-densities
+recomputed at every step and against an mpmath evaluation at 40 digits.
 
 The batched draws (``chmm.simulate_many``, ``qhmm.qhmm_simulate_many``) and the
 blocked Monte-Carlo KL are held to their per-seed forms: a substep walk with one
@@ -19,6 +26,7 @@ trial at a time.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,8 +35,8 @@ from volhmm import analysis, chmm, operators
 from volhmm.chmm import (
     INDEX_SUM,
     MULTISET,
+    _chain_products,
     _path_layout,
-    _path_probs,
     build_classical_batches,
     build_classical_hmm,
     build_emission_matrix,
@@ -96,9 +104,38 @@ def reference_bin_masses(vbar, scheme):
     return out
 
 
-def reference_path_probs(a_hf, paths):
-    chain = a_hf[paths[:, :-1], paths[:, 1:]].prod(axis=1) if paths.shape[1] > 1 else 1.0
-    return a_hf[:, paths[:, 0]] * chain
+def reference_chain_products(a_hf, paths):
+    return a_hf[paths[:, :-1], paths[:, 1:]].prod(axis=1)
+
+
+def reference_group_mass(a_hf, k, mode):
+    """g by the n^(k+1) enumeration: each start state's path probabilities a[i,p0] times the
+    chain product, grouped into Vbar columns by one bincount per start state."""
+    paths, group_ids, n_groups = _path_layout(a_hf.shape[0], k, mode)[:3]
+    probs = a_hf[:, paths[:, 0]] * reference_chain_products(a_hf, paths)
+    g = np.stack([np.bincount(group_ids, weights=row, minlength=n_groups) for row in probs])
+    return g / g.sum(axis=1, keepdims=True)
+
+
+def mp_returns_increments(hmm, returns):
+    """Per-period log-likelihood increments of the returns filter at 40 digits, on the
+    model's floats: exact Gaussian densities, no shift."""
+    with mpmath.workdps(40):
+        vbar = [mpmath.mpf(float(v)) for v in hmm.table.vbar_values]
+        g = [[mpmath.mpf(float(w)) for w in row] for row in hmm.table.g]
+        a = [[mpmath.mpf(float(w)) for w in row] for row in hmm.a.probs]
+        norm = [1 / mpmath.sqrt(2 * mpmath.pi * v) for v in vbar]
+        x = [mpmath.mpf(float(w)) for w in hmm.x0]
+        n = len(x)
+        incs = []
+        for dy in returns:
+            dy2 = mpmath.mpf(float(dy)) ** 2
+            phi = [c * mpmath.exp(-dy2 / (2 * v)) for c, v in zip(norm, vbar)]
+            w = [x[i] * mpmath.fsum(gi * p for gi, p in zip(g[i], phi)) for i in range(n)]
+            s = mpmath.fsum(w)
+            incs.append(mpmath.log(s))
+            x = [mpmath.fsum(w[i] * a[i][j] for i in range(n)) / s for j in range(n)]
+        return incs
 
 
 def reference_loglik_continuous(hmm, returns):
@@ -229,14 +266,38 @@ def test_path_probs_equal_gathered_products(k, mode, rng):
     n = 5
     a_hf = rng.dirichlet(np.ones(n), size=n)
     paths = _path_layout(n, k, mode)[0]
-    assert np.array_equal(_path_probs(a_hf, k), reference_path_probs(a_hf, paths))
+    assert np.array_equal(_chain_products(a_hf, k), reference_chain_products(a_hf, paths))
 
 
 def test_path_probs_preset():
     p = CirParams(2.2, 0.077, 1.1)
     a_hf = cir_transition_matrix(p, cir_spot_grid(p, 16), 0.25).probs
     paths = _path_layout(16, 4, MULTISET)[0]
-    assert np.array_equal(_path_probs(a_hf, 4), reference_path_probs(a_hf, paths))
+    assert np.array_equal(_chain_products(a_hf, 4), reference_chain_products(a_hf, paths))
+
+
+def assert_table_near_enumeration(a_hf, k, mode):
+    g = build_integrated_table(TransitionMatrix(a_hf, 1.0), SpotGrid(np.arange(1.0, len(a_hf) + 1)),
+                               k, mode).g
+    want = reference_group_mass(a_hf, k, mode)
+    assert np.allclose(g, want, rtol=1e-13, atol=0.0)
+    assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
+def test_factored_table_equals_path_enumeration(n, k, mode):
+    a_hf = np.random.default_rng(100 * n + k).dirichlet(np.ones(n), size=n)
+    assert_table_near_enumeration(a_hf, k, mode)
+
+
+@pytest.mark.parametrize("params,n_states,dt", [CIR_CASES[0], *CIR_CASES[16:18]])
+@pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
+def test_factored_table_preset_and_near_sticky_rows(params, n_states, dt, mode):
+    p = CirParams(*params)
+    a_hf = cir_transition_matrix(p, cir_spot_grid(p, n_states), dt).probs
+    assert_table_near_enumeration(a_hf, 4, mode)
 
 
 @pytest.mark.parametrize("theta", [(2.2, 0.077, 1.1), (0.8, 0.15, 0.4), (5.0, 0.03, 1.6)])
@@ -245,11 +306,39 @@ def test_continuous_loglik_equals_per_step_reference_and_filter(theta):
     model = ClassicalFitSpec("cir", 16, 4, scheme).model(np.array(theta))
     returns = chmm.simulate(model, 120, 5)[2]
     value = log_likelihood_continuous(model, returns)
-    assert value == reference_loglik_continuous(model, returns)
+    assert value == pytest.approx(reference_loglik_continuous(model, returns), rel=1e-13, abs=0.0)
     total = 0.0
     for inc in filter_path(model, returns=returns).loglik_increments:
         total += inc  # the filter's summation order: one step at a time
     assert value == total
+
+
+@pytest.fixture(scope="module")
+def mp_filter_case():
+    """A 6-state, k = 3 model and block + 1 returns: exact zeros, returns 20 sd out on both
+    sides and 1e3 among normal draws, with their 40-digit increments."""
+    rng = np.random.default_rng(606)
+    hmm = random_classical_hmm(rng, n_states=6, n_obs=3, k=3)
+    block = chmm.BLOCK_BYTES // (8 * hmm.table.n_vbar)
+    sd = math.sqrt(hmm.table.vbar_values.max())
+    returns = rng.normal(0.0, sd, block + 1)
+    returns[[0, 5, block - 2, block - 1, block]] = [0.0, 1e3, 20.0 * sd, -20.0 * sd, 0.0]
+    returns[7:11] = [-20.0 * sd, 1e3, 0.0, 20.0 * sd]
+    return hmm, block, returns, mp_returns_increments(hmm, returns)
+
+
+@pytest.mark.parametrize("length", [lambda block: 1, lambda block: block - 1, lambda block: block,
+                                    lambda block: block + 1],
+                         ids=["1", "block-1", "block", "block+1"])
+def test_blocked_returns_filter_equals_mpmath(length, mp_filter_case):
+    hmm, block, returns, increments = mp_filter_case
+    t = length(block)
+    value = log_likelihood_continuous(hmm, returns[:t])
+    want = float(mpmath.fsum(increments[:t]))
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    got = filter_path(hmm, returns=returns[:t]).loglik_increments
+    for inc, ref in zip(got, increments):
+        assert abs(inc - float(ref)) <= 1e-13 * max(1.0, abs(float(ref)))
 
 
 ANSATZ_SPECS = [
@@ -383,26 +472,26 @@ def test_batched_objective_equals_lone_rows(kind, data_kind, mode, rng):
 
 def test_batches_hold_path_arrays_within_the_block_cap(monkeypatch):
     shapes = []
-    path_probs = chmm._path_probs
+    chain_products = chmm._chain_products
 
     def recording(a_hf, k):
-        probs = path_probs(a_hf, k)
-        shapes.append(probs.shape)
-        return probs
+        chain = chain_products(a_hf, k)
+        shapes.append(chain.shape)
+        return chain
 
-    monkeypatch.setattr(chmm, "_path_probs", recording)
+    monkeypatch.setattr(chmm, "_chain_products", recording)
     scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
     data = np.random.default_rng(3).integers(0, 4, 30)
-    # a preset cir row's path array (16 x 16^4 floats, 8.4 MB) is above the cap: one at a time
+    # a preset cir row's chain products (16^4 floats, 512 KB) go two to a block
     cir = ClassicalFitSpec("cir", 16, 4, scheme)
     cir.objective(data)(np.array([[2.2, 0.077, 1.1], [2.0, 0.08, 1.0], [2.5, 0.07, 1.2]]))
-    assert shapes == [(1, 16, 16**4)] * 3
-    # nonparam-4 rows (4 x 4^4 floats, 8 KB) go 128 to a block
+    assert shapes == [(2, 16**4), (1, 16**4)]
+    # nonparam-4 rows (4^4 floats, 2 KB) go 512 to a block: 200 rows in one
     shapes.clear()
     grid = cir_spot_grid(CirParams(2.2, 0.077, 1.1), 4)
     spec = ClassicalFitSpec("nonparam", 4, 4, scheme, grid=grid)
     spec.objective(data)(np.full((200, 12), 0.25))
-    assert shapes == [(128, 4, 256), (72, 4, 256)]
+    assert shapes == [(200, 256)]
     assert 128 * 4 * 256 * 8 == chmm.BLOCK_BYTES
 
 

@@ -9,6 +9,7 @@ from conftest import brute_force_loglik, random_classical_hmm
 from volhmm.chmm import (
     INDEX_SUM,
     MULTISET,
+    ClassicalBatch,
     ClassicalHmm,
     EmissionMatrix,
     IntegratedVolTable,
@@ -278,6 +279,38 @@ class TestLogLikelihoodContinuous:
                 p *= density(path[t], rets[t])
             total += p
         assert log_likelihood_continuous(hmm, rets) == pytest.approx(math.log(total), rel=1e-12)
+
+
+    def test_zero_likelihood_reports_period(self):
+        # from state 0 only Vbar = 0.01 is possible, and a return of 10 (100 sd) has a
+        # density that underflows to zero; the square of 1e200 overflows
+        grid = SpotGrid(values=np.array([0.01, 1.0]))
+        a_hf = TransitionMatrix(probs=np.array([[1.0, 0.0], [0.5, 0.5]]))
+        scheme = build_observation_scheme(3, 1.0)
+        hmm = build_classical_hmm(grid, a_hf, 1, scheme, x0=np.array([1.0, 0.0]))
+        for returns, period in (([10.0], 0), ([0.05, -0.1, 10.0, 0.0], 2), ([0.1, 1e200], 1)):
+            with pytest.raises(ZeroLikelihoodError, match=f"period {period} ") as err:
+                log_likelihood_continuous(hmm, returns)
+            assert err.value.step == period
+            with pytest.raises(ZeroLikelihoodError, match=f"period {period} "):
+                filter_path(hmm, returns=returns)
+
+    def test_batch_row_of_zero_likelihood_reads_minus_infinity(self, rng):
+        grid = SpotGrid(values=np.array([0.01, 1.0]))
+        scheme = build_observation_scheme(3, 1.0)
+        # state 1 never stays, so no period holds Vbar = 1; a return of 100 has zero density
+        zero = TransitionMatrix(probs=np.array([[0.5, 0.5], [1.0, 0.0]]), dt=0.5)
+        other = TransitionMatrix(probs=rng.dirichlet(np.ones(2), size=2), dt=0.5)
+        models = [build_classical_hmm(grid, a, 2, scheme) for a in (zero, other)]
+        returns = np.array([[0.1, 100.0, 0.2]] * 2)
+        with pytest.raises(ZeroLikelihoodError):
+            log_likelihood_continuous(models[0], returns[0])
+        batch = ClassicalBatch(
+            models[0].table.vbar_values, np.stack([m.table.g for m in models]), None,
+            np.stack([m.a.probs for m in models]), np.stack([m.x0 for m in models]),
+        )
+        got = batch.log_likelihood_continuous(returns)
+        assert got[0] == -math.inf and got[1] == log_likelihood_continuous(models[1], returns[1])
 
 
 class TestFilterPath:

@@ -457,6 +457,28 @@ class TestBatchObjective:
         assert values[0] == 1e12
         assert values[1] == batch(rows[1:])[0] < 1e8
 
+    def test_returns_row_of_zero_likelihood_gets_the_sentinel(self, monkeypatch):
+        grid = SpotGrid(np.array([0.01, 1.0]))
+        spec = nonparam(2, 2, grid=grid, data_kind="returns")
+        data = np.array([0.1, 100.0, 0.2])
+        rows = np.array([[0.3, 0.6], [0.5, 0.75], [0.9, 0.2]])
+        substep_rows = estimate.nonparam_rows
+
+        def with_a_zero_chain(theta, n):
+            # row [0.5, 0.75] builds [[0.5, 0.5], [1, 0]]: state 1 never stays, so no period
+            # holds Vbar = 1, and the return of 100 has zero density under that model
+            a_hf = substep_rows(theta, n)
+            a_hf[np.all(theta == [0.5, 0.75], axis=-1)] = [[0.5, 0.5], [1.0, 0.0]]
+            return a_hf
+
+        monkeypatch.setattr(estimate, "nonparam_rows", with_a_zero_chain)
+        batch = spec.objective(data)
+        values = batch(rows)
+        scalar = scalar_classical_objective(data, spec)
+        assert values[1] == 1e12
+        for i in (0, 2):
+            assert values[i] == batch(rows[i][None, :])[0] == scalar(rows[i]) < 1e8
+
     def test_qhmm_mixed_batch(self):
         spec = AnsatzSpec(1, 2, reps=0)
         data = np.array([0, 2, 1, 3, 0])
