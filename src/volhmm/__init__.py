@@ -33,7 +33,6 @@ from .chmm import (
     build_integrated_table,
     emission_given_vbar,
     filter_path,
-    forward_step,
     log_likelihood_binned,
     log_likelihood_continuous,
     sequence_probability,
@@ -72,7 +71,6 @@ from .qhmm import (
     qhmm_sequence_probability,
     qhmm_simulate,
     qhmm_simulate_many,
-    qhmm_step,
 )
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
 from .specfun import (

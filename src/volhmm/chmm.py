@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import operators
-from .errors import EnumerationCapError, NonConvergenceError, ValidationError, ZeroLikelihoodError
+from .errors import EnumerationCapError, ValidationError, ZeroLikelihoodError
 from .volgrid import (
     _ROW_SUM_TOL,
     ObservationScheme,
@@ -360,8 +360,8 @@ def build_classical_batches(a_hf: np.ndarray, k: int, scheme: ObservationScheme 
     batch): the indices of the block's models that built and a ClassicalBatch of them. A
     model whose period chain has no unique stationary law is left out. Without a scheme
     the batches hold no emission (the returns filter reads none), and no bin masses are
-    formed. A block's tables and emissions are computed at once; the period matrix and the
-    stationary solve run per model, on the operations ``ClassicalHmm`` runs. A block's
+    formed. A block's tables, emissions, period matrices and stationary laws are computed at
+    once, each model's on the operations ``ClassicalHmm`` runs on it alone. A block's
     chain products (n^k per model) stay within BLOCK_BYTES; a model above that goes alone.
     """
     shared = values.ndim == 1
@@ -386,23 +386,15 @@ def _classical_block(a_hf, k, scheme, mode, values, emissions):
     g = _group_mass(a_hf, k, mode)
     vbar, masses = emissions or grid_emissions(values, k, scheme, mode)
     emission = None if masses is None else np.clip(g @ masses, 0.0, 1.0)
-    # as matrix_power and stationary_distribution on each model's TransitionMatrix
-    a = np.clip(np.stack([np.linalg.matrix_power(p, k) for p in a_hf]), 0.0, 1.0)
-    rows, x0 = [], []
-    for i, p in enumerate(a):
-        try:
-            x0.append(_gth(p))
-        except NonConvergenceError:
-            continue
-        rows.append(i)
+    # as matrix_power and stationary_distribution on each model's TransitionMatrix, on the stack
+    a = np.clip(np.linalg.matrix_power(a_hf, k), 0.0, 1.0)
+    rows, x0 = _gth(a)
     keep = slice(None) if len(rows) == len(a) else rows  # no copies when every model built
     if vbar.ndim > 1:
         vbar = vbar[keep]
     if emission is not None:
         emission = emission[keep]
-    return np.array(rows, dtype=np.int64), ClassicalBatch(
-        vbar, g[keep], emission, a[keep], np.array(x0).reshape(len(rows), -1)
-    )
+    return rows, ClassicalBatch(vbar, g[keep], emission, a[keep], x0)
 
 
 def build_classical_hmm(
@@ -420,12 +412,6 @@ def build_classical_hmm(
     table = build_integrated_table(a_hf, grid, k, mode)
     emission = build_emission_matrix(table, scheme)
     return ClassicalHmm(grid=grid, a_hf=a_hf, table=table, emission=emission, scheme=scheme, x0=x0)
-
-
-def forward_step(x_prev: np.ndarray, hmm: ClassicalHmm, symbol: int):
-    """One filter update; returns (next state distribution, log-likelihood increment)."""
-    steps, x = operators.filtered(hmm.operators(), [symbol], np.asarray(x_prev)[None, :])
-    return x[0], math.log(steps[0, 0])
 
 
 def log_likelihood_binned(hmm: ClassicalHmm, obs) -> float:

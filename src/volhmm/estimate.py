@@ -6,7 +6,10 @@ Nelder-Mead simplex descent on the negative log-likelihood, with infeasible
 parameter vectors rejected through a large finite barrier rather than a
 reparameterization. A fit's restarts descend in lockstep, and so do the fits of
 several data sets: each round evaluates every point they ask for in one call of a
-batched objective, and each descent follows the path it would follow alone. A fit
+batched objective, and each descent follows the path it would follow alone. The
+descents of such a call are held as arrays (vertices, values, trial points and a phase
+per descent) and stepped with whole-array operations, so a round costs a fixed number
+of array operations however many descents it advances. A fit
 candidate (``ClassicalFitSpec`` or ``QhmmFitSpec``) holds a model kind and every
 setting its fit needs, and owns its barrier, restart starts, batched objective and
 model builder; one driver, ``spec.fit_all(datas, cfgs)``, checks the data and runs
@@ -131,158 +134,232 @@ class PenaltyConstants:
             raise ValidationError("tau must be >= 1")
 
 
-def _simplex_descent(x0, cfg: FitConfig):
-    """Nelder-Mead with reflection/expansion/contraction/shrink = 1, 2, 0.5, 0.5, as a generator.
+# What a descent asks for next in ``lockstep_nelder_mead``.
+_START, _REFLECT, _EXPAND, _CONTRACT, _SHRINK, _DONE = range(6)
 
-    It yields each (k, dim) array of points it needs (the dim + 1 start vertices, one
-    reflect, expand or contract point, or the dim shrink points), is sent their k
-    objective values, and returns the FitResult. Deterministic given x0 and cfg. Stops
-    once the vertex objective spread is below ftol and the simplex diameter around the
-    best vertex is below xtol (both, else a symmetric simplex straddling an optimum would
-    stop early), or when max_iter iterations elapse.
+
+class _Simplices:
+    """Every descent of one ``lockstep_nelder_mead`` call as arrays, descent r at index r
+    of the descent axis.
+
+    ``buf`` (dim + 3, R, dim) holds each descent's dim + 1 vertices (sorted by value at the
+    head of each iteration), its reflected point and its expanded or contracted point, and
+    ``fbuf`` (dim + 3, R) their values, so one flat gather gives the points a round asks
+    for and one flat scatter takes their values back. ``phase`` says what each descent asks
+    for: its start vertices, one of its two trial points, or its dim vertices after a
+    shrink. A round's steps run on whole arrays, each descent taking the branch its own
+    values choose, so every descent sees the operations it sees alone; with the vertices on
+    the leading axis, a centroid is the same vertex-by-vertex sum.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    verts = [x0.copy()]
-    for i in range(dim):
-        v = x0.copy()
-        step = cfg.initial_simplex_scale * (abs(v[i]) if v[i] != 0.0 else 1.0)
-        v[i] += step
-        verts.append(v)
-    verts = np.array(verts)
-    fvals = np.array((yield verts), dtype=float)
-    if not math.isfinite(fvals[0]):
-        raise NumericalError(f"objective is not finite at the starting point ({fvals[0]})")
 
-    iterations = 0
-    converged = False
-    trace = []
-    while iterations < cfg.max_iter:
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
-        trace.append(float(fvals[0]))
-        spread = fvals[-1] - fvals[0]
-        diameter = np.max(np.abs(verts[1:] - verts[0])) if dim > 0 else 0.0
-        if spread < cfg.ftol and diameter < cfg.xtol:
-            converged = True
-            break
-        iterations += 1
-        centroid = verts[:-1].mean(axis=0)
-        reflected = centroid + 1.0 * (centroid - verts[-1])
-        (f_r,) = yield reflected[None, :]
-        if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - verts[-1])
-            (f_e,) = yield expanded[None, :]
-            if f_e < f_r:
-                verts[-1], fvals[-1] = expanded, f_e
-            else:
-                verts[-1], fvals[-1] = reflected, f_r
-        elif f_r < fvals[-2]:
-            verts[-1], fvals[-1] = reflected, f_r
-        else:
-            if f_r < fvals[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (verts[-1] - centroid)
-            (f_c,) = yield contracted[None, :]
-            if f_c < min(f_r, fvals[-1]):
-                verts[-1], fvals[-1] = contracted, f_c
-            else:
-                for j in range(1, dim + 1):
-                    verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
-                fvals[1:] = yield verts[1:]
+    def __init__(self, x0, fit, cfgs):
+        rows, dim = x0.shape
+        self.dim, self.fit = dim, fit
+        self.buf = np.zeros((dim + 3, rows, dim))
+        self.fbuf = np.zeros((dim + 3, rows))
+        self.verts, self.reflected, self.trial = self.buf[: dim + 1], self.buf[-2], self.buf[-1]
+        self.fvals, self.freflected, self.ftrial = (
+            self.fbuf[: dim + 1], self.fbuf[-2], self.fbuf[-1])
+        self.centroid = np.zeros((rows, dim))
+        cfgs = [cfgs[f] for f in fit.tolist()]
+        self.max_iter = np.array([cfg.max_iter for cfg in cfgs], dtype=np.int64)
+        scale, self.ftol, self.xtol = (np.array([getattr(cfg, name) for cfg in cfgs], dtype=float)
+                                       for name in ("initial_simplex_scale", "ftol", "xtol"))
+        self.verts[:] = x0
+        diag = np.arange(dim)
+        self.verts[diag + 1, :, diag] += (scale[:, None] * np.where(x0 != 0.0, np.abs(x0), 1.0)).T
+        self.phase = np.full(rows, _START)
+        self.iterations = np.zeros(rows, dtype=np.int64)
+        self.converged = np.zeros(rows, dtype=bool)
+        # trace[i, r]: descent r's best value at the head of its iteration i; i is at most
+        # the number of heads run before, and the array doubles when that reaches its length
+        self.trace = np.empty((64, rows))
+        self._heads = 0
+        self._first = np.array([0, dim + 1, dim + 2, dim + 2, 1]) * rows  # slot asked first
+        self._count = np.array([dim + 1, 1, 1, 1, dim])  # points asked, by phase
+        self._multi = True  # some descent asks for more than one point
 
-    order = np.argsort(fvals, kind="stable")
-    best = order[0]
-    return FitResult(
-        theta_hat=verts[best].copy(),
-        nll=float(fvals[best]),
-        iterations=iterations,
-        converged=converged,
-        trace=trace,
-    )
+    def ask(self):
+        """(points, fits): the points the unfinished descents ask for, descent by descent,
+        and the fit of each point; None when every descent is done."""
+        live = np.flatnonzero(self.phase != _DONE)
+        if not live.size:
+            return None
+        phase = self.phase[live]
+        at = self._first[phase] + live
+        fits = self.fit[live]
+        if self._multi:  # a descent's points are its slots first, first + 1, ...: R apart
+            count = self._count[phase]
+            offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            at = np.repeat(at, count) + offset * len(self.phase)
+            fits = np.repeat(fits, count)
+        self._at = at
+        return self.buf.reshape(-1, self.dim)[at] if self.dim else np.empty((at.size, 0)), fits
 
+    def tell(self, values) -> list:
+        """Take the values of the points ``ask`` gave and move every descent that asked on
+        to its next request. Returns the descents whose start value is not finite: their
+        fits end, so every descent of those fits stops."""
+        self.fbuf.reshape(-1)[self._at] = values
+        phase, fvals, f_r, f_t = self.phase, self.fvals, self.freflected, self.ftrial
+        start = phase == _START  # only in the first round, which asks for several points
+        bad = np.flatnonzero(start & ~np.isfinite(fvals[0])).tolist() if self._multi else []
+        reflect = phase == _REFLECT
+        expand = phase == _EXPAND
+        contract = phase == _CONTRACT
+        # every decision on the values as they arrived, before any vertex moves
+        better = reflect & (f_r < fvals[0])
+        accept = reflect & ~better & (f_r < fvals[max(self.dim - 1, 0)])  # the second worst
+        inward = reflect & ~(better | accept)
+        inside = f_r < fvals[-1]
+        take_e = expand & (f_t < f_r)
+        worst = fvals[-1]
+        take_c = contract & (f_t < np.where(worst < f_r, worst, f_r))  # Python's min(f_r, worst)
+        shrink = contract & ~take_c
+        use_r = accept | (expand & ~take_e)
+        use_t = take_e | take_c
+        c, w = self.centroid, self.verts[-1]
+        np.copyto(self.trial, c + 2.0 * (c - w), where=better[:, None])
+        contracted = c + 0.5 * (np.where(inside[:, None], self.reflected, w) - c)
+        np.copyto(self.trial, contracted, where=inward[:, None])
+        np.copyto(w, self.reflected, where=use_r[:, None])
+        np.copyto(worst, f_r, where=use_r)
+        np.copyto(w, self.trial, where=use_t[:, None])
+        np.copyto(worst, f_t, where=use_t)
+        self._multi = bool(shrink.any())
+        if self._multi:
+            rows = np.flatnonzero(shrink)
+            best = self.verts[0, rows]
+            self.verts[1:, rows] = best + 0.5 * (self.verts[1:, rows] - best)
+        heads = start | (phase == _SHRINK) | use_r | use_t
+        phase[better] = _EXPAND
+        phase[inward] = _CONTRACT
+        phase[shrink] = _SHRINK
+        if bad:
+            ended = np.isin(self.fit, self.fit[bad])
+            phase[ended] = _DONE
+            heads &= ~ended
+        self._head(np.flatnonzero(heads))
+        return bad
 
-class _Descents:
-    """The simplex descents of one fit in ``lockstep_nelder_mead``."""
+    def _head(self, rows):
+        """The head of an iteration: stop after max_iter iterations; else sort the vertices
+        by value (stable), trace the best value, stop once the value spread is below ftol
+        and the diameter around the best vertex below xtol, else ask for the reflected
+        point."""
+        iterations = self.iterations[rows]
+        over = iterations >= self.max_iter[rows]
+        if over.any():
+            self.phase[rows[over]] = _DONE
+            rows, iterations = rows[~over], iterations[~over]
+        if self._heads == len(self.trace):
+            self.trace = np.concatenate([self.trace, np.empty_like(self.trace)])
+        self._heads += 1
+        order = np.argsort(self.fvals[:, rows], axis=0, kind="stable")
+        fvals = self.fvals[order, rows]
+        verts = self.verts[order, rows]
+        self.fvals[:, rows], self.verts[:, rows] = fvals, verts
+        self.trace[iterations, rows] = fvals[0]
+        done = fvals[-1] - fvals[0] < self.ftol[rows]
+        if done.any():  # the spread is small: is the diameter too?
+            diameter = np.maximum.reduce(np.abs(verts[1:, done] - verts[0, done]), axis=(0, 2),
+                                         initial=0.0)
+            done[done] = diameter < self.xtol[rows[done]]
+        if done.any():
+            self.converged[rows[done]] = True
+            self.phase[rows[done]] = _DONE
+            rows, verts = rows[~done], verts[:, ~done]
+        self.iterations[rows] += 1
+        centroid = np.add.reduce(verts[:-1], axis=0) / self.dim  # verts[:-1].mean(axis=0)
+        self.centroid[rows] = centroid
+        self.reflected[rows] = centroid + 1.0 * (centroid - verts[-1])
+        self.phase[rows] = _REFLECT
 
-    def __init__(self, starts, cfg: FitConfig):
-        self.starts = [np.asarray(x0, dtype=float) for x0 in starts]
-        self.distinct = {}  # start bytes -> start, in order of first appearance
-        for x0 in self.starts:
-            self.distinct.setdefault(x0.tobytes(), x0)
-        self.runs = [_simplex_descent(x0, cfg) for x0 in self.distinct.values()]
-        self.pending = [next(run) for run in self.runs]
-        self.results = [None] * len(self.runs)
-        self.error = None
-        self.evaluations = self.barrier_hits = self.sentinel_hits = 0
-
-    def advance(self, i, values):
-        """Send descent i the values of the points it asked for."""
-        self.evaluations += values.size
-        barrier = (values >= _BARRIER) & (values < _OBJECTIVE_FAIL)
-        self.barrier_hits += int(np.count_nonzero(barrier))
-        self.sentinel_hits += int(np.count_nonzero(values >= _OBJECTIVE_FAIL))
-        try:
-            self.pending[i] = self.runs[i].send(values)
-        except StopIteration as done:
-            self.results[i], self.pending[i] = done.value, None
-        except NumericalError as exc:
-            self.error = exc
-
-    def outcome(self):
-        if self.error is not None:
-            return self.error
-        best = None
-        for result in self.results:
-            if best is None or result.nll < best.nll:
-                best = result
-        best.evaluations, best.barrier_hits = self.evaluations, self.barrier_hits
-        best.sentinel_hits = self.sentinel_hits
-        record_of = {
-            key: (r.nll, r.iterations, r.converged) for key, r in zip(self.distinct, self.results)
-        }
-        best.restarts = [RestartRecord(x0, *record_of[x0.tobytes()]) for x0 in self.starts]
-        return best
+    def results(self) -> list:
+        """Per descent, the FitResult of its best vertex (first on ties) and its trace."""
+        rows = np.arange(len(self.phase))
+        best = np.argsort(self.fvals, axis=0, kind="stable")[0]
+        theta, nll = self.verts[best, rows], self.fvals[best, rows].tolist()
+        iterations, converged = self.iterations.tolist(), self.converged.tolist()
+        return [
+            FitResult(theta_hat=theta[r].copy(), nll=nll[r], iterations=iterations[r],
+                      converged=converged[r], trace=self.trace[: n + done, r].tolist())
+            for r, (n, done) in enumerate(zip(iterations, converged))
+        ]
 
 
 def lockstep_nelder_mead(batch_objective, starts, cfgs) -> list:
     """Simplex descents of several fits, advanced together: per fit, its FitResult, or the
     NumericalError that ended it.
 
-    Fit f runs one descent per distinct start of ``starts[f]``, with ``cfgs[f]``. Each
-    round stacks the points every unfinished descent asks for into one (B, dim) array
-    and makes one ``batch_objective(points, fits)`` call, ``fits[b]`` being the fit that
-    asked for row b, which returns their B values. A descent's path depends only on its
-    own values, so it is the same as a descent run alone. A start equal bit for bit to an
-    earlier one of its fit would repeat that descent, so it runs none and its record
-    repeats the earlier result. A fit's result is its best descent, first on ties, with
-    the evaluations of all its descents and one record per start. A descent whose start
-    value is not finite ends its fit, and the fit's other descents stop.
+    Each descent is Nelder-Mead with reflection/expansion/contraction/shrink = 1, 2, 0.5,
+    0.5 from the simplex of its start x0 and x0 + scale * (|x0_i|, or 1 where x0_i = 0) e_i,
+    with ``cfgs[f]`` for fit f. It stops once the vertex value spread is below ftol and the
+    simplex diameter around the best vertex is below xtol (both, else a symmetric simplex
+    straddling an optimum would stop early), or after max_iter iterations; its result is
+    its best vertex, first on ties, and ``trace`` the best value at the head of each
+    iteration. Fit f runs one descent per distinct start of ``starts[f]``.
+
+    The call holds the R descents as arrays (``_Simplices``): vertices (dim + 1, R, dim),
+    their values, each descent's reflected and expanded or contracted point, and its phase
+    (asking for its start vertices, one of those points, or its vertices after a shrink).
+    A round steps them all at once: masks pick each descent's branch, a stable argsort per
+    descent orders its vertices, and a centroid is the same vertex-by-vertex sum a lone
+    descent forms. Each round stacks the points every
+    unfinished descent asks for, descent by descent, into one (B, dim) array and makes one
+    ``batch_objective(points, fits)`` call, ``fits[b]`` being the fit that asked for row b,
+    which returns their B values. A descent's path depends only on its own values, so it is
+    the same as a descent run alone. A start equal bit for bit to an earlier one of its fit
+    would repeat that descent, so it runs none and its record repeats the earlier result. A
+    fit's result is its best descent, first on ties, with the evaluations of all its
+    descents and one record per start. A descent whose start value is not finite ends its
+    fit, and the fit's other descents stop.
     """
-    fits = [_Descents(fit_starts, cfg) for fit_starts, cfg in zip(starts, cfgs)]
-    while True:
-        live = [
-            (f, i)
-            for f, fit in enumerate(fits)
-            if fit.error is None
-            for i, points in enumerate(fit.pending)
-            if points is not None
+    starts = [[np.asarray(x0, dtype=float) for x0 in fit_starts] for fit_starts in starts]
+    descent_of, x0s, fit_of = [], [], []  # per fit: start bytes -> its descent
+    for f, fit_starts in enumerate(starts):
+        descent_of.append({})
+        for x0 in fit_starts:
+            if descent_of[f].setdefault(x0.tobytes(), len(x0s)) == len(x0s):
+                x0s.append(x0)
+                fit_of.append(f)
+    errors = [None] * len(starts)
+    counts = np.zeros((len(starts), 3), dtype=np.int64)  # evaluations by kind
+    if x0s:
+        simplices = _Simplices(np.array(x0s), np.array(fit_of, dtype=np.int64), cfgs)
+        while (asked := simplices.ask()) is not None:
+            points, fits = asked
+            values = np.asarray(batch_objective(points, fits), dtype=float)
+            kind = (values >= _BARRIER).astype(np.int64) + (values >= _OBJECTIVE_FAIL)
+            counts += np.bincount(3 * fits + kind, minlength=counts.size).reshape(counts.shape)
+            for r in simplices.tell(values):  # the first such descent of a fit reports
+                if errors[fit_of[r]] is None:
+                    errors[fit_of[r]] = NumericalError(
+                        f"objective is not finite at the starting point ({simplices.fvals[0, r]})"
+                    )
+        results = simplices.results()
+    outcomes = []
+    for f, fit_starts in enumerate(starts):
+        if errors[f] is not None:
+            outcomes.append(errors[f])
+            continue
+        runs = [results[r] for r in descent_of[f].values()]
+        best = runs[0]
+        for run in runs[1:]:
+            if run.nll < best.nll:
+                best = run
+        best.evaluations, best.barrier_hits, best.sentinel_hits = (
+            int(counts[f].sum()), int(counts[f, 1]), int(counts[f, 2]))
+        best.restarts = [
+            RestartRecord(x0, run.nll, run.iterations, run.converged)
+            for x0, run in ((x0, results[descent_of[f][x0.tobytes()]]) for x0 in fit_starts)
         ]
-        if not live:
-            return [fit.outcome() for fit in fits]
-        points = [fits[f].pending[i] for f, i in live]
-        tags = np.repeat([f for f, _ in live], [len(p) for p in points])
-        values = np.asarray(batch_objective(np.concatenate(points), tags), dtype=float)
-        offset = 0
-        for (f, i), asked in zip(live, points):
-            if fits[f].error is None:
-                fits[f].advance(i, values[offset : offset + len(asked)])
-            offset += len(asked)
+        outcomes.append(best)
+    return outcomes
 
 
 def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
-    """Simplex descent from x0 on a scalar objective (see ``_simplex_descent``)."""
+    """Simplex descent from x0 on a scalar objective (see ``lockstep_nelder_mead``)."""
     (outcome,) = lockstep_nelder_mead(
         lambda points, fits: [float(objective(x)) for x in points], [[x0]], [cfg]
     )

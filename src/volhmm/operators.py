@@ -106,13 +106,17 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
         for block, per_step in blocks:
             xb, pb = x[block], probs[:, block]
             sb = states[:, block] if keep_states else None
+            # One product buffer [y | p] and one state buffer per block, reused at every step.
+            y = np.empty(xb.shape[:-1] + (dim + 1,), dtype)
+            buf = np.empty(xb.shape, dtype)
+            y_next, p = y[..., :-1], y[..., -1:].real
+            p_row = y.reshape(-1, dim + 1)[:, -1].real
             for t, ops in enumerate(per_step):
-                y = xb @ ops
-                p = y[..., -1:].real
-                xb = y[..., :-1] / p
-                pb[t] = p.reshape(-1)
+                np.matmul(xb, ops, out=y)
+                xb = np.divide(y_next, p, out=buf)
+                pb[t] = p_row
                 if keep_states:
-                    sb[t] = xb.reshape(-1, dim)
+                    sb[t] = buf.reshape(-1, dim)
             last[block] = xb.reshape(-1, dim)
     steps = np.ascontiguousarray(probs.T)
     alive = steps > MIN_STEP_PROB  # NaN is dead too

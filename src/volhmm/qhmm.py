@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,7 +178,7 @@ def qhmm_operators(spec: AnsatzSpec, theta, theta_init) -> operators.OperatorMod
     ``build_qhmm(spec, theta[b], theta_init[b]).operators()`` bit for bit."""
     kraus = kraus_from_unitary(build_ansatz_unitary(spec, theta), spec)
     _check_completeness(kraus)
-    return _operator_form(kraus, initial_latent_state(spec, theta_init).matrix)
+    return _operator_form(kraus, _pure_state(spec, theta_init))
 
 
 def _ry_columns(angles) -> tuple:
@@ -234,8 +235,17 @@ def _cnot_permutation(n_qubits: int, pairs, bit_of) -> np.ndarray:
     return perm
 
 
+@lru_cache(maxsize=32)
+def _entangler(spec: AnsatzSpec) -> np.ndarray:
+    """Inverse of the basis permutation of the ansatz's CNOT block: u[..., inv, :] applies it."""
+    pairs = _entanglement_pairs(spec.n_qubits, spec.entanglement)
+    perm = _cnot_permutation(spec.n_qubits, pairs, lambda q: _bit_position(spec, q))
+    return _freeze(np.argsort(perm))
+
+
 def _rotation_layer(spec: AnsatzSpec, ry_angles, rz_angles) -> np.ndarray:
-    """One rotation layer as a kron over qubits of Rz(b) Ry(a); angles (..., n_qubits)."""
+    """Rotation layers, each a kron over qubits of Rz(b) Ry(a): angles (..., n_qubits) give
+    (..., dim, dim), every layer of a stack in one gate pass and one kron chain."""
     # kron builds most-significant-bit first: latent qubits high to low, then
     # observed qubits high to low.
     order = list(range(spec.latent_qubits - 1, -1, -1)) + [
@@ -257,14 +267,13 @@ def build_ansatz_unitary(spec: AnsatzSpec, theta) -> np.ndarray:
     n = spec.n_qubits
     if theta.shape[-1:] != (spec.n_params,):
         raise ValidationError(f"expected {spec.n_params} parameters, got shape {theta.shape}")
-    pairs = _entanglement_pairs(n, spec.entanglement)
-    perm = _cnot_permutation(n, pairs, lambda q: _bit_position(spec, q))
-    inv_perm = np.argsort(perm)
+    inv_perm = _entangler(spec)
     layers = theta.reshape(theta.shape[:-1] + (spec.reps + 1, 2, n))
-    u = _rotation_layer(spec, layers[..., 0, 0, :], layers[..., 0, 1, :])
+    rotations = _rotation_layer(spec, layers[..., 0, :], layers[..., 1, :])  # every layer at once
+    u = rotations[..., 0, :, :]
     for r in range(1, spec.reps + 1):
         u = u[..., inv_perm, :]  # entanglement block (a permutation) applied in place
-        u = _rotation_layer(spec, layers[..., r, 0, :], layers[..., r, 1, :]) @ u
+        u = rotations[..., r, :, :] @ u
     return u
 
 
@@ -273,6 +282,12 @@ def initial_latent_state(spec: AnsatzSpec, theta_init) -> DensityMatrix:
 
     theta_init (..., latent_qubits) gives a (..., d, d) stack of states.
     """
+    return DensityMatrix(matrix=_pure_state(spec, theta_init))
+
+
+def _pure_state(spec: AnsatzSpec, theta_init) -> np.ndarray:
+    """The matrices |psi><psi| of ``initial_latent_state``, unchecked: psi is a unit vector,
+    so each is Hermitian, positive semidefinite and of unit trace by construction."""
     theta_init = np.asarray(theta_init, dtype=float)
     if theta_init.shape[-1:] != (spec.latent_qubits,):
         raise ValidationError(
@@ -288,7 +303,7 @@ def initial_latent_state(spec: AnsatzSpec, theta_init) -> DensityMatrix:
     perm = _cnot_permutation(spec.latent_qubits, pairs, lambda q: q)
     out = np.zeros_like(psi)
     out[..., perm] = psi
-    return DensityMatrix(matrix=out[..., :, None] * out.conj()[..., None, :])
+    return out[..., :, None] * out.conj()[..., None, :]
 
 
 def kraus_from_unitary(u: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
@@ -333,13 +348,6 @@ def partial_trace(matrix: np.ndarray, keep: str, dims) -> DensityMatrix:
     else:
         raise ValidationError(f"keep must be 'latent' or 'observed', got {keep!r}")
     return DensityMatrix(matrix=reduced)
-
-
-def qhmm_step(rho: DensityMatrix, model: QhmmModel, symbol: int):
-    """Condition the latent state on one observed symbol; returns (rho_next, prob)."""
-    steps, x = operators.filtered(model.operators(), [symbol], rho.matrix.reshape(1, -1))
-    sigma = x[0].reshape(rho.dim, rho.dim)
-    return DensityMatrix(matrix=0.5 * (sigma + sigma.conj().T)), float(steps[0, 0])
 
 
 def qhmm_sequence_logprob(model: QhmmModel, obs) -> float:

@@ -128,10 +128,23 @@ def discretize_return(dy: float, scheme: ObservationScheme) -> int:
     return int(np.searchsorted(scheme.edges, dy, side="right"))
 
 
+def _finite_positive(name: str, value: float, p: CirParams) -> float:
+    """``value``, which a CIR law at ``p`` divides by or is parameterised by; ValidationError
+    where it has under- or overflowed."""
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} = {value} is not finite and positive at {p}")
+    return value
+
+
 def cir_ergodic_law(p: CirParams) -> GammaLaw:
-    """Ergodic Gamma law of the variance diffusion: shape 2ab/s^2, rate 2a/s^2."""
-    s2 = p.sigma * p.sigma
-    return GammaLaw(shape=2.0 * p.alpha * p.beta / s2, rate=2.0 * p.alpha / s2)
+    """Ergodic Gamma law of the variance diffusion: shape 2ab/s^2, rate 2a/s^2.
+
+    Raises ValidationError where s^2, the shape or the rate is not finite and positive.
+    """
+    s2 = _finite_positive("sigma^2", p.sigma * p.sigma, p)
+    shape = _finite_positive("the ergodic shape 2ab/s^2", 2.0 * p.alpha * p.beta / s2, p)
+    rate = _finite_positive("the ergodic rate 2a/s^2", 2.0 * p.alpha / s2, p)
+    return GammaLaw(shape=shape, rate=rate)
 
 
 def cir_spot_grid(p: CirParams, n_states: int) -> SpotGrid:
@@ -155,14 +168,16 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     row i's midpoints at once: its terms give, per shape a = dof/2 + j, the
     incomplete-gamma column P(a, c m) over the midpoints, computed once and
     shared by every row that visits that shape. Each midpoint sees the same
-    sequence of floating-point operations as ``noncentral_chi2_cdf``.
+    sequence of floating-point operations as ``noncentral_chi2_cdf``. Raises
+    ValidationError where s^2 (1 - e^{-a dt}), c or dof/2 is not finite and positive.
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt}")
     s2 = p.sigma * p.sigma
     decay = math.exp(-p.alpha * dt)
-    c = 2.0 * p.alpha / ((1.0 - decay) * s2)
-    half_dof = 0.5 * (4.0 * p.alpha * p.beta / s2)
+    scale = _finite_positive("(1 - e^{-a dt}) s^2", (1.0 - decay) * s2, p)
+    c = _finite_positive("the rate c", 2.0 * p.alpha / scale, p)
+    half_dof = _finite_positive("the half dof 2ab/s^2", 0.5 * (4.0 * p.alpha * p.beta / s2), p)
     values = grid.values
     n = values.size
     midpoints = 0.5 * (values[:-1] + values[1:])
@@ -219,23 +234,17 @@ def nonparam_rows(theta, n_states: int) -> np.ndarray:
     return np.concatenate([groups, 1.0 - groups.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def _is_primitive(probs: np.ndarray) -> bool:
-    # Positivity pattern of repeated boolean squares; a row-stochastic matrix is
-    # primitive iff the pattern saturates by the Wielandt exponent (n-1)^2 + 1.
-    n = probs.shape[0]
-    if n == 1:
-        return True
-    pattern = probs > 0.0
-    if not pattern.any(axis=0).all():
-        return False
-    wielandt = (n - 1) * (n - 1) + 1
-    exponent = 1
-    while exponent < wielandt:
-        if pattern.all():
-            return True
-        pattern = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
+def _is_primitive(probs: np.ndarray) -> np.ndarray:
+    """Per matrix of a (..., n, n) stack of row-stochastic arrays, whether it is primitive:
+    the positivity pattern of repeated squares saturates by the Wielandt exponent
+    (n-1)^2 + 1."""
+    n = probs.shape[-1]
+    pattern = (probs > 0.0).astype(float)
+    exponent, wielandt = 1, (n - 1) * (n - 1) + 1
+    while exponent < wielandt and not pattern.all():
+        pattern = (pattern @ pattern > 0.0).astype(float)  # sums of at most n 0/1 terms: exact
         exponent *= 2
-    return bool(pattern.all())
+    return pattern.all(axis=(-2, -1))
 
 
 def stationary_distribution(a: TransitionMatrix) -> np.ndarray:
@@ -245,24 +254,33 @@ def stationary_distribution(a: TransitionMatrix) -> np.ndarray:
     is nonnegative and accurate even for self-transitions near one. Raises
     NonConvergenceError for reducible or periodic chains (no unique law).
     """
-    return _freeze(_gth(a.probs))
-
-
-def _gth(probs: np.ndarray) -> np.ndarray:
-    """``stationary_distribution`` of a row-stochastic array."""
-    if not _is_primitive(probs):
+    rows, pi = _gth(a.probs[None])
+    if not rows.size:
         raise NonConvergenceError(
             "chain is reducible or periodic; stationary distribution is not well-defined"
         )
-    p = np.array(probs, dtype=float)
-    for k in range(len(p) - 1, 0, -1):
+    return _freeze(pi[0])
+
+
+def _gth(probs: np.ndarray):
+    """``stationary_distribution`` of each primitive chain of a (B, n, n) stack of
+    row-stochastic arrays: (rows, pi), the indices of those chains and their laws.
+
+    The elimination runs on the whole stack; each chain sees the operations it sees
+    alone, down to the dot product of each back-substitution step, one (1, k) @ (k, 1)
+    product per chain.
+    """
+    rows = np.flatnonzero(_is_primitive(probs))
+    p = np.array(probs[rows], dtype=float)
+    n = p.shape[-1]
+    for k in range(n - 1, 0, -1):
         # Censor state k: its transitions to lower states feed the paths through it.
-        p[:k, k] /= p[k, :k].sum()
-        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
-    pi = np.ones(len(p))
-    for k in range(1, len(p)):
-        pi[k] = pi[:k] @ p[:k, k]
-    return pi / pi.sum()
+        p[:, :k, k] /= p[:, k, :k].sum(axis=-1, keepdims=True)
+        p[:, :k, :k] += p[:, :k, k, None] * p[:, k, None, :k]
+    pi = np.ones((len(p), n))
+    for k in range(1, n):
+        pi[:, k] = (pi[:, None, :k] @ p[:, :k, k, None])[:, 0, 0]
+    return rows, pi / pi.sum(axis=-1, keepdims=True)
 
 
 def matrix_power(a: TransitionMatrix, k: int) -> TransitionMatrix:

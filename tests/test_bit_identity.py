@@ -22,6 +22,13 @@ blocked Monte-Carlo KL are held to their per-seed forms: a substep walk with one
 ``searchsorted`` per substep, a sampler with one ``searchsorted`` and one
 one-string forward step per symbol, and a KL loop that draws and scores one
 trial at a time.
+
+The lockstep machinery is held to the code it replaced, bit for bit: the array
+Nelder-Mead (``estimate.lockstep_nelder_mead``) to one generator per descent and
+a driver that advances them one at a time, round by round and descent by
+descent; the stacked primitivity check, period matrices and GTH elimination to
+one chain at a time; and the forward loop that reuses its buffers to a loop that
+allocates its product and state at every step.
 """
 
 import math
@@ -47,7 +54,14 @@ from volhmm.chmm import (
     log_likelihood_continuous,
 )
 from volhmm.errors import NonConvergenceError, NumericalError, ValidationError, ZeroLikelihoodError
-from volhmm.estimate import ClassicalFitSpec
+from volhmm.estimate import (
+    ClassicalFitSpec,
+    FitConfig,
+    FitResult,
+    QhmmFitSpec,
+    RestartRecord,
+    lockstep_nelder_mead,
+)
 from volhmm.qhmm import (
     AnsatzSpec,
     QhmmModel,
@@ -70,9 +84,12 @@ from volhmm.volgrid import (
     ObservationScheme,
     SpotGrid,
     TransitionMatrix,
+    _gth,
     build_observation_scheme,
     cir_spot_grid,
     cir_transition_matrix,
+    matrix_power,
+    stationary_distribution,
 )
 
 
@@ -718,3 +735,451 @@ def test_kl_monte_carlo_first_impossible_trial_decides(first, cap, monkeypatch):
         got = analysis.kl_monte_carlo(dgp, cand, trials, 6, seed)
         assert repr(got) == repr(reference_kl_monte_carlo(dgp, cand, trials, 6, seed, strings))
         assert repr(got) == repr((math.inf, math.nan))
+
+
+# -- Nelder-Mead: the array descent against the generator it replaced ----------------------
+
+
+def reference_simplex_descent(x0, cfg):
+    """One descent as a generator: yields each (k, dim) array of points it needs, is sent
+    their k values, and returns its FitResult (the descent ``lockstep_nelder_mead`` runs)."""
+    x0 = np.asarray(x0, dtype=float)
+    dim = x0.size
+    verts = [x0.copy()]
+    for i in range(dim):
+        v = x0.copy()
+        step = cfg.initial_simplex_scale * (abs(v[i]) if v[i] != 0.0 else 1.0)
+        v[i] += step
+        verts.append(v)
+    verts = np.array(verts)
+    fvals = np.array((yield verts), dtype=float)
+    if not math.isfinite(fvals[0]):
+        raise NumericalError(f"objective is not finite at the starting point ({fvals[0]})")
+
+    iterations = 0
+    converged = False
+    trace = []
+    while iterations < cfg.max_iter:
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
+        trace.append(float(fvals[0]))
+        spread = fvals[-1] - fvals[0]
+        diameter = np.max(np.abs(verts[1:] - verts[0])) if dim > 0 else 0.0
+        if spread < cfg.ftol and diameter < cfg.xtol:
+            converged = True
+            break
+        iterations += 1
+        centroid = verts[:-1].mean(axis=0)
+        reflected = centroid + 1.0 * (centroid - verts[-1])
+        (f_r,) = yield reflected[None, :]
+        if f_r < fvals[0]:
+            expanded = centroid + 2.0 * (centroid - verts[-1])
+            (f_e,) = yield expanded[None, :]
+            if f_e < f_r:
+                verts[-1], fvals[-1] = expanded, f_e
+            else:
+                verts[-1], fvals[-1] = reflected, f_r
+        elif f_r < fvals[-2]:
+            verts[-1], fvals[-1] = reflected, f_r
+        else:
+            if f_r < fvals[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (verts[-1] - centroid)
+            (f_c,) = yield contracted[None, :]
+            if f_c < min(f_r, fvals[-1]):
+                verts[-1], fvals[-1] = contracted, f_c
+            else:
+                for j in range(1, dim + 1):
+                    verts[j] = verts[0] + 0.5 * (verts[j] - verts[0])
+                fvals[1:] = yield verts[1:]
+
+    order = np.argsort(fvals, kind="stable")
+    best = order[0]
+    return FitResult(theta_hat=verts[best].copy(), nll=float(fvals[best]), iterations=iterations,
+                     converged=converged, trace=trace)
+
+
+class ReferenceDescents:
+    """The descents of one fit, one generator per distinct start."""
+
+    def __init__(self, starts, cfg):
+        self.starts = [np.asarray(x0, dtype=float) for x0 in starts]
+        self.distinct = {}
+        for x0 in self.starts:
+            self.distinct.setdefault(x0.tobytes(), x0)
+        self.runs = [reference_simplex_descent(x0, cfg) for x0 in self.distinct.values()]
+        self.pending = [next(run) for run in self.runs]
+        self.results = [None] * len(self.runs)
+        self.error = None
+        self.evaluations = self.barrier_hits = self.sentinel_hits = 0
+
+    def advance(self, i, values):
+        self.evaluations += values.size
+        self.barrier_hits += int(np.count_nonzero((values >= 1e8) & (values < 1e12)))
+        self.sentinel_hits += int(np.count_nonzero(values >= 1e12))
+        try:
+            self.pending[i] = self.runs[i].send(values)
+        except StopIteration as done:
+            self.results[i], self.pending[i] = done.value, None
+        except NumericalError as exc:
+            self.error = exc
+
+    def outcome(self):
+        if self.error is not None:
+            return self.error
+        best = None
+        for result in self.results:
+            if best is None or result.nll < best.nll:
+                best = result
+        best.evaluations, best.barrier_hits = self.evaluations, self.barrier_hits
+        best.sentinel_hits = self.sentinel_hits
+        record_of = {
+            key: (r.nll, r.iterations, r.converged) for key, r in zip(self.distinct, self.results)
+        }
+        best.restarts = [RestartRecord(x0, *record_of[x0.tobytes()]) for x0 in self.starts]
+        return best
+
+
+def reference_lockstep(batch_objective, starts, cfgs):
+    """``lockstep_nelder_mead`` as a loop over the descents' generators."""
+    fits = [ReferenceDescents(fit_starts, cfg) for fit_starts, cfg in zip(starts, cfgs)]
+    while True:
+        live = [(f, i) for f, fit in enumerate(fits) if fit.error is None
+                for i, points in enumerate(fit.pending) if points is not None]
+        if not live:
+            return [fit.outcome() for fit in fits]
+        points = [fits[f].pending[i] for f, i in live]
+        tags = np.repeat([f for f, _ in live], [len(p) for p in points])
+        values = np.asarray(batch_objective(np.concatenate(points), tags), dtype=float)
+        offset = 0
+        for (f, i), asked in zip(live, points):
+            if fits[f].error is None:
+                fits[f].advance(i, values[offset : offset + len(asked)])
+            offset += len(asked)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_lockstep_equals_reference(batch_objective, starts, cfgs):
+    """Both drivers ask for the same points in the same rounds and end every fit alike.
+    Returns the rounds' (points, fits)."""
+    calls = {"got": [], "want": []}
+
+    def recording(side):
+        def objective(points, fits):
+            calls[side].append((points.copy(), np.asarray(fits).copy()))
+            return batch_objective(points, fits)
+        return objective
+
+    got = lockstep_nelder_mead(recording("got"), starts, cfgs)
+    want = reference_lockstep(recording("want"), starts, cfgs)
+    assert len(calls["got"]) == len(calls["want"])
+    for (points, fits), (ref_points, ref_fits) in zip(calls["got"], calls["want"]):
+        assert points.shape == ref_points.shape and bits(points) == bits(ref_points)
+        assert fits.tolist() == ref_fits.tolist()
+    assert len(got) == len(want) == len(starts)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, NumericalError):
+            assert str(a) == str(b)
+            continue
+        assert bits(a.theta_hat) == bits(b.theta_hat) and bits([a.nll]) == bits([b.nll])
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert type(a.iterations) is int and type(a.converged) is bool
+        assert bits(a.trace) == bits(b.trace) and all(type(v) is float for v in a.trace)
+        assert (a.evaluations, a.barrier_hits, a.sentinel_hits) == (
+            b.evaluations, b.barrier_hits, b.sentinel_hits)
+        assert len(a.restarts) == len(b.restarts)
+        for r, s in zip(a.restarts, b.restarts):
+            assert bits(r.start) == bits(s.start) and bits([r.nll]) == bits([s.nll])
+            assert (r.iterations, r.converged) == (s.iterations, s.converged)
+    return calls["got"]
+
+
+def rugged(points, fits):
+    """A bowl per fit with a barrier plateau, a sentinel band, a NaN band and an inf spot,
+    so values tie, and comparisons meet NaN and inf."""
+    points = np.asarray(points)
+    centre = 0.3 + 0.1 * np.asarray(fits)[:, None]
+    values = ((points - centre) ** 2 * np.arange(1, points.shape[1] + 1)).sum(axis=1)
+    first = points[:, 0]
+    values = np.where(first < -0.5, 1e8 * (1.0 - first), values)
+    values = np.where(first > 1.5, 1e12, values)
+    values = np.where((first > 0.9) & (first < 1.0), np.nan, values)
+    return np.where((first > 1.1) & (first < 1.2), np.inf, values)
+
+
+def plateau(points, fits):
+    """Flat terraces: contractions fail and the simplex shrinks."""
+    points = np.asarray(points)
+    return np.floor(4.0 * np.abs(points - 0.2)).sum(axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_array_descent_equals_generator_on_toy_objectives(dim):
+    rng = np.random.default_rng(dim)
+    starts = [[rng.uniform(-1.0, 0.8, dim) for _ in range(3)] for _ in range(4)]
+    # these cross the inf and NaN bands on their way down
+    starts[0][1][0], starts[1][1][0], starts[2][2][0] = 1.4, 1.3, 1.05
+    starts[0][0][:] = 0.0  # zero entries step by the scale itself
+    starts[1].append(starts[1][0].copy())  # a repeated start shares its descent
+    starts[2][1] = np.full(dim, -0.9)  # on the barrier
+    starts[3][0][0] = 1.7  # in the sentinel band
+    cfgs = [FitConfig(max_iter=400), FitConfig(max_iter=1), FitConfig(max_iter=60, ftol=1e-3,
+            xtol=1e-2, initial_simplex_scale=0.5), FitConfig(max_iter=250, ftol=1e-12)]
+    calls = assert_lockstep_equals_reference(rugged, starts, cfgs)
+    values = np.concatenate([rugged(points, fits) for points, fits in calls])
+    assert np.isnan(values).any() and np.isinf(values).any()
+    result = lockstep_nelder_mead(rugged, starts, cfgs)
+    assert result[0].converged and result[1].iterations == 1 and not result[1].converged
+    assert result[2].barrier_hits > 0 and result[3].sentinel_hits > 0
+    assert len(result[1].restarts) == 4
+
+
+def test_array_descent_shrinks_like_the_generator():
+    x0 = np.array([1.3, -0.7, 2.1])
+    calls = assert_lockstep_equals_reference(plateau, [[x0]], [FitConfig(max_iter=80)])
+    sizes = [len(points) for points, _ in calls]
+    assert sizes[0] == 4 and sizes.count(3) >= 3  # the start, then shrinks of 3 vertices
+    calls = assert_lockstep_equals_reference(plateau, [[x0], [x0 + 1.0, x0]],
+                                             [FitConfig(max_iter=80)] * 2)
+    assert any(len(points) > 3 and len(points) != 4 + 8 for points, _ in calls[1:])
+
+
+def test_array_descent_contracts_toward_a_nan_vertex():
+    """A NaN vertex sorts last; a contraction is then judged against the reflected value
+    alone, as Python's min(f_r, nan) gives f_r."""
+    def objective(points, fits):
+        x = np.asarray(points)[:, 0]
+        return np.where((x > 1.06) & (x < 1.15), np.nan, (x - 1.2) ** 2)
+
+    x0 = np.array([1.0])  # the second vertex, 1.1, is NaN; reflected 0.9, contracted 1.05
+    calls = assert_lockstep_equals_reference(objective, [[x0], [x0 + 0.5]], [FitConfig()] * 2)
+    assert bits(calls[2][0][0]) == bits([1.05])
+    assert lockstep_nelder_mead(objective, [[x0]], [FitConfig()])[0].converged
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_non_finite_start_ends_its_fit_only(bad):
+    def objective(points, fits):
+        values = rugged(points, fits)
+        return np.where(np.all(points == 7.0, axis=1), bad, values)
+
+    starts = [[np.array([0.1, 0.9])], [np.array([0.4, 0.0]), np.full(2, 7.0), np.array([1.0, 1.0])],
+              [np.array([0.5, 0.5]), np.array([0.6, 0.5])]]
+    cfgs = [FitConfig(max_iter=90)] * 3
+    assert_lockstep_equals_reference(objective, starts, cfgs)
+    outcome = lockstep_nelder_mead(objective, starts, cfgs)
+    assert isinstance(outcome[1], NumericalError) and "starting point" in str(outcome[1])
+    assert not isinstance(outcome[0], NumericalError) and outcome[2].iterations > 10
+
+
+def lockstep_fits(spec, datas, restarts, max_iter, seed):
+    """The starts, configs and batched objective of ``spec.fit_all`` on ``datas``."""
+    cfgs = [FitConfig(max_iter=max_iter, seed=seed + f, restarts=restarts)
+            for f in range(len(datas))]
+    starts = [spec.starts(data, cfg) for data, cfg in zip(datas, cfgs)]
+    objective = spec.objective(np.stack(datas))
+    return (lambda points, fits: objective(points, fits)), starts, cfgs
+
+
+def test_array_descent_equals_generator_on_nonparam_4():
+    scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+    grid = cir_spot_grid(CirParams(2.2, 0.077, 1.1), 4)
+    spec = ClassicalFitSpec("nonparam", 4, 4, scheme, grid=grid)
+    assert spec.free_params == 12
+    datas = list(np.random.default_rng(12).integers(0, 4, (3, 60)))
+    objective, starts, cfgs = lockstep_fits(spec, datas, 3, 70, 5)
+    starts[1][2] = starts[1][0].copy()
+    assert_lockstep_equals_reference(objective, starts, cfgs)
+
+
+def test_array_descent_equals_generator_on_qhmm_1_2_3():
+    spec = QhmmFitSpec(AnsatzSpec(1, 2, reps=3, entanglement="full"))
+    assert spec.free_params == 25
+    model = random_qhmm(spec.ansatz, 9)
+    datas = [qhmm_simulate(model, 50, seed) for seed in (1, 2)]
+    objective, starts, cfgs = lockstep_fits(spec, datas, 2, 40, 8)
+    assert_lockstep_equals_reference(objective, starts, cfgs)
+
+
+# -- stacked stationary laws and period matrices against one chain at a time ---------------
+
+
+def reference_is_primitive(probs):
+    n = probs.shape[0]
+    if n == 1:
+        return True
+    pattern = probs > 0.0
+    if not pattern.any(axis=0).all():
+        return False
+    wielandt = (n - 1) * (n - 1) + 1
+    exponent = 1
+    while exponent < wielandt:
+        if pattern.all():
+            return True
+        pattern = (pattern.astype(np.int64) @ pattern.astype(np.int64)) > 0
+        exponent *= 2
+    return bool(pattern.all())
+
+
+def reference_gth(probs):
+    """GTH elimination on one chain, as ``stationary_distribution`` ran it row by row."""
+    if not reference_is_primitive(probs):
+        raise NonConvergenceError("chain is reducible or periodic")
+    p = np.array(probs, dtype=float)
+    for k in range(len(p) - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    pi = np.ones(len(p))
+    for k in range(1, len(p)):
+        pi[k] = pi[:k] @ p[:k, k]
+    return pi / pi.sum()
+
+
+def chain_stack(n, rows, rng, sticky):
+    """Random chains; sticky ones keep 1 - 1e-12 on the diagonal."""
+    p = rng.dirichlet(np.full(n, 0.7), size=(rows, n))
+    if sticky:
+        off = p * (1.0 - np.eye(n))
+        off *= 1e-12 / off.sum(axis=-1, keepdims=True)
+        p = off + np.eye(n) * (1.0 - 1e-12)
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+@pytest.mark.parametrize("sticky", [False, True])
+def test_stacked_gth_equals_gth_per_chain(n, sticky):
+    rng = np.random.default_rng(n + 100 * sticky)
+    p = chain_stack(n, 40, rng, sticky)
+    p[7] = np.eye(n)  # reducible
+    p[21] = np.roll(np.eye(n), 1, axis=1)  # periodic
+    p[30, :, 0] = 0.0  # a state no chain enters: reducible
+    p[30] /= p[30].sum(axis=1, keepdims=True)
+    rows, pi = _gth(p)
+    assert rows.tolist() == [b for b in range(40) if b not in (7, 21, 30)]
+    for r, law in zip(rows, pi):
+        assert bits(law) == bits(reference_gth(p[r]))
+        assert bits(stationary_distribution(TransitionMatrix(p[r]))) == bits(law)
+    for b in (7, 21, 30):
+        with pytest.raises(NonConvergenceError):
+            reference_gth(p[b])
+        with pytest.raises(NonConvergenceError, match="reducible or periodic"):
+            stationary_distribution(TransitionMatrix(p[b]))
+    if sticky:
+        assert np.all(pi > 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_stacked_matrix_power_equals_power_per_chain(n, k):
+    p = chain_stack(n, 64, np.random.default_rng(10 * n + k), sticky=False)
+    powered = np.linalg.matrix_power(p, k)
+    for b in range(len(p)):
+        assert bits(powered[b]) == bits(matrix_power(TransitionMatrix(p[b]), k).probs)
+
+
+def test_stacked_gth_on_preset_period_chains():
+    scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+    spec = ClassicalFitSpec("cir", 16, 4, scheme)
+    thetas = [(2.2, 0.077, 1.1), (0.3, 0.1, 0.3), (8.0, 0.05, 3.0), (0.8, 0.15, 0.4)]
+    a = np.array([spec.model(np.array(t)).a.probs for t in thetas])
+    rows, pi = _gth(a)
+    assert rows.tolist() == [0, 1, 2, 3]
+    for b, t in enumerate(thetas):
+        assert bits(pi[b]) == bits(spec.model(np.array(t)).x0)
+
+
+# -- the buffered forward loop against the loop that allocated at every step ---------------
+
+
+def reference_forward(model, obs, x=None, keep_states=False):
+    """``operators.forward`` with a fresh product and state array at every step."""
+    obs = np.asarray(obs, dtype=np.int64)
+    if obs.ndim != 2:
+        obs = obs.reshape(-1)
+    batched = model.ops.ndim == 4
+    x = np.asarray(model.x0 if x is None else x).reshape(-1, model.out.size)
+    if obs.ndim == 2 and not batched and len(x) == 1 < len(obs):
+        x = np.broadcast_to(x, (len(obs), x.shape[1]))
+    rows, dim = x.shape
+    n_steps = obs.shape[-1]
+    step_ops = model.step_ops
+    if batched:
+        step_ops = step_ops.swapaxes(0, 1)
+    if batched or obs.ndim == 2:
+        x = x[:, None, :]
+    if obs.ndim == 2:
+        blocks = operators._gathered(step_ops, obs, batched)
+    else:
+        blocks = [(slice(None), map(step_ops.__getitem__, obs.tolist()))]
+    probs = np.empty((n_steps, rows))
+    dtype = np.result_type(x, step_ops)
+    states = np.empty((n_steps, rows, dim), dtype) if keep_states else None
+    last = np.empty((rows, dim), dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for block, per_step in blocks:
+            xb, pb = x[block], probs[:, block]
+            sb = states[:, block] if keep_states else None
+            for t, ops in enumerate(per_step):
+                y = xb @ ops
+                p = y[..., -1:].real
+                xb = y[..., :-1] / p
+                pb[t] = p.reshape(-1)
+                if keep_states:
+                    sb[t] = xb.reshape(-1, dim)
+            last[block] = xb.reshape(-1, dim)
+    steps = np.ascontiguousarray(probs.T)
+    alive = steps > operators.MIN_STEP_PROB
+    if not alive.all():
+        dead = ~np.logical_and.accumulate(alive, axis=1)
+        steps[dead] = 0.0
+        last[dead[:, -1]] = 0.0
+        if keep_states:
+            states[dead.T] = 0.0
+    return steps, (states if keep_states else last)
+
+
+def forward_models():
+    """A classical and a quantum batch of six models; in each, models 2 and 4 cannot emit
+    symbol 1, so their rows die where it first appears."""
+    rng = np.random.default_rng(44)
+    classical = [random_classical_hmm(rng, n_states=3, n_obs=3, k=2).operators() for _ in range(6)]
+    spec = AnsatzSpec(1, 1, reps=2)
+    quantum = qhmm_operators(spec, rng.uniform(0.0, 2.0 * math.pi, (6, spec.n_params)),
+                             rng.uniform(0.0, 2.0 * math.pi, (6, 1)))
+    batches = {"classical": operators.stack(classical), "quantum": quantum}
+    for name, model in batches.items():
+        ops = model.ops.copy()
+        ops[[2, 4], 1] = 0.0
+        batches[name] = operators.OperatorModel(model.x0, ops, model.out)
+    return batches
+
+
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+@pytest.mark.parametrize("cap", [None, "rows", "steps"])
+@pytest.mark.parametrize("keep_states", [False, True])
+def test_buffered_forward_equals_per_step_loop(kind, cap, keep_states, monkeypatch):
+    model = forward_models()[kind]
+    op_bytes = model.step_ops[0, 0].nbytes
+    if cap == "rows":  # blocks of two rows, all steps gathered at once
+        monkeypatch.setattr(operators, "GATHER_BYTES", 2 * op_bytes)
+    elif cap == "steps":  # blocks of four rows, gathered five steps at a time
+        monkeypatch.setattr(operators, "GATHER_BYTES", 20 * op_bytes)
+    obs = np.random.default_rng(5).integers(0, 2, (6, 23))
+    obs[:, :3] = 0  # every row lives a few steps
+    obs[2, 3] = 1
+    cases = [(model, obs, None), (model, obs[0], None),
+             (operators.OperatorModel(model.x0[0], model.ops[0], model.out), obs, None),
+             (operators.OperatorModel(model.x0[0], model.ops[0], model.out), obs[3],
+              np.repeat(model.x0[:1], 4, axis=0))]
+    for m, o, x in cases:
+        steps, states = operators.forward(m, o, x, keep_states)
+        want_steps, want_states = reference_forward(m, o, x, keep_states)
+        assert bits(steps) == bits(want_steps)
+        assert states.dtype == want_states.dtype and states.tobytes() == want_states.tobytes()
+    steps = operators.forward(model, obs, None, keep_states)[0]
+    assert np.all(steps[[2, 4]][:, -1] == 0.0) and np.all(steps[[0, 1, 3, 5]] > 0.0)

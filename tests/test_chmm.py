@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_loglik, random_classical_hmm
+from volhmm import operators
 from volhmm.chmm import (
     INDEX_SUM,
     MULTISET,
@@ -18,7 +19,6 @@ from volhmm.chmm import (
     build_integrated_table,
     emission_given_vbar,
     filter_path,
-    forward_step,
     log_likelihood_binned,
     log_likelihood_continuous,
     sequence_probability,
@@ -176,10 +176,16 @@ class TestEmissionMatrix:
         assert np.max(np.abs(e_multi.probs - e_index.probs)) < 1e-12
 
 
+def filter_step(x_prev, hmm, symbol):
+    """One filter update by ``operators.filtered``: (next state law, log-likelihood increment)."""
+    steps, x = operators.filtered(hmm.operators(), [symbol], np.asarray(x_prev)[None, :])
+    return x[0], math.log(steps[0, 0])
+
+
 class TestForwardStep:
     def test_hand_arithmetic(self):
         hmm = hmm_with_emission([[0.8, 0.2], [0.4, 0.6]], a=np.eye(2))
-        x_next, inc = forward_step(np.array([0.5, 0.5]), hmm, 0)
+        x_next, inc = filter_step(np.array([0.5, 0.5]), hmm, 0)
         assert math.exp(inc) == pytest.approx(0.6, rel=1e-14)
         assert x_next == pytest.approx([2.0 / 3.0, 1.0 / 3.0], rel=1e-14)
 
@@ -187,14 +193,14 @@ class TestForwardStep:
         a = rng.dirichlet(np.ones(3), size=3)
         hmm = hmm_with_emission(np.full((3, 2), 0.5), a=a)
         x = rng.dirichlet(np.ones(3))
-        x_next, inc = forward_step(x, hmm, 1)
+        x_next, inc = filter_step(x, hmm, 1)
         assert inc == pytest.approx(math.log(0.5), rel=1e-14)
         assert x_next == pytest.approx(x @ a, rel=1e-12)
 
     def test_point_emission(self, rng):
         a = rng.dirichlet(np.ones(2), size=2)
         hmm = hmm_with_emission(np.eye(2), a=a)
-        x_next, _ = forward_step(np.array([0.3, 0.7]), hmm, 0)
+        x_next, _ = filter_step(np.array([0.3, 0.7]), hmm, 0)
         assert x_next == pytest.approx(a[0], rel=1e-14)
 
 

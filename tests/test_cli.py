@@ -53,6 +53,17 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path / "c.json", experiment={"trials": 1, "n_periods": 0, "seed": 1})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("sigma, message",
+                             [(1e-170, "sigma^2 = 0.0"), (1e200, "sigma^2 = inf")])
+    def test_under_or_overflowing_sigma_exits_2(self, tmp_path, capsys, sigma, message):
+        cfg = write_config(tmp_path / "c.json", dgp={
+            "alpha": 2.2, "beta": 0.077, "sigma": sigma, "n_states": 4, "k": 2, "n_obs": 4})
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "not finite and positive" in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
         doc = json.loads(cfg.read_text())

@@ -457,6 +457,22 @@ class TestBatchObjective:
         assert values[0] == 1e12
         assert values[1] == batch(rows[1:])[0] < 1e8
 
+    @pytest.mark.parametrize("data_kind", ["symbols", "returns"])
+    def test_under_or_overflowing_sigma_row_gets_the_sentinel(self, data_kind):
+        # sigma^2 rounds to 0 at 1e-170 and to inf at 1e200: those rows fail alone
+        scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
+        if data_kind == "symbols":
+            data = np.array([0, 1, 2, 3, 1, 2, 0, 3, 2, 1])
+        else:
+            data = np.random.default_rng(7).normal(0.0, 0.3, 10)
+        rows = np.array([[2.2, 0.077, 1e-170], [2.2, 0.077, 1.1], [2.2, 0.077, 1e200]])
+        spec = cir(4, 2, scheme, data_kind=data_kind)
+        batch = spec.objective(data)
+        values = batch(rows)
+        assert values[0] == values[2] == 1e12
+        assert values[1] == batch(rows[1:2])[0] == scalar_classical_objective(data, spec)(rows[1])
+        assert values[1] < 1e8
+
     def test_returns_row_of_zero_likelihood_gets_the_sentinel(self, monkeypatch):
         grid = SpotGrid(np.array([0.01, 1.0]))
         spec = nonparam(2, 2, grid=grid, data_kind="returns")

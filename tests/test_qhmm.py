@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from volhmm import operators
 from volhmm.errors import ValidationError, ZeroLikelihoodError
 from volhmm.qhmm import (
     AnsatzSpec,
@@ -17,7 +18,6 @@ from volhmm.qhmm import (
     qhmm_sequence_logprob,
     qhmm_sequence_probability,
     qhmm_simulate,
-    qhmm_step,
     random_qhmm,
 )
 
@@ -145,18 +145,25 @@ class TestPartialTrace:
         assert abs(np.trace(reduced.matrix).real - 1.0) < 1e-12
 
 
+def filter_step(rho, model, symbol):
+    """Condition the latent state on one symbol by ``operators.filtered``: (rho_next, prob)."""
+    steps, x = operators.filtered(model.operators(), [symbol], rho.matrix.reshape(1, -1))
+    sigma = x[0].reshape(rho.dim, rho.dim)
+    return DensityMatrix(matrix=0.5 * (sigma + sigma.conj().T)), float(steps[0, 0])
+
+
 class TestQhmmStep:
     def test_hadamard_step(self):
         model = hadamard_channel()
         for symbol in (0, 1):
-            rho_next, prob = qhmm_step(model.rho0, model, symbol)
+            rho_next, prob = filter_step(model.rho0, model, symbol)
             assert prob == pytest.approx(0.5, abs=1e-14)
             assert np.max(np.abs(rho_next.matrix - model.rho0.matrix)) < 1e-14
 
     def test_readout_on_diagonal_state(self):
         model = readout_channel()
         rho = DensityMatrix(matrix=np.diag([0.3, 0.7]).astype(complex))
-        rho_next, prob = qhmm_step(rho, model, 1)
+        rho_next, prob = filter_step(rho, model, 1)
         assert prob == pytest.approx(0.7, abs=1e-14)
         assert rho_next.matrix[1, 1].real == pytest.approx(1.0, abs=1e-14)
 
@@ -165,14 +172,14 @@ class TestQhmmStep:
         # random valid rho: normalized Wishart-style draw
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = DensityMatrix(matrix=(x @ x.conj().T) / np.trace(x @ x.conj().T).real)
-        total = sum(qhmm_step(rho, model, s)[1] for s in range(model.n_obs))
+        total = sum(filter_step(rho, model, s)[1] for s in range(model.n_obs))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_probability_raises(self):
         model = readout_channel()
         rho = DensityMatrix(matrix=np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(ZeroLikelihoodError):
-            qhmm_step(rho, model, 1)
+            filter_step(rho, model, 1)
 
 
 class TestSequenceLogprob:
@@ -212,7 +219,7 @@ class TestSequenceLogprob:
         seq = qhmm_simulate(model, 1000, seed=8)
         rho = model.rho0
         for symbol in seq:
-            rho, _ = qhmm_step(rho, model, int(symbol))
+            rho, _ = filter_step(rho, model, int(symbol))
             assert np.linalg.eigvalsh(rho.matrix).min() > -1e-9
 
 

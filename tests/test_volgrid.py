@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,16 @@ class TestErgodicLaw:
         assert (law.shape, law.rate) == (pytest.approx(1.0), pytest.approx(1.0))
 
 
+    @pytest.mark.parametrize("sigma, what", [(1e-170, "sigma^2 = 0.0"), (1e200, "sigma^2 = inf"),
+                                             (1e-160, "shape 2ab/s^2 = inf")])
+    def test_under_or_overflowing_sigma_rejected(self, sigma, what):
+        p = CirParams(2.2, 0.077, sigma)
+        with pytest.raises(ValidationError, match=re.escape(what)):
+            cir_ergodic_law(p)
+        with pytest.raises(ValidationError, match="is not finite and positive"):
+            cir_transition_matrix(p, cir_spot_grid(SP500, 4), 0.25)
+
+
 class TestSpotGrid:
     def test_rejects_single_state(self):
         with pytest.raises(ValidationError):
@@ -112,6 +123,11 @@ class TestCirTransitionMatrix:
         cdf = stats.ncx2.cdf(2.0 * c * mids[None, :], dof, (2.0 * c * decay * grid.values)[:, None])
         ref = np.diff(np.hstack([np.zeros((16, 1)), cdf, np.ones((16, 1))]), axis=1)
         assert np.max(np.abs(mat.probs - ref)) < 1e-9
+
+    def test_decay_of_one_rejected(self):
+        # alpha dt below the rounding of exp: 1 - e^{-a dt} is 0 and c would divide by it
+        with pytest.raises(ValidationError, match="e\\^\\{-a dt\\}"):
+            cir_transition_matrix(CirParams(1e-20, 0.1, 0.5), cir_spot_grid(SP500, 4), 0.25)
 
     def test_rows_sum_to_one(self):
         grid = cir_spot_grid(SP500, 4)
