@@ -23,7 +23,6 @@ unweighted mean of the member paths' averages).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -194,42 +193,63 @@ class FilterTrace:
     filtered_vbar: np.ndarray  # (T,)
 
 
+def _digits(values: np.ndarray, n: int, k: int, dtype) -> np.ndarray:
+    """(k, len(values)) base-n digits of ``values``, most significant first, as ``dtype``."""
+    out = np.empty((k, len(values)), dtype=dtype)
+    for j in range(k - 1, -1, -1):
+        values, out[j] = np.divmod(values, n)
+    return out
+
+
 @lru_cache(maxsize=32)
 def _path_layout(n_states: int, k: int, mode: str):
     """Substep-path index arrays shared by every table build at (n_states, k, mode).
 
-    Returns (paths, group_ids, n_groups, member_counts, reps, first_ids): paths is the
-    (n_paths, k) array of state-index sequences in lexicographic order, group_ids maps
-    each path to its Vbar column, reps holds each multiset column's sorted path (None for
-    index-sum), and first_ids keys each path by its first state and column,
+    Returns (paths, group_ids, n_groups, member_counts, reps, first_ids) over the paths in
+    lexicographic order, path number p visiting the base-n_states digits of p: paths is the
+    (n_paths, k) array of state-index sequences in index-sum mode (None in multiset mode),
+    group_ids maps each path to its Vbar column, reps holds each multiset column's sorted
+    path (None for index-sum), and first_ids keys each path by its first state and column,
     first_state * n_groups + column.
+
+    A multiset column is keyed by its sorted path read as one base-n_states integer, so the
+    columns rank in the lexicographic order of their sorted paths, and no (n_paths, k)
+    array is formed.
     """
     n_paths = n_states**k
     if n_paths > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{n_states}^{k} = {n_paths} substep paths exceeds the cap {ENUMERATION_CAP}"
         )
-    paths = np.array(list(itertools.product(range(n_states), repeat=k)), dtype=np.int64)
-    reps = None
-    if mode == INDEX_SUM:
-        group_ids = paths.sum(axis=1)
-        n_groups = k * (n_states - 1) + 1
-    elif mode == MULTISET:
-        sorted_paths = np.sort(paths, axis=1)
-        reps, group_ids = np.unique(sorted_paths, axis=0, return_inverse=True)
-        n_groups = math.comb(n_states + k - 1, k)
-        reps = _freeze(reps)
-    else:
+    if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
-    group_ids = np.asarray(group_ids, dtype=np.int64).reshape(-1)
+    index_dtype = np.min_scalar_type(n_paths)  # holds every path number and n_states
+    digits = _digits(np.arange(n_paths, dtype=index_dtype), n_states, k,
+                     np.min_scalar_type(n_states - 1))
+    paths = reps = None
+    if mode == INDEX_SUM:
+        paths = _freeze(digits.T)
+        group_ids = digits.sum(axis=0, dtype=np.int64)
+        n_groups = k * (n_states - 1) + 1
+    else:
+        digits.sort(axis=0)
+        keys = digits[0].astype(index_dtype)
+        for row in digits[1:]:
+            keys *= n_states
+            keys += row
+        column_keys, group_ids = np.unique(keys, return_inverse=True)
+        n_groups = math.comb(n_states + k - 1, k)
+        reps = _freeze(_digits(column_keys.astype(np.int64), n_states, k, np.int64).T)
+    group_ids = group_ids.astype(np.int64, copy=False)
     member_counts = np.bincount(group_ids, minlength=n_groups)
+    first = np.repeat(np.arange(n_states) * n_groups, n_states ** (k - 1))
     return (
-        _freeze(paths),
+        paths,
         _freeze(group_ids),
         n_groups,
         _freeze(member_counts),
         reps,
-        _freeze(paths[:, 0] * n_groups + group_ids),
+        _freeze(first + group_ids),
     )
 
 

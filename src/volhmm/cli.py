@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -552,7 +553,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters (malloc.h)
+
+
+def _keep_block_temporaries_on_heap():
+    """Have glibc's malloc serve allocations up to 2 MB from the heap and trim the heap
+    only when 4 MB are free at its top.
+
+    A model build, filter or draw allocates and frees temporaries of about 1 MB per block
+    (``chmm.BLOCK_BYTES``, ``operators.GATHER_BYTES``). With glibc's defaults each is a
+    fresh mmap, or the heap is trimmed under it, and its pages are faulted in again on
+    every objective call (about 31,000 minor faults per round of the benchmark's cir_fit);
+    glibc raises these thresholds by itself only after freeing a larger chunk, so the
+    cost depended on what had run earlier in the process. A no-op where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 2 * chmm.BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 4 * chmm.BLOCK_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_block_temporaries_on_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -29,8 +29,15 @@ a driver that advances them one at a time, round by round and descent by
 descent; the stacked primitivity check, period matrices and GTH elimination to
 one chain at a time; and the forward loop that reuses its buffers to a loop that
 allocates its product and state at every step.
+
+The substep-path layout (``chmm._path_layout``, built from integer keys) is held
+field by field to the enumeration it replaced: the n^k paths as Python tuples,
+grouped by a row-wise ``np.unique`` of the sorted paths. The chain-product and
+Vbar-table references enumerate their paths that way too, not through the code
+they check.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -121,6 +128,23 @@ def reference_bin_masses(vbar, scheme):
     return out
 
 
+def reference_path_layout(n, k, mode):
+    """(paths, group_ids, n_groups, member_counts, reps, first_ids) of ``chmm._path_layout``
+    from the n^k paths as Python tuples, grouped by a row-wise ``np.unique`` of the sorted
+    paths (multiset) or by the index sum."""
+    paths = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64)
+    reps = None
+    if mode == INDEX_SUM:
+        group_ids = paths.sum(axis=1)
+        n_groups = k * (n - 1) + 1
+    else:
+        reps, group_ids = np.unique(np.sort(paths, axis=1), axis=0, return_inverse=True)
+        group_ids = group_ids.reshape(-1)
+        n_groups = math.comb(n + k - 1, k)
+    member_counts = np.bincount(group_ids, minlength=n_groups)
+    return paths, group_ids, n_groups, member_counts, reps, paths[:, 0] * n_groups + group_ids
+
+
 def reference_chain_products(a_hf, paths):
     return a_hf[paths[:, :-1], paths[:, 1:]].prod(axis=1)
 
@@ -128,7 +152,7 @@ def reference_chain_products(a_hf, paths):
 def reference_group_mass(a_hf, k, mode):
     """g by the n^(k+1) enumeration: each start state's path probabilities a[i,p0] times the
     chain product, grouped into Vbar columns by one bincount per start state."""
-    paths, group_ids, n_groups = _path_layout(a_hf.shape[0], k, mode)[:3]
+    paths, group_ids, n_groups = reference_path_layout(a_hf.shape[0], k, mode)[:3]
     probs = a_hf[:, paths[:, 0]] * reference_chain_products(a_hf, paths)
     g = np.stack([np.bincount(group_ids, weights=row, minlength=n_groups) for row in probs])
     return g / g.sum(axis=1, keepdims=True)
@@ -277,19 +301,39 @@ def test_emission_uneven_edges_and_extreme_variances():
         assert np.array_equal(emission_given_vbar(v, scheme), reference_bin_masses(v, scheme))
 
 
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in (2, 3, 5) for k in (1, 2, 3, 4, 5)] + [(16, 4)]
+)
+@pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
+def test_path_layout_equals_tuple_enumeration(n, k, mode):
+    got = _path_layout(n, k, mode)
+    want = reference_path_layout(n, k, mode)
+    assert got[2] == want[2]
+    for i in (1, 3, 5):
+        assert got[i].dtype == np.int64
+        assert np.array_equal(got[i], want[i])
+    if mode == MULTISET:
+        assert got[0] is None
+        assert got[4].dtype == np.int64
+        assert np.array_equal(got[4], want[4])
+    else:
+        assert got[4] is None
+        assert np.array_equal(got[0], want[0])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
 def test_path_probs_equal_gathered_products(k, mode, rng):
     n = 5
     a_hf = rng.dirichlet(np.ones(n), size=n)
-    paths = _path_layout(n, k, mode)[0]
+    paths = reference_path_layout(n, k, mode)[0]
     assert np.array_equal(_chain_products(a_hf, k), reference_chain_products(a_hf, paths))
 
 
 def test_path_probs_preset():
     p = CirParams(2.2, 0.077, 1.1)
     a_hf = cir_transition_matrix(p, cir_spot_grid(p, 16), 0.25).probs
-    paths = _path_layout(16, 4, MULTISET)[0]
+    paths = reference_path_layout(16, 4, MULTISET)[0]
     assert np.array_equal(_chain_products(a_hf, 4), reference_chain_products(a_hf, paths))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from volhmm.chmm import (
     ClassicalHmm,
     EmissionMatrix,
     IntegratedVolTable,
+    _path_layout,
     build_classical_hmm,
     build_emission_matrix,
     build_integrated_table,
@@ -42,6 +44,18 @@ PHI_M03 = 0.38208857781104736269  # Phi(-0.3), mpmath erf oracle
 
 def uniform_tm(n, dt=1.0):
     return TransitionMatrix(probs=np.full((n, n), 1.0 / n), dt=dt)
+
+
+def cold_layout_peak(build):
+    """tracemalloc peak in bytes of ``build()`` on an empty substep-path layout cache."""
+    _path_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _path_layout.cache_clear()
 
 
 def hmm_with_emission(emission_rows, a=None, x0=None):
@@ -99,6 +113,20 @@ class TestIntegratedTable:
         grid = SpotGrid(values=np.linspace(0.1, 1.0, 30))
         with pytest.raises(EnumerationCapError):
             build_integrated_table(uniform_tm(30, 0.2), grid, 5, MULTISET)
+
+    def test_enumeration_cap_checked_before_any_path_array(self):
+        grid = SpotGrid(values=np.linspace(0.1, 1.0, 30))
+        a_hf = uniform_tm(30, 0.2)
+
+        def build():
+            with pytest.raises(EnumerationCapError):
+                build_integrated_table(a_hf, grid, 5, MULTISET)
+
+        assert cold_layout_peak(build) < 1_000_000
+
+    def test_cold_preset_layout_peak_memory(self):
+        # the (16^4, 4) int64 path array alone would take 2.1 MB; the layout holds 1.2 MB
+        assert cold_layout_peak(lambda: _path_layout(16, 4, MULTISET)) <= 5_000_000
 
 
 class TestEmissionGivenVbar:

@@ -1,9 +1,16 @@
 import csv
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volhmm
 from volhmm import serialize
 from volhmm.chmm import log_likelihood_binned, simulate
 from volhmm.cli import main
@@ -635,3 +642,33 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             serialize.load_model(path)
+
+
+FAULTS_OF_TEN_OBJECTIVE_CALLS = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from volhmm import cli
+    from volhmm.estimate import ClassicalFitSpec
+    from volhmm.volgrid import build_observation_scheme
+
+    cli.main(["bounds", "--config", "missing.json", "--out", "b.json"])  # exits 2, unread
+    spec = ClassicalFitSpec("cir", 16, 4, build_observation_scheme(4, 0.5), data_kind="returns")
+    objective = spec.objective(np.random.default_rng(0).normal(0.0, 0.3, 200))
+    thetas = np.array([[2.2, 0.077, 1.1], [2.0, 0.08, 1.0]])
+    objective(thetas)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        objective(thetas)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_main_keeps_block_temporaries_on_the_heap(tmp_path):
+    """After main() in a fresh process, ten preset cir objective calls on two rows reuse
+    their block temporaries' pages: with glibc's default thresholds they fault them in
+    again on every call (about 7,700 minor faults)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(volhmm.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", FAULTS_OF_TEN_OBJECTIVE_CALLS], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert int(done.stdout.split()[-1]) < 500
