@@ -31,6 +31,7 @@ import numpy as np
 
 from . import operators
 from .errors import EnumerationCapError, ValidationError, ZeroLikelihoodError
+from .specfun import BLOCK_BYTES
 from .volgrid import (
     _ROW_SUM_TOL,
     ObservationScheme,
@@ -43,9 +44,6 @@ from .volgrid import (
 )
 
 ENUMERATION_CAP = 10_000_000
-# chain products of one block of a batched build; weights and ids of one bincount;
-# the Gaussian kernel of one block of returns; the substep maps of one block of a batched draw
-BLOCK_BYTES = 1 << 20
 
 MULTISET = "multiset"
 INDEX_SUM = "index-sum"
@@ -207,10 +205,10 @@ def _path_layout(n_states: int, k: int, mode: str):
 
     Returns (paths, group_ids, n_groups, member_counts, reps, first_ids) over the paths in
     lexicographic order, path number p visiting the base-n_states digits of p: paths is the
-    (n_paths, k) array of state-index sequences in index-sum mode (None in multiset mode),
-    group_ids maps each path to its Vbar column, reps holds each multiset column's sorted
-    path (None for index-sum), and first_ids keys each path by its first state and column,
-    first_state * n_groups + column.
+    (n_paths, k) array of state-index sequences and group_ids maps each path to its Vbar
+    column (both None in multiset mode, where nothing reads them after the build), reps
+    holds each multiset column's sorted path (None for index-sum), and first_ids keys each
+    path by its first state and column, first_state * n_groups + column.
 
     A multiset column is keyed by its sorted path read as one base-n_states integer, so the
     columns rank in the lexicographic order of their sorted paths, and no (n_paths, k)
@@ -245,7 +243,7 @@ def _path_layout(n_states: int, k: int, mode: str):
     first = np.repeat(np.arange(n_states) * n_groups, n_states ** (k - 1))
     return (
         paths,
-        _freeze(group_ids),
+        None if paths is None else _freeze(group_ids),
         n_groups,
         _freeze(member_counts),
         reps,

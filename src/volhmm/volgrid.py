@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError, ValidationError
-from .specfun import GammaLaw, gamma_quantile, noncentral_chi2_mix, reg_inc_gamma_lower
+from .specfun import GammaLaw, gamma_quantile, noncentral_chi2_cdf_grid
 
 _ROW_SUM_TOL = 1e-10
 
@@ -148,12 +148,12 @@ def cir_ergodic_law(p: CirParams) -> GammaLaw:
 
 
 def cir_spot_grid(p: CirParams, n_states: int) -> SpotGrid:
-    """Spot grid at ergodic-law quantiles (i+1)/(n_states+1), i = 0..n_states-1."""
+    """Spot grid at ergodic-law quantiles (i+1)/(n_states+1), i = 0..n_states-1, solved in
+    lockstep by ``specfun.gamma_quantile``."""
     if n_states < 2:
         raise ValidationError(f"need at least 2 hidden states, got {n_states}")
     law = cir_ergodic_law(p)
-    values = [gamma_quantile((i + 1) / (n_states + 1), law) for i in range(n_states)]
-    return SpotGrid(values=np.array(values))
+    return SpotGrid(values=gamma_quantile(np.arange(1, n_states + 1) / (n_states + 1), law))
 
 
 def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> TransitionMatrix:
@@ -164,12 +164,12 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     c = 2a / ((1 - e^{-a dt}) s^2), and m_j are midpoints between neighboring
     grid values (+-infinity at the ends, so rows sum to exactly one).
 
-    F is the Poisson mixture ``specfun.noncentral_chi2_mix``, summed for all of
-    row i's midpoints at once: its terms give, per shape a = dof/2 + j, the
-    incomplete-gamma column P(a, c m) over the midpoints, computed once and
-    shared by every row that visits that shape. Each midpoint sees the same
-    sequence of floating-point operations as ``noncentral_chi2_cdf``. Raises
-    ValidationError where s^2 (1 - e^{-a dt}), c or dof/2 is not finite and positive.
+    The CDF rows come from one ``specfun.noncentral_chi2_cdf_grid`` call: the Poisson
+    terms of every row are walked first, the incomplete-gamma values P(dof/2 + j, c m)
+    of every visited shape and every midpoint are computed in one array pass, and
+    each row sums its mixture in its own walk order. Each entry gets the floats of
+    ``noncentral_chi2_cdf`` at that midpoint. Raises ValidationError where
+    s^2 (1 - e^{-a dt}), c or dof/2 is not finite and positive.
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -177,23 +177,14 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     decay = math.exp(-p.alpha * dt)
     scale = _finite_positive("(1 - e^{-a dt}) s^2", (1.0 - decay) * s2, p)
     c = _finite_positive("the rate c", 2.0 * p.alpha / scale, p)
-    half_dof = _finite_positive("the half dof 2ab/s^2", 0.5 * (4.0 * p.alpha * p.beta / s2), p)
+    dof = 4.0 * p.alpha * p.beta / s2
+    _finite_positive("the half dof 2ab/s^2", 0.5 * dof, p)
     values = grid.values
     n = values.size
     midpoints = 0.5 * (values[:-1] + values[1:])
-    half_x = (0.5 * (2.0 * c * midpoints)).tolist()  # x/2 at x = 2c m, as the scalar CDF forms it
-    columns = {}
-
-    def column(a: float) -> np.ndarray:
-        col = columns.get(a)
-        if col is None:
-            col = columns[a] = np.array([reg_inc_gamma_lower(a, x) for x in half_x])
-        return col
-
-    cdf = np.empty((n, n - 1))
-    for i in range(n):
-        total, _ = noncentral_chi2_mix(half_dof, 0.5 * (2.0 * c * float(values[i]) * decay), column)
-        cdf[i] = np.minimum(1.0, np.maximum(0.0, total))
+    cdf, _ = noncentral_chi2_cdf_grid(
+        2.0 * c * midpoints, dof, [2.0 * c * float(v) * decay for v in values]
+    )
     probs = np.empty((n, n))
     if n == 1:
         probs[0, 0] = 1.0

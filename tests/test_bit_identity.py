@@ -30,6 +30,13 @@ descent; the stacked primitivity check, period matrices and GTH elimination to
 one chain at a time; and the forward loop that reuses its buffers to a loop that
 allocates its product and state at every step.
 
+The incomplete gamma P(a, x), computed for whole arrays of pairs, is held to the
+scalar loops it replaced (the ascending series and the Lentz continued fraction,
+one pair at a time), and the noncentral chi-squared CDF to a term-by-term sum of
+those scalar values; so ``reference_transition``, which reads
+``noncentral_chi2_cdf``, rests on the scalar definitions too. The spot-grid
+quantiles, solved in lockstep, are held to one bracketed Newton loop per quantile.
+
 The substep-path layout (``chmm._path_layout``, built from integer keys) is held
 field by field to the enumeration it replaced: the n^k paths as Python tuples,
 grouped by a row-wise ``np.unique`` of the sorted paths. The chain-product and
@@ -45,7 +52,7 @@ import numpy as np
 import pytest
 
 from conftest import random_classical_hmm
-from volhmm import analysis, chmm, operators
+from volhmm import analysis, chmm, operators, specfun
 from volhmm.chmm import (
     INDEX_SUM,
     MULTISET,
@@ -85,7 +92,16 @@ from volhmm.qhmm import (
     random_qhmm,
 )
 from volhmm.seeds import derive_seed
-from volhmm.specfun import NoncentralChi2Law, gaussian_cdf, noncentral_chi2_cdf
+from volhmm.specfun import (
+    GammaLaw,
+    NoncentralChi2Law,
+    gamma_cdf,
+    gamma_quantile,
+    gaussian_cdf,
+    noncentral_chi2_cdf,
+    poisson_mixture_terms,
+    reg_inc_gamma_lower,
+)
 from volhmm.volgrid import (
     CirParams,
     ObservationScheme,
@@ -93,11 +109,115 @@ from volhmm.volgrid import (
     TransitionMatrix,
     _gth,
     build_observation_scheme,
+    cir_ergodic_law,
     cir_spot_grid,
     cir_transition_matrix,
     matrix_power,
     stationary_distribution,
 )
+
+
+def reference_series(a, x):
+    """(sum, iterations) of the ascending series of P(a, x) / prefactor, one term at a time."""
+    term = 1.0 / a
+    total = term
+    n = a
+    for i in range(1, specfun._incgamma_max_iter(a) + 1):
+        n += 1.0
+        term *= x / n
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            return total, i
+    raise NonConvergenceError(f"incomplete gamma series did not converge for a={a}, x={x}")
+
+
+def reference_continued_fraction(a, x):
+    """Q(a, x) / prefactor by the modified Lentz method, one pair at a time."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, specfun._incgamma_max_iter(a) + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise NonConvergenceError(
+        f"incomplete gamma continued fraction did not converge for a={a}, x={x}"
+    )
+
+
+def reference_reg_inc_gamma_lower(a, x):
+    a, x = float(a), float(x)
+    if x == 0.0:
+        return 0.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        p = reference_series(a, x)[0] * prefactor
+    else:
+        p = 1.0 - reference_continued_fraction(a, x) * prefactor
+    return min(1.0, max(0.0, p))
+
+
+def reference_ncx2_cdf(x, law):
+    """The Poisson mixture summed term by term over scalar incomplete-gamma values."""
+    total = 0.0
+    for j, w in poisson_mixture_terms(0.5 * law.noncentrality)[0]:
+        total += w * reference_reg_inc_gamma_lower(0.5 * law.dof + j, 0.5 * x)
+    return min(1.0, max(0.0, total))
+
+
+def reference_gamma_quantile(p, law):
+    """One quantile by the bracketed Newton loop: doubling bracket from the mean, Newton from
+    its midpoint, bisection where a step leaves the bracket, and the two stopping rules."""
+    lo, hi = 0.0, law.mean
+    while gamma_cdf(hi, law) < p:
+        lo = hi
+        hi *= 2.0
+    x = 0.5 * (lo + hi)
+    a, b = law.shape, law.rate
+    for _ in range(200):
+        f = gamma_cdf(x, law) - p
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        if abs(f) <= 1e-12 and hi - lo <= 1e-12 * max(x, 1e-300):
+            return x
+        deriv = math.exp(a * math.log(b) - math.lgamma(a) + (a - 1.0) * math.log(x) - b * x)
+        step = f / deriv
+        if abs(f) <= 1e-12 and abs(step) <= 1e-12 * x:
+            return x
+        x_new = x - step
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    raise NonConvergenceError(f"no quantile for p={p}")
+
+
+def cir_incomplete_gamma_pairs(p, n_states, dt):
+    """(shapes, half midpoints) of every incomplete-gamma value a CIR transition matrix needs,
+    as a column and a row: dof/2 + j for each Poisson term j some row visits, and c m for
+    each midpoint m."""
+    grid = cir_spot_grid(p, n_states)
+    s2 = p.sigma * p.sigma
+    decay = math.exp(-p.alpha * dt)
+    c = 2.0 * p.alpha / ((1.0 - decay) * s2)
+    half_dof = 0.5 * (4.0 * p.alpha * p.beta / s2)
+    js = sorted({
+        j for v in grid.values
+        for j, _ in poisson_mixture_terms(0.5 * (2.0 * c * float(v) * decay))[0]
+    })
+    midpoints = 0.5 * (grid.values[:-1] + grid.values[1:])
+    return (half_dof + np.array(js, dtype=float))[:, None], (0.5 * (2.0 * c * midpoints))[None, :]
 
 
 def reference_transition(p, grid, dt):
@@ -253,6 +373,11 @@ def _cir_cases():
         ((0.3, 0.1, 0.5), 8, 3e-3),
         ((8.0, 0.05, 3.0), 16, 0.25),  # large sigma: noncentrality near zero
         ((3000.0, 0.1, 1.0), 8, 0.25),  # e^{-alpha dt} underflows: central rows
+        # the cir fit's region: its start on raw returns is (1, var(returns), 0.5)
+        ((1.0, 0.0645605, 0.5), 16, 0.25),
+        ((0.75, 0.09, 0.55), 16, 0.25),
+        ((0.9, 0.06, 0.45), 16, 0.25),
+        ((1.0, 0.08, 0.15), 16, 0.25),  # series past one chunk, pairs past one block
     ]
     return cases
 
@@ -266,6 +391,70 @@ def test_transition_matrix_equals_scalar_cdf_rows(params, n_states, dt):
     grid = cir_spot_grid(p, n_states)
     built = cir_transition_matrix(p, grid, dt)
     assert np.array_equal(built.probs, reference_transition(p, grid, dt).probs)
+
+
+@pytest.mark.parametrize("params,n_states,dt", CIR_CASES)
+def test_incomplete_gamma_pairs_equal_scalar_loops(params, n_states, dt):
+    shapes, half_x = cir_incomplete_gamma_pairs(CirParams(*params), n_states, dt)
+    want = [[reference_reg_inc_gamma_lower(a, x) for x in half_x[0]] for a in shapes[:, 0]]
+    assert np.array_equal(reg_inc_gamma_lower(shapes, half_x), want)
+
+
+def test_transition_cases_reach_the_fraction_and_later_series_chunks():
+    # In the fit's start region some pairs take the continued fraction; in the last case
+    # some series run past the first chunk and the series pairs fill more than one block.
+    shapes, half_x = cir_incomplete_gamma_pairs(CirParams(1.0, 0.0645605, 0.5), 16, 0.25)
+    assert (half_x >= shapes + 1.0).any()
+    pairs = cir_incomplete_gamma_pairs(CirParams(1.0, 0.08, 0.15), 16, 0.25)
+    shapes, half_x = np.broadcast_arrays(*pairs)
+    series = half_x < shapes + 1.0
+    longest = max(reference_series(a, x)[1] for a, x in zip(shapes[series], half_x[series]))
+    assert longest > specfun._SERIES_FIRST_CHUNK
+    assert series.sum() > specfun._SERIES_CHUNK_ITEMS // (specfun._SERIES_FIRST_CHUNK + 1)
+
+
+@pytest.mark.parametrize(
+    "a,x",
+    [
+        (0.28, 0.0), (0.28, 1e-300), (0.28, 1e-8), (0.52, 0.3), (0.52, 1.52), (0.52, 1.5199999),
+        (0.52, 40.0), (1.0, 2.0), (3.5, 4.5), (3.5, 4.4999999), (17.3, 9.0), (17.3, 30.0),
+        (250.0, 240.0), (4519.0, 4519.58), (9321.0, 9321.15), (2.5e4, 2.49e4), (1e-3, 1e-3),
+        (1e-3, 5.0), (80.0, 1e-4),
+    ],
+)
+def test_incomplete_gamma_edge_pairs_equal_scalar_loops(a, x):
+    want = reference_reg_inc_gamma_lower(a, x)
+    assert reg_inc_gamma_lower(a, x) == want
+    got = reg_inc_gamma_lower(np.array([a, a]), np.array([x, 0.5 * x]))
+    assert got[0] == want
+    assert got[1] == reference_reg_inc_gamma_lower(a, 0.5 * x)
+
+
+@pytest.mark.parametrize("params,n_states,dt", CIR_CASES[::3] + CIR_CASES[-4:])
+def test_noncentral_chi2_cdf_equals_term_by_term_scalar_sum(params, n_states, dt):
+    p = CirParams(*params)
+    grid = cir_spot_grid(p, n_states)
+    s2 = p.sigma * p.sigma
+    decay = math.exp(-p.alpha * dt)
+    c = 2.0 * p.alpha / ((1.0 - decay) * s2)
+    midpoints = 0.5 * (grid.values[:-1] + grid.values[1:])
+    for v in grid.values[:: max(1, n_states // 4)]:
+        law = NoncentralChi2Law(dof=4.0 * p.alpha * p.beta / s2, noncentrality=2.0 * c * v * decay)
+        for m in midpoints:
+            assert noncentral_chi2_cdf(2.0 * c * m, law) == reference_ncx2_cdf(2.0 * c * m, law)
+
+
+QUANTILE_LAWS = [GammaLaw(0.28, 40.0 / 11.0)] + [
+    cir_ergodic_law(CirParams(*params)) for params, _, _ in CIR_CASES[::2]
+]
+
+
+@pytest.mark.parametrize("law", QUANTILE_LAWS)
+def test_lockstep_quantiles_equal_one_newton_loop_each(law):
+    ps = np.arange(1, 17) / 17
+    want = [reference_gamma_quantile(p, law) for p in ps.tolist()]
+    assert np.array_equal(gamma_quantile(ps, law), want)
+    assert [gamma_quantile(p, law) for p in ps.tolist()] == want
 
 
 def test_transition_matrix_single_state_row():
@@ -309,16 +498,18 @@ def test_path_layout_equals_tuple_enumeration(n, k, mode):
     got = _path_layout(n, k, mode)
     want = reference_path_layout(n, k, mode)
     assert got[2] == want[2]
-    for i in (1, 3, 5):
+    for i in (3, 5):
         assert got[i].dtype == np.int64
         assert np.array_equal(got[i], want[i])
     if mode == MULTISET:
-        assert got[0] is None
+        assert got[0] is None and got[1] is None
         assert got[4].dtype == np.int64
         assert np.array_equal(got[4], want[4])
     else:
         assert got[4] is None
         assert np.array_equal(got[0], want[0])
+        assert got[1].dtype == np.int64
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

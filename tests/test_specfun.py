@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from volhmm import specfun
 from volhmm.errors import NonConvergenceError
 from volhmm.specfun import (
     POISSON_TAIL_TOL,
@@ -136,6 +137,29 @@ class TestGammaQuantile:
 
     def test_quartile_oracle(self):
         assert gamma_quantile(0.25, SP500_LAW) == pytest.approx(GAMMA_Q_025, rel=1e-9)
+
+    # The preset's ergodic law, and laws of shape < 1 from the cir fit's start on raw returns,
+    # theta = (1, var(returns), 0.5): shape 2 var / 0.25.
+    @pytest.mark.parametrize(
+        "law", [SP500_LAW] + [GammaLaw(8.0 * v, 8.0) for v in (0.0645605, 0.05, 0.08)]
+    )
+    def test_newton_stops_once_converged(self, law, monkeypatch):
+        # One gamma_cdf call per round; the first also evaluates the bracket's end points.
+        calls = []
+
+        def counted(x, law):
+            calls.append(x)
+            return gamma_cdf(x, law)
+
+        monkeypatch.setattr(specfun, "gamma_cdf", counted)
+        for i in range(16):
+            p = (i + 1) / 17
+            calls.clear()
+            q = gamma_quantile(p, law)
+            assert len(calls) <= 20
+            assert abs(gamma_cdf(q, law) - p) <= 1e-12
+            want = stats.gamma.ppf(p, law.shape, scale=1.0 / law.rate)
+            assert q == pytest.approx(want, rel=1e-10)
 
     def test_domain(self):
         for p in [0.0, 1.0, -0.2, 1.7]:
