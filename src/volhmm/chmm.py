@@ -145,10 +145,13 @@ class ClassicalHmm:
 
 
 def _operator_form(emission, a, x0) -> operators.OperatorModel:
-    """x0, diag(e_s) A per symbol and out = 1, of one model or of a batch on the leading axis."""
+    """x0, diag(e_s) A per symbol and out = 1, of one model or of a batch on the leading axis,
+    the operators formed in their step form."""
     e = np.swapaxes(emission, -1, -2)  # row s of e is the emission column e_s
-    ops = e[..., :, :, None] * a[..., None, :, :]
-    return operators.OperatorModel(x0, ops, np.ones(a.shape[-1]))
+    n = a.shape[-1]
+    step_ops = np.empty(e.shape[:-1] + (n, n + 1))
+    np.multiply(e[..., :, :, None], a[..., None, :, :], out=step_ops[..., :-1])
+    return operators.OperatorModel.stepped(x0, step_ops, np.ones(n))
 
 
 @dataclass(frozen=True)

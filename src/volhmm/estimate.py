@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,6 +137,44 @@ class PenaltyConstants:
 
 # What a descent asks for next in ``lockstep_nelder_mead``.
 _START, _REFLECT, _EXPAND, _CONTRACT, _SHRINK, _DONE = range(6)
+# What a round's values make a descent do: nothing (done); start its next iteration with
+# its vertices as they are, with the reflected point or with the trial point as its new
+# worst vertex; ask for the expanded point, for the point contracted toward its worst
+# vertex or toward the reflected point; or shrink its simplex and ask for its vertices.
+_NONE, _HEAD, _USE_R, _USE_T, _ASK_EXPAND, _ASK_CONTRACT, _ASK_INSIDE, _ASK_SHRINK = range(8)
+
+
+@lru_cache(maxsize=1)
+def _outcomes():
+    """(table, next phase, starts a head, bit weights): the outcome of a round for each
+    phase and each set of six comparisons, at entry 64 * phase + (32, 16, 8, 4, 2, 1) .
+    (f_r < f_best, f_r < f_second_worst, f_r < f_worst, f_t < f_r, f_t < f_worst,
+    f_worst < f_r), f_r and f_t being the values of the reflected and the trial point;
+    then, per outcome, the phase it leaves (a head sets the phase of the descents it
+    starts) and whether it starts the next iteration. A comparison with NaN is false, as
+    in the branches of a lone descent."""
+    table = np.empty(6 * 64, dtype=np.int64)
+    for key in range(table.size):
+        phase, bits = divmod(key, 64)
+        better, accept, inside, te, tw, wr = ((bits >> j) & 1 for j in range(5, -1, -1))
+        if phase in (_START, _SHRINK):
+            table[key] = _HEAD
+        elif phase == _REFLECT:
+            table[key] = (_ASK_EXPAND if better else _USE_R if accept
+                          else _ASK_INSIDE if inside else _ASK_CONTRACT)
+        elif phase == _EXPAND:
+            table[key] = _USE_T if te else _USE_R
+        elif phase == _CONTRACT:  # the trial point must beat Python's min(f_r, f_worst)
+            table[key] = _USE_T if (tw if wr else te) else _ASK_SHRINK
+        else:
+            table[key] = _NONE
+    next_phase = np.array([_DONE, _REFLECT, _REFLECT, _REFLECT, _EXPAND, _CONTRACT, _CONTRACT,
+                           _SHRINK])
+    heads = np.array([False, True, True, True, False, False, False, False])
+    tables = table, next_phase, heads, np.array([32, 16, 8, 4, 2, 1])
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 class _Simplices:
@@ -160,6 +199,10 @@ class _Simplices:
         self.verts, self.reflected, self.trial = self.buf[: dim + 1], self.buf[-2], self.buf[-1]
         self.fvals, self.freflected, self.ftrial = (
             self.fbuf[: dim + 1], self.fbuf[-2], self.fbuf[-1])
+        # the worst vertex and the best, second-worst and worst values, once sorted
+        self.worst = self.buf[dim]
+        self.fbest, self.fsecond, self.fworst = (
+            self.fbuf[0], self.fbuf[max(dim - 1, 0)], self.fbuf[dim])
         self.centroid = np.zeros((rows, dim))
         cfgs = [cfgs[f] for f in fit.tolist()]
         self.max_iter = np.array([cfg.max_iter for cfg in cfgs], dtype=np.int64)
@@ -175,19 +218,22 @@ class _Simplices:
         # the number of heads run before, and the array doubles when that reaches its length
         self.trace = np.empty((64, rows))
         self._heads = 0
+        # value rows compared in ``tell``: each with the row below it, as in ``_outcomes``
+        self._lhs = np.array([dim + 1, dim + 1, dim + 1, dim + 2, dim + 2, dim])
+        self._rhs = np.array([0, max(dim - 1, 0), dim, dim + 1, dim, dim + 1])
         self._first = np.array([0, dim + 1, dim + 2, dim + 2, 1]) * rows  # slot asked first
         self._count = np.array([dim + 1, 1, 1, 1, dim])  # points asked, by phase
         self._multi = True  # some descent asks for more than one point
+        self.live, self.live_fits = np.arange(rows), fit  # the unfinished descents, their fits
 
     def ask(self):
         """(points, fits): the points the unfinished descents ask for, descent by descent,
         and the fit of each point; None when every descent is done."""
-        live = np.flatnonzero(self.phase != _DONE)
+        live, fits = self.live, self.live_fits
         if not live.size:
             return None
         phase = self.phase[live]
         at = self._first[phase] + live
-        fits = self.fit[live]
         if self._multi:  # a descent's points are its slots first, first + 1, ...: R apart
             count = self._count[phase]
             offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
@@ -199,63 +245,65 @@ class _Simplices:
     def tell(self, values) -> list:
         """Take the values of the points ``ask`` gave and move every descent that asked on
         to its next request. Returns the descents whose start value is not finite: their
-        fits end, so every descent of those fits stops."""
+        fits end, so every descent of those fits stops.
+
+        Every decision is made on the values as they arrived, before any vertex moves: one
+        comparison of six pairs of value rows per descent, looked up in ``_outcomes``.
+        """
         self.fbuf.reshape(-1)[self._at] = values
-        phase, fvals, f_r, f_t = self.phase, self.fvals, self.freflected, self.ftrial
-        start = phase == _START  # only in the first round, which asks for several points
-        bad = np.flatnonzero(start & ~np.isfinite(fvals[0])).tolist() if self._multi else []
-        reflect = phase == _REFLECT
-        expand = phase == _EXPAND
-        contract = phase == _CONTRACT
-        # every decision on the values as they arrived, before any vertex moves
-        better = reflect & (f_r < fvals[0])
-        accept = reflect & ~better & (f_r < fvals[max(self.dim - 1, 0)])  # the second worst
-        inward = reflect & ~(better | accept)
-        inside = f_r < fvals[-1]
-        take_e = expand & (f_t < f_r)
-        worst = fvals[-1]
-        take_c = contract & (f_t < np.where(worst < f_r, worst, f_r))  # Python's min(f_r, worst)
-        shrink = contract & ~take_c
-        use_r = accept | (expand & ~take_e)
-        use_t = take_e | take_c
-        c, w = self.centroid, self.verts[-1]
-        np.copyto(self.trial, c + 2.0 * (c - w), where=better[:, None])
-        contracted = c + 0.5 * (np.where(inside[:, None], self.reflected, w) - c)
-        np.copyto(self.trial, contracted, where=inward[:, None])
-        np.copyto(w, self.reflected, where=use_r[:, None])
-        np.copyto(worst, f_r, where=use_r)
-        np.copyto(w, self.trial, where=use_t[:, None])
-        np.copyto(worst, f_t, where=use_t)
-        self._multi = bool(shrink.any())
+        phase, f_r, f_t, worst = self.phase, self.freflected, self.ftrial, self.fworst
+        bad = []  # only in the first round, which asks for several points
         if self._multi:
-            rows = np.flatnonzero(shrink)
+            bad = np.flatnonzero((phase == _START) & ~np.isfinite(self.fbest)).tolist()
+        table, next_phase, starts_head, weights = _outcomes()
+        bits = np.dot(weights, self.fbuf[self._lhs] < self.fbuf[self._rhs])
+        outcome = table[64 * phase + bits]
+        counts = np.bincount(outcome, minlength=8).tolist()
+        c, w = self.centroid, self.worst
+        if counts[_ASK_EXPAND]:
+            np.copyto(self.trial, c + 2.0 * (c - w), where=(outcome == _ASK_EXPAND)[:, None])
+        if counts[_ASK_CONTRACT] or counts[_ASK_INSIDE]:
+            toward = np.where((outcome == _ASK_INSIDE)[:, None], self.reflected, w)
+            inward = (outcome == _ASK_CONTRACT) | (outcome == _ASK_INSIDE)
+            np.copyto(self.trial, c + 0.5 * (toward - c), where=inward[:, None])
+        if counts[_USE_R]:
+            use_r = outcome == _USE_R
+            np.copyto(w, self.reflected, where=use_r[:, None])
+            np.copyto(worst, f_r, where=use_r)
+        if counts[_USE_T]:
+            use_t = outcome == _USE_T
+            np.copyto(w, self.trial, where=use_t[:, None])
+            np.copyto(worst, f_t, where=use_t)
+        self._multi = counts[_ASK_SHRINK] > 0
+        if self._multi:
+            rows = (outcome == _ASK_SHRINK).nonzero()[0]
             best = self.verts[0, rows]
             self.verts[1:, rows] = best + 0.5 * (self.verts[1:, rows] - best)
-        heads = start | (phase == _SHRINK) | use_r | use_t
-        phase[better] = _EXPAND
-        phase[inward] = _CONTRACT
-        phase[shrink] = _SHRINK
+        heads = starts_head[outcome]
+        next_phase.take(outcome, out=phase)
         if bad:
             ended = np.isin(self.fit, self.fit[bad])
-            phase[ended] = _DONE
+            self._end(ended)
             heads &= ~ended
-        self._head(np.flatnonzero(heads))
+        self._head(heads.nonzero()[0])
         return bad
 
     def _head(self, rows):
         """The head of an iteration: stop after max_iter iterations; else sort the vertices
         by value (stable), trace the best value, stop once the value spread is below ftol
         and the diameter around the best vertex below xtol, else ask for the reflected
-        point."""
+        point (the phase ``tell`` gave these rows)."""
+        if not rows.size:
+            return
         iterations = self.iterations[rows]
         over = iterations >= self.max_iter[rows]
         if over.any():
-            self.phase[rows[over]] = _DONE
+            self._end(rows[over])
             rows, iterations = rows[~over], iterations[~over]
         if self._heads == len(self.trace):
             self.trace = np.concatenate([self.trace, np.empty_like(self.trace)])
         self._heads += 1
-        order = np.argsort(self.fvals[:, rows], axis=0, kind="stable")
+        order = self.fvals[:, rows].argsort(axis=0, kind="stable")
         fvals = self.fvals[order, rows]
         verts = self.verts[order, rows]
         self.fvals[:, rows], self.verts[:, rows] = fvals, verts
@@ -265,15 +313,21 @@ class _Simplices:
             diameter = np.maximum.reduce(np.abs(verts[1:, done] - verts[0, done]), axis=(0, 2),
                                          initial=0.0)
             done[done] = diameter < self.xtol[rows[done]]
-        if done.any():
-            self.converged[rows[done]] = True
-            self.phase[rows[done]] = _DONE
-            rows, verts = rows[~done], verts[:, ~done]
-        self.iterations[rows] += 1
+            if done.any():
+                self.converged[rows[done]] = True
+                self._end(rows[done])
+                rows, verts, iterations = rows[~done], verts[:, ~done], iterations[~done]
+        self.iterations[rows] = iterations + 1
         centroid = np.add.reduce(verts[:-1], axis=0) / self.dim  # verts[:-1].mean(axis=0)
         self.centroid[rows] = centroid
-        self.reflected[rows] = centroid + 1.0 * (centroid - verts[-1])
-        self.phase[rows] = _REFLECT
+        # centroid + 1.0 * (centroid - worst): a product with 1.0 is exact, so it is left out
+        self.reflected[rows] = centroid + (centroid - verts[-1])
+
+    def _end(self, rows):
+        """Mark these descents done and drop them from the unfinished ones."""
+        self.phase[rows] = _DONE
+        going = self.phase[self.live] != _DONE
+        self.live, self.live_fits = self.live[going], self.live_fits[going]
 
     def results(self) -> list:
         """Per descent, the FitResult of its best vertex (first on ties) and its trace."""
@@ -303,9 +357,10 @@ def lockstep_nelder_mead(batch_objective, starts, cfgs) -> list:
     The call holds the R descents as arrays (``_Simplices``): vertices (dim + 1, R, dim),
     their values, each descent's reflected and expanded or contracted point, and its phase
     (asking for its start vertices, one of those points, or its vertices after a shrink).
-    A round steps them all at once: masks pick each descent's branch, a stable argsort per
-    descent orders its vertices, and a centroid is the same vertex-by-vertex sum a lone
-    descent forms. Each round stacks the points every
+    A round steps them all at once: one table lookup of six value comparisons picks each
+    descent's branch, masks apply the branches present, a stable argsort per descent orders
+    its vertices, and a centroid is the same vertex-by-vertex sum a lone descent forms.
+    Each round stacks the points every
     unfinished descent asks for, descent by descent, into one (B, dim) array and makes one
     ``batch_objective(points, fits)`` call, ``fits[b]`` being the fit that asked for row b,
     which returns their B values. A descent's path depends only on its own values, so it is
@@ -327,17 +382,22 @@ def lockstep_nelder_mead(batch_objective, starts, cfgs) -> list:
     counts = np.zeros((len(starts), 3), dtype=np.int64)  # evaluations by kind
     if x0s:
         simplices = _Simplices(np.array(x0s), np.array(fit_of, dtype=np.int64), cfgs)
+        asked_fits, asked_values = [], []  # counted by kind once the descents end
         while (asked := simplices.ask()) is not None:
             points, fits = asked
             values = np.asarray(batch_objective(points, fits), dtype=float)
-            kind = (values >= _BARRIER).astype(np.int64) + (values >= _OBJECTIVE_FAIL)
-            counts += np.bincount(3 * fits + kind, minlength=counts.size).reshape(counts.shape)
+            asked_fits.append(fits)
+            asked_values.append(values)
             for r in simplices.tell(values):  # the first such descent of a fit reports
                 if errors[fit_of[r]] is None:
                     errors[fit_of[r]] = NumericalError(
                         f"objective is not finite at the starting point ({simplices.fvals[0, r]})"
                     )
         results = simplices.results()
+        values = np.concatenate(asked_values)
+        kind = (values >= _BARRIER).astype(np.int64) + (values >= _OBJECTIVE_FAIL)
+        counts += np.bincount(3 * np.concatenate(asked_fits) + kind,
+                              minlength=counts.size).reshape(counts.shape)
     outcomes = []
     for f, fit_starts in enumerate(starts):
         if errors[f] is not None:
@@ -371,7 +431,7 @@ def nelder_mead(objective, x0, cfg: FitConfig) -> FitResult:
 def _strings(data, sets):
     """What the rows of a batch read of a (F, T) data stack: the one data set they all
     read, or (B, T) with row b's own."""
-    return data[sets[0]] if np.all(sets == sets[0]) else data[sets]
+    return data[sets[0]] if np.logical_and.reduce(sets == sets[0]) else data[sets]
 
 
 def _nll(loglik: np.ndarray) -> np.ndarray:
@@ -382,10 +442,19 @@ def _nll(loglik: np.ndarray) -> np.ndarray:
     return nll
 
 
-def _batch_nll(model: OperatorModel, data) -> np.ndarray:
+def _batch_nll(model: OperatorModel, data, slabs: dict) -> np.ndarray:
     """Negative log-likelihood of ``data`` (one string, or one per model) under each model
-    of a batch (see ``_nll``)."""
-    return _nll(log_prob(forward(model, data)[0]))
+    of a batch (see ``_nll``); the symbols were checked once, by ``_symbol_stack``, and
+    ``slabs`` keeps the forward pass's product slabs for the objective's next call."""
+    return _nll(log_prob(forward(model, data, check=False, slabs=slabs)[0]))
+
+
+def _symbol_stack(data, n_obs: int) -> np.ndarray:
+    """Data sets as a (F, T) stack of symbol strings, checked once for every pass over them."""
+    data = np.atleast_2d(data)
+    if data.size and (data.min() < 0 or data.max() >= n_obs):
+        raise ValidationError(f"data symbols out of range [0, {n_obs})")
+    return data
 
 
 def _check_best(best: FitResult):
@@ -501,28 +570,47 @@ class ClassicalFitSpec(_FitDriver):
 
     def barrier(self, theta):
         """Zero inside the feasible region, a large finite barrier outside it, per parameter
-        row of a (..., dim) array."""
+        row of a (..., dim) array.
+
+        Rows strictly inside (every entry above zero; for nonparam also below one, with each
+        row group summing below one) are zero: a few reductions over the batch find them,
+        and only the other rows, NaN ones among them, are valued (``_violation``).
+        """
         theta = np.asarray(theta, dtype=float)
-        if self.kind == KIND_CIR:
-            violation = np.clip(-theta, 0.0, None).sum(axis=-1)
-            violation = np.where(np.any(theta <= 0.0, axis=-1), np.maximum(violation, 1e-12),
-                                 violation)
-        else:
+        rows = theta.reshape(-1, theta.shape[-1])
+        inside = rows.min(axis=-1) > 0.0
+        sums = None
+        if self.kind == KIND_NONPARAM:
             n = self.n_states
             if theta.shape[-1:] != (n * (n - 1),):
                 raise ValidationError(
                     f"expected {n * (n - 1)} parameters for {n} states, got shape {theta.shape}"
                 )
-            low = np.clip(-theta, 0.0, None).sum(axis=-1)
-            high = np.clip(theta - 1.0, 0.0, None).sum(axis=-1)
-            violation = low + high
-            outside = np.any(theta <= 0.0, axis=-1) | np.any(theta >= 1.0, axis=-1)
-            violation = np.where(outside, np.maximum(violation, 1e-12), violation)
-            sums = theta.reshape(theta.shape[:-1] + (n, n - 1)).sum(axis=-1)
-            row_excess = np.clip(sums - 1.0, 0.0, None).sum(axis=-1)
-            violation = np.where(np.any(sums >= 1.0, axis=-1),
-                                 np.maximum(violation + row_excess, 1e-12), violation)
-        return np.where(violation == 0.0, 0.0, _BARRIER * (1.0 + violation))[()]
+            sums = rows.reshape(len(rows), n, n - 1).sum(axis=-1)
+            inside &= np.maximum(rows.max(axis=-1), sums.max(axis=-1)) < 1.0
+        values = np.zeros(len(rows))
+        if not inside.all():
+            out = (~inside).nonzero()[0]
+            violation = self._violation(rows[out], None if sums is None else sums[out])
+            values[out] = np.where(violation == 0.0, 0.0, _BARRIER * (1.0 + violation))
+        return values.reshape(theta.shape[:-1])[()]
+
+    def _violation(self, theta, sums):
+        """How far each (R, dim) row lies outside the feasible region, given its nonparam
+        row-group sums: 0 inside it, at least 1e-12 on its boundary or outside it, NaN for
+        a NaN row."""
+        if self.kind == KIND_CIR:
+            violation = np.clip(-theta, 0.0, None).sum(axis=-1)
+            return np.where(np.any(theta <= 0.0, axis=-1), np.maximum(violation, 1e-12),
+                            violation)
+        low = np.clip(-theta, 0.0, None).sum(axis=-1)
+        high = np.clip(theta - 1.0, 0.0, None).sum(axis=-1)
+        violation = low + high
+        outside = np.any(theta <= 0.0, axis=-1) | np.any(theta >= 1.0, axis=-1)
+        violation = np.where(outside, np.maximum(violation, 1e-12), violation)
+        row_excess = np.clip(sums - 1.0, 0.0, None).sum(axis=-1)
+        return np.where(np.any(sums >= 1.0, axis=-1),
+                        np.maximum(violation + row_excess, 1e-12), violation)
 
     def _substep(self, theta):
         """Spot grid and substep transition matrix at one parameter vector."""
@@ -573,16 +661,19 @@ class ClassicalFitSpec(_FitDriver):
         filter, which reads no bin masses; a row whose returns have zero likelihood gets
         the failure sentinel.
         """
-        data = np.atleast_2d(data)
         n, k, mode = self.n_states, self.k, self.mode
-        scheme = self.scheme if self.data_kind == "symbols" else None
+        if self.data_kind == "symbols":
+            data, scheme = _symbol_stack(data, self.n_obs), self.scheme
+        else:
+            data, scheme = np.atleast_2d(data), None
         fixed = None if self.kind == KIND_CIR else grid_emissions(self.grid.values, k, scheme, mode)
+        slabs = {}
 
         def objective(thetas, sets=None):
             thetas = np.asarray(thetas, dtype=float)
             sets = np.zeros(len(thetas), dtype=np.int64) if sets is None else np.asarray(sets)
             values = self.barrier(thetas)
-            rows = np.flatnonzero(~(values > 0.0))
+            rows = (~(values > 0.0)).nonzero()[0]
             if self.kind == KIND_CIR:
                 grids, a_hf = [], []
                 for i in rows:
@@ -608,7 +699,8 @@ class ClassicalFitSpec(_FitDriver):
                     models.append(batch.operators())
             if symbol_rows:
                 symbol_rows = np.concatenate(symbol_rows)
-                values[symbol_rows] = _batch_nll(stack(models), _strings(data, sets[symbol_rows]))
+                values[symbol_rows] = _batch_nll(stack(models), _strings(data, sets[symbol_rows]),
+                                                 slabs)
             return values
 
         return objective
@@ -679,14 +771,14 @@ class QhmmFitSpec(_FitDriver):
 
     def objective(self, data):
         """Negative log-likelihood on a (B, dim) batch of packed angles (see ``_FitDriver``)."""
-        data = np.atleast_2d(data)
-        n_init = self.ansatz.latent_qubits
+        data = _symbol_stack(data, self.n_obs)
+        n_init, slabs = self.ansatz.latent_qubits, {}
 
         def objective(packed, sets=None):
             packed = np.asarray(packed, dtype=float)
             sets = np.zeros(len(packed), dtype=np.int64) if sets is None else np.asarray(sets)
             model = qhmm_operators(self.ansatz, packed[:, n_init:], packed[:, :n_init])
-            return _batch_nll(model, _strings(data, sets))
+            return _batch_nll(model, _strings(data, sets), slabs)
 
         return objective
 

@@ -16,6 +16,8 @@ together from (B, T) uniforms, one ``forward`` step per symbol.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +27,8 @@ import numpy as np
 from .errors import ValidationError, ZeroLikelihoodError
 
 MIN_STEP_PROB = 1e-300  # a step probability at or below this counts as zero
-GATHER_BYTES = 1 << 20  # operators a (B, T) pass gathers at once
+GATHER_BYTES = 1 << 20  # operators a (B, T) pass holds at once: the chunk it reads, the next
+SLAB_BYTES, SLABS_KEPT = 1 << 16, 4  # a pass's product slab; slabs a caller's dict keeps
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,23 @@ class OperatorModel:
         its probability in one product."""
         return np.concatenate([self.ops, (self.ops @ self.out)[..., None]], axis=-1)
 
+    @classmethod
+    def stepped(cls, x0, step_ops, out) -> OperatorModel:
+        """The model whose builder wrote its operators into ``step_ops[..., :-1]``. This
+        sets the last column to M_s out, by the product the property forms it with, and
+        keeps ``step_ops`` as the model's step form, its ops a view of it: no second copy."""
+        ops = step_ops[..., :-1]
+        np.matmul(ops, out, out=step_ops[..., -1])
+        model = cls(x0, ops, out)
+        model.__dict__["step_ops"] = step_ops  # the cached property's value
+        return model
+
 
 def stack(models) -> OperatorModel:
     """One batched model from models of one dimension and alphabet, single or batched."""
     models = list(models)
+    if len(models) == 1 and models[0].ops.ndim == 4:
+        return models[0]
     dim = models[0].out.size
     return OperatorModel(
         np.concatenate([m.x0.reshape(-1, dim) for m in models]),
@@ -61,7 +77,8 @@ def stack(models) -> OperatorModel:
     )
 
 
-def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
+def forward(model: OperatorModel, obs, x=None, keep_states: bool = False, check: bool = True,
+            slabs: dict | None = None):
     """Normalised pass of ``obs`` from each row of ``x`` (default x0): (steps, states).
 
     A single model runs every row of x through its operators; a batch runs row b through
@@ -71,14 +88,19 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
     P(s_t | s_1 .. s_{t-1}); states are the normalised (B, D) rows after the last symbol,
     or (T, B, D) after each. Both are 0 from a step <= MIN_STEP_PROB on. A row of a batch,
     or of (B, T) obs, has the floats of its own one-row, one-string pass; the rows of a
-    single model reading one string go through one matrix product.
+    single model reading one string go through one matrix product. ``check=False`` skips
+    the symbol-range check, for callers that checked the symbols once already (a symbol
+    out of range then reads a wrong operator or raises IndexError). ``slabs``, a dict a
+    caller keeps across its passes, holds the product slab of each shape for its next pass
+    (see ``_slab``).
     """
     obs = np.asarray(obs, dtype=np.int64)
     if obs.ndim != 2:
         obs = obs.reshape(-1)
-    if obs.size and (obs.min() < 0 or obs.max() >= model.n_obs):
+    if check and obs.size and (obs.min() < 0 or obs.max() >= model.n_obs):
         raise ValidationError(f"symbols out of range [0, {model.n_obs})")
-    batched = model.ops.ndim == 4
+    step_ops = model.step_ops
+    batched = step_ops.ndim == 4
     x = np.asarray(model.x0 if x is None else x).reshape(-1, model.out.size)
     if obs.ndim == 2 and not batched and len(x) == 1 < len(obs):
         x = np.broadcast_to(x, (len(obs), x.shape[1]))
@@ -86,47 +108,69 @@ def forward(model: OperatorModel, obs, x=None, keep_states: bool = False):
     if obs.ndim == 2 and obs.shape[0] != rows:
         raise ValidationError(f"a (B, T) obs needs a batch of B models or B start rows, got "
                               f"{obs.shape[0]} strings for {rows} rows")
-    n_steps = obs.shape[-1]
-    step_ops = model.step_ops
-    if batched:
-        step_ops = step_ops.swapaxes(0, 1)  # (n_obs, B, D, D + 1)
     if batched or obs.ndim == 2:
         # Row b as a (1, D) matrix against its own operator: the same vector-matrix product
         # as a single model's one-row pass, so a row's floats do not depend on the batch.
         x = x[:, None, :]
     if obs.ndim == 2:
-        blocks = _gathered(step_ops, obs, batched)
+        blocks = _gathered(step_ops.swapaxes(0, 1) if batched else step_ops, obs, batched)
     else:
-        blocks = [(slice(None), map(step_ops.__getitem__, obs.tolist()))]
-    probs = np.empty((n_steps, rows))
+        by_symbol = list(step_ops.swapaxes(0, 1) if batched else step_ops)
+        blocks = [(slice(None), map(by_symbol.__getitem__, obs.tolist()))]
+    n_steps = obs.shape[-1]
     dtype = np.result_type(x, step_ops)
+    steps = np.empty((rows, n_steps))
     states = np.empty((n_steps, rows, dim), dtype) if keep_states else None
     last = np.empty((rows, dim), dtype)
+    matmul, divide = np.matmul, np.divide
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for block, per_step in blocks:
-            xb, pb = x[block], probs[:, block]
-            sb = states[:, block] if keep_states else None
-            # One product buffer [y | p] and one state buffer per block, reused at every step.
-            y = np.empty(xb.shape[:-1] + (dim + 1,), dtype)
-            buf = np.empty(xb.shape, dtype)
-            y_next, p = y[..., :-1], y[..., -1:].real
-            p_row = y.reshape(-1, dim + 1)[:, -1].real
-            for t, ops in enumerate(per_step):
-                np.matmul(xb, ops, out=y)
-                xb = np.divide(y_next, p, out=buf)
-                pb[t] = p_row
-                if keep_states:
-                    sb[t] = buf.reshape(-1, dim)
+            xb, per_step = x[block], iter(per_step)
+            # Each step's product [y | p] goes to its row of a slab of at most SLAB_BYTES,
+            # whose p column is read once per slab; y / p goes to one buffer, or to the states.
+            span = max(1, SLAB_BYTES // max(1, dtype.itemsize * (dim + 1) * (xb.size // dim)))
+            slab, probs, buf, views = _slab(min(span, n_steps), xb.shape, dtype, slabs)
+            for t0 in range(0, n_steps, span):
+                n = min(span, n_steps - t0)
+                outs = (states[t0 : t0 + n, block].reshape((n,) + xb.shape)
+                        if keep_states else itertools.repeat(buf))
+                # the views lead, so the last chunk takes only the steps it has
+                for (y, y_next, p), out, ops in zip(views[:n], outs, per_step):
+                    matmul(xb, ops, y)
+                    xb = divide(y_next, p, out)
+                steps[block, t0 : t0 + n] = probs[:n].T
             last[block] = xb.reshape(-1, dim)
-    steps = np.ascontiguousarray(probs.T)
-    alive = steps > MIN_STEP_PROB  # NaN is dead too
-    if not alive.all():
-        dead = ~np.logical_and.accumulate(alive, axis=1)
+    if not steps.min(initial=np.inf) > MIN_STEP_PROB:  # a NaN step is dead too
+        dead = ~np.logical_and.accumulate(steps > MIN_STEP_PROB, axis=1)
         steps[dead] = 0.0
         last[dead[:, -1]] = 0.0
         if keep_states:
             states[dead.T] = 0.0
     return steps, (states if keep_states else last)
+
+
+def _slab(span, shape, dtype, kept=None):
+    """(slab, probs, buffer, views) for a pass of (..., D) rows of this shape: a
+    (span, ..., D + 1) product slab, its p column as (span, rows), a buffer of the rows'
+    shape, and for each step the slab's row and its [y | p] parts (y, p.real).
+
+    A slab within SLAB_BYTES is kept in the caller's dict ``kept``, when given, for the
+    next pass of its shape (the last SLABS_KEPT shapes used), so that pass's steps make no
+    new view objects; nothing a pass returns is a view of it.
+    """
+    key = (span, shape, dtype)
+    found = None if kept is None else kept.pop(key, None)
+    if found is None:
+        slab = np.empty((span,) + shape[:-1] + (shape[-1] + 1,), dtype)
+        found = (slab, slab[..., -1].real.reshape(span, math.prod(shape[:-1])),
+                 np.empty(shape, dtype),
+                 list(zip(slab, slab[..., :-1], slab[..., -1:].real)))
+        if kept is None or slab.nbytes > SLAB_BYTES:  # over SLAB_BYTES: one step, many rows
+            return found
+        if len(kept) == SLABS_KEPT:
+            del kept[next(iter(kept))]  # the shape used least recently
+    kept[key] = found
+    return found
 
 
 def _gathered(step_ops, obs, batched):
@@ -135,21 +179,22 @@ def _gathered(step_ops, obs, batched):
     stack, or row b's from a batch's (n_obs, B, D, D + 1).
 
     A block holds as many rows as GATHER_BYTES of one step's operators allows (at least
-    one), and its steps are gathered a block at a time, at most GATHER_BYTES each.
+    one), and its steps are gathered a chunk at a time by one ``take``, each chunk at most
+    half of GATHER_BYTES, as the next chunk is taken while the last is still held; the
+    per-step operators are views of those chunks, chained in C.
     """
     rows, n_steps = obs.shape
-    op_bytes = step_ops.itemsize * step_ops.shape[-2] * step_ops.shape[-1]
+    n_obs, shape = step_ops.shape[0], step_ops.shape[-2:]
+    op_bytes = step_ops.itemsize * shape[0] * shape[1]
     per_block = max(1, min(rows, GATHER_BYTES // op_bytes))
-    steps = max(1, GATHER_BYTES // (per_block * op_bytes))
+    span = max(1, GATHER_BYTES // 2 // (per_block * op_bytes))
+    # one take from the flat stack, where row b's operator of symbol s is entry b * n_obs + s
+    flat = (step_ops.swapaxes(0, 1) if batched else step_ops).reshape(-1, *shape)
     for r0 in range(0, rows, per_block):
         block = slice(r0, r0 + per_block)
-        which = (np.arange(rows)[block],) if batched else ()
-        yield block, _steps(step_ops, obs[block], which, steps)
-
-
-def _steps(step_ops, obs, which, steps):
-    for t0 in range(0, obs.shape[1], steps):
-        yield from step_ops[(obs[:, t0 : t0 + steps].T, *which)]
+        index = obs[block].T + np.arange(rows)[block] * n_obs if batched else obs[block].T
+        chunks = (flat.take(index[t0 : t0 + span], axis=0) for t0 in range(0, n_steps, span))
+        yield block, itertools.chain.from_iterable(chunks)
 
 
 def log_prob(steps) -> np.ndarray:

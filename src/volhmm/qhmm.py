@@ -44,6 +44,7 @@ _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-10
 CAUSAL_BREAK_TOL = 1e-10
+_TINY_ANGLE = 1e-100  # at or below it, Rz(b) @ Ry(a) is formed as a matrix product
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -163,44 +164,71 @@ def _check_completeness(kraus: np.ndarray):
 
 
 def _operator_form(kraus: np.ndarray, rho0: np.ndarray) -> operators.OperatorModel:
-    """vec(rho0) and (K_s (x) conj K_s)^T of one model, or of a batch on the leading axis."""
+    """vec(rho0) and (K_s (x) conj K_s)^T of one model, or of a batch on the leading axis,
+    the operators formed in their step form."""
     *batch, n, d, _ = kraus.shape
+    step_ops = np.empty((*batch, n, d * d, d * d + 1), dtype=complex)
     # Entry [(c, e), (a, b)] of operator s is K_s[a, c] conj K_s[b, e].
-    ops = np.einsum("...sac,...sbe->...sceab", kraus, kraus.conj())
-    return operators.OperatorModel(
-        rho0.reshape(*batch, d * d), ops.reshape(*batch, n, d * d, d * d), np.eye(d).ravel()
-    )
+    np.einsum("...sac,...sbe->...sceab", kraus, kraus.conj(),
+              out=step_ops[..., :-1].reshape(*batch, n, d, d, d, d))
+    return operators.OperatorModel.stepped(rho0.reshape(*batch, d * d), step_ops,
+                                           np.eye(d).ravel())
 
 
 def qhmm_operators(spec: AnsatzSpec, theta, theta_init) -> operators.OperatorModel:
     """Operator form of the models of a (B, n_params) batch of circuit angles and a
     (B, latent_qubits) batch of initial-state angles; row b equals
-    ``build_qhmm(spec, theta[b], theta_init[b]).operators()`` bit for bit."""
-    kraus = kraus_from_unitary(build_ansatz_unitary(spec, theta), spec)
-    _check_completeness(kraus)
-    return _operator_form(kraus, _pure_state(spec, theta_init))
+    ``build_qhmm(spec, theta[b], theta_init[b]).operators()`` bit for bit. The cos and
+    sin of both batches' Ry angles come from one libm pass."""
+    layers, theta_init = _layers(spec, theta), _init_angles(spec, theta_init)
+    (cos, sin), (cos0, sin0) = _ry_columns(layers[..., 0, :], theta_init)
+    kraus = kraus_from_unitary(_unitary(spec, cos, sin, layers[..., 1, :]), spec)
+    model = _operator_form(kraus, _pure_state(spec, cos0, sin0))
+    # Completeness read off the step form: M_s vec(I) = conj vec(K_s^dagger K_s), so the
+    # last columns sum to vec(I) over the symbols.
+    completeness = model.step_ops[..., -1].sum(axis=-2)
+    if np.max(np.abs(completeness - model.out), initial=0.0) > _COMPLETENESS_TOL:
+        raise ValidationError("Kraus operators do not satisfy sum K^dagger K = I")
+    return model
 
 
-def _ry_columns(angles) -> tuple:
-    """cos and sin of half of each angle.
+def _ry_columns(*angles) -> list:
+    """(cos, sin) of half of each angle, per array of angles, from one pass over them all.
 
     libm's scalar functions: numpy's SIMD ones may round differently on some CPUs.
     """
-    half = np.asarray(angles, dtype=float) / 2.0
-    flat = half.ravel().tolist()
-    cos = np.array([math.cos(a) for a in flat]).reshape(half.shape)
-    sin = np.array([math.sin(a) for a in flat]).reshape(half.shape)
-    return cos, sin
+    halves = [np.asarray(a, dtype=float) / 2.0 for a in angles]
+    flat = np.concatenate([h.ravel() for h in halves]).tolist()
+    cos = np.fromiter(map(math.cos, flat), float, len(flat))
+    sin = np.fromiter(map(math.sin, flat), float, len(flat))
+    out, start = [], 0
+    for h in halves:
+        stop = start + h.size
+        out.append((cos[start:stop].reshape(h.shape), sin[start:stop].reshape(h.shape)))
+        start = stop
+    return out
 
 
-def _rz_ry(ry_angles, rz_angles) -> np.ndarray:
-    """Rz(b) @ Ry(a) for every angle pair: (...) angles -> (..., 2, 2)."""
-    cos, sin = _ry_columns(ry_angles)
+def _rz_ry(cos, sin, rz_angles) -> np.ndarray:
+    """Rz(b) @ Ry(a) for every angle pair, from cos and sin of a / 2: (...) -> (..., 2, 2).
+
+    Ry is real and Rz diagonal, so entry (i, j) of the product is Rz[i, i] Ry[i, j] plus
+    a term with an exact zero factor. When every sin(a / 2) and every b exceeds _TINY_ANGLE
+    in size, no component of that first product is zero, so the zero term leaves it
+    exactly as it is, and one elementwise product gives the matrix product's floats. Near
+    a zero angle, where the sign of a zero component would rest on the order of the matrix
+    product's sums, the matrix product is formed.
+    """
     ry = np.empty(cos.shape + (2, 2), dtype=complex)
     ry[..., 0, 0], ry[..., 0, 1], ry[..., 1, 0], ry[..., 1, 1] = cos, -sin, sin, cos
+    phases = np.empty(cos.shape + (2,), dtype=complex)
+    np.exp(-0.5j * rz_angles, out=phases[..., 0])
+    np.exp(0.5j * rz_angles, out=phases[..., 1])
+    if (np.abs(sin).min(initial=np.inf) > _TINY_ANGLE
+            and np.abs(rz_angles).min(initial=np.inf) > _TINY_ANGLE):
+        return phases[..., :, None] * ry
     rz = np.zeros_like(ry)
-    rz[..., 0, 0] = np.exp(-0.5j * rz_angles)
-    rz[..., 1, 1] = np.exp(0.5j * rz_angles)
+    rz[..., 0, 0], rz[..., 1, 1] = phases[..., 0], phases[..., 1]
     return rz @ ry
 
 
@@ -243,19 +271,29 @@ def _entangler(spec: AnsatzSpec) -> np.ndarray:
     return _freeze(np.argsort(perm))
 
 
-def _rotation_layer(spec: AnsatzSpec, ry_angles, rz_angles) -> np.ndarray:
-    """Rotation layers, each a kron over qubits of Rz(b) Ry(a): angles (..., n_qubits) give
-    (..., dim, dim), every layer of a stack in one gate pass and one kron chain."""
+def _rotation_layer(spec: AnsatzSpec, cos, sin, rz_angles) -> np.ndarray:
+    """Rotation layers, each a kron over qubits of Rz(b) Ry(a), from cos and sin of a / 2:
+    (..., n_qubits) angles give (..., dim, dim), every layer of a stack in one gate pass
+    and one kron chain."""
     # kron builds most-significant-bit first: latent qubits high to low, then
     # observed qubits high to low.
     order = list(range(spec.latent_qubits - 1, -1, -1)) + [
         spec.latent_qubits + q for q in range(spec.observed_qubits - 1, -1, -1)
     ]
-    gates = _rz_ry(ry_angles, rz_angles)
+    gates = _rz_ry(cos, sin, rz_angles)
     layer = np.ones(gates.shape[:-3] + (1, 1), dtype=complex)
     for q in order:
         layer = _kron(layer, gates[..., q, :, :])
     return layer
+
+
+def _layers(spec: AnsatzSpec, theta) -> np.ndarray:
+    """Circuit angles (..., n_params) as (..., reps + 1, 2, n_qubits): per layer, the Ry
+    then the Rz angle of each qubit."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (spec.n_params,):
+        raise ValidationError(f"expected {spec.n_params} parameters, got shape {theta.shape}")
+    return theta.reshape(theta.shape[:-1] + (spec.reps + 1, 2, spec.n_qubits))
 
 
 def build_ansatz_unitary(spec: AnsatzSpec, theta) -> np.ndarray:
@@ -263,16 +301,19 @@ def build_ansatz_unitary(spec: AnsatzSpec, theta) -> np.ndarray:
 
     theta (..., n_params) gives one unitary per parameter vector, (..., dim, dim).
     """
-    theta = np.asarray(theta, dtype=float)
-    n = spec.n_qubits
-    if theta.shape[-1:] != (spec.n_params,):
-        raise ValidationError(f"expected {spec.n_params} parameters, got shape {theta.shape}")
+    layers = _layers(spec, theta)
+    ((cos, sin),) = _ry_columns(layers[..., 0, :])
+    return _unitary(spec, cos, sin, layers[..., 1, :])
+
+
+def _unitary(spec: AnsatzSpec, cos, sin, rz_angles) -> np.ndarray:
+    """The ansatz unitaries of (..., reps + 1, n_qubits) layer angles, given as cos and sin
+    of half of each Ry angle and the Rz angles."""
     inv_perm = _entangler(spec)
-    layers = theta.reshape(theta.shape[:-1] + (spec.reps + 1, 2, n))
-    rotations = _rotation_layer(spec, layers[..., 0, :], layers[..., 1, :])  # every layer at once
+    rotations = _rotation_layer(spec, cos, sin, rz_angles)  # every layer at once
     u = rotations[..., 0, :, :]
     for r in range(1, spec.reps + 1):
-        u = u[..., inv_perm, :]  # entanglement block (a permutation) applied in place
+        u = u.take(inv_perm, axis=-2)  # entanglement block (a permutation) applied in place
         u = rotations[..., r, :, :] @ u
     return u
 
@@ -282,27 +323,39 @@ def initial_latent_state(spec: AnsatzSpec, theta_init) -> DensityMatrix:
 
     theta_init (..., latent_qubits) gives a (..., d, d) stack of states.
     """
-    return DensityMatrix(matrix=_pure_state(spec, theta_init))
+    ((cos, sin),) = _ry_columns(_init_angles(spec, theta_init))
+    return DensityMatrix(matrix=_pure_state(spec, cos, sin))
 
 
-def _pure_state(spec: AnsatzSpec, theta_init) -> np.ndarray:
-    """The matrices |psi><psi| of ``initial_latent_state``, unchecked: psi is a unit vector,
-    so each is Hermitian, positive semidefinite and of unit trace by construction."""
+def _init_angles(spec: AnsatzSpec, theta_init) -> np.ndarray:
     theta_init = np.asarray(theta_init, dtype=float)
     if theta_init.shape[-1:] != (spec.latent_qubits,):
         raise ValidationError(
             f"expected {spec.latent_qubits} initial-state angles, got shape {theta_init.shape}"
         )
-    cos, sin = _ry_columns(theta_init)
-    column = np.stack([cos, sin], axis=-1).astype(complex)[..., None, :]  # Ry(angle) |0>
-    psi = np.ones(theta_init.shape[:-1] + (1, 1), dtype=complex)
-    for q in range(spec.latent_qubits - 1, -1, -1):
+    return theta_init
+
+
+@lru_cache(maxsize=32)
+def _latent_chain(latent_qubits: int) -> np.ndarray:
+    """Inverse of the basis permutation of the linear CNOT chain on the latent register:
+    psi.take(inv) applies the chain."""
+    pairs = [(q, q + 1) for q in range(latent_qubits - 1)]
+    return _freeze(np.argsort(_cnot_permutation(latent_qubits, pairs, lambda q: q)))
+
+
+def _pure_state(spec: AnsatzSpec, cos, sin) -> np.ndarray:
+    """The matrices |psi><psi| of ``initial_latent_state``, from cos and sin of half of
+    each initial-state angle, unchecked: psi is a unit vector, so each is Hermitian,
+    positive semidefinite and of unit trace by construction."""
+    column = np.empty(cos.shape + (1, 2), dtype=complex)  # Ry(angle) |0>, imaginary parts +0
+    column[..., 0, 0], column[..., 0, 1] = cos, sin
+    # The kron chain from the highest qubit; its first factor is that qubit's column as
+    # it is, the value its product with a leading 1 has (the column's imaginary parts are +0).
+    psi = column[..., -1, :, :]
+    for q in range(spec.latent_qubits - 2, -1, -1):
         psi = _kron(psi, column[..., q, :, :])
-    psi = psi[..., 0, :]
-    pairs = [(q, q + 1) for q in range(spec.latent_qubits - 1)]
-    perm = _cnot_permutation(spec.latent_qubits, pairs, lambda q: q)
-    out = np.zeros_like(psi)
-    out[..., perm] = psi
+    out = psi[..., 0, :].take(_latent_chain(spec.latent_qubits), axis=-1)
     return out[..., :, None] * out.conj()[..., None, :]
 
 
@@ -313,7 +366,7 @@ def kraus_from_unitary(u: np.ndarray, spec: AnsatzSpec) -> np.ndarray:
     if u.shape[-2:] != (d_l * d_o, d_l * d_o):
         raise ValidationError(f"expected unitary of dim {d_l * d_o}, got shape {u.shape}")
     blocks = u.reshape(u.shape[:-2] + (d_l, d_o, d_l, d_o))
-    return np.ascontiguousarray(np.moveaxis(blocks[..., 0], -2, -3))
+    return np.ascontiguousarray(blocks[..., 0].swapaxes(-2, -3))
 
 
 def build_qhmm(spec: AnsatzSpec, theta, theta_init) -> QhmmModel:

@@ -230,7 +230,10 @@ def _is_primitive(probs: np.ndarray) -> np.ndarray:
     the positivity pattern of repeated squares saturates by the Wielandt exponent
     (n-1)^2 + 1."""
     n = probs.shape[-1]
-    pattern = (probs > 0.0).astype(float)
+    positive = probs > 0.0
+    if positive.all():  # a positive matrix is primitive
+        return np.ones(probs.shape[:-2], dtype=bool)
+    pattern = positive.astype(float)
     exponent, wielandt = 1, (n - 1) * (n - 1) + 1
     while exponent < wielandt and not pattern.all():
         pattern = (pattern @ pattern > 0.0).astype(float)  # sums of at most n 0/1 terms: exact
@@ -261,8 +264,8 @@ def _gth(probs: np.ndarray):
     alone, down to the dot product of each back-substitution step, one (1, k) @ (k, 1)
     product per chain.
     """
-    rows = np.flatnonzero(_is_primitive(probs))
-    p = np.array(probs[rows], dtype=float)
+    rows = _is_primitive(probs).nonzero()[0]
+    p = probs[rows].astype(float, copy=False)  # the gather is a copy already
     n = p.shape[-1]
     for k in range(n - 1, 0, -1):
         # Censor state k: its transitions to lower states feed the paths through it.

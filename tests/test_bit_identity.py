@@ -23,6 +23,12 @@ blocked Monte-Carlo KL are held to their per-seed forms: a substep walk with one
 one-string forward step per symbol, and a KL loop that draws and scores one
 trial at a time.
 
+The fixed costs of an objective call are held to the code they replaced, kept as
+``parent_*`` copies and compared byte for byte: the forward pass with its generator
+gather and per-step copy of the step probabilities, the ansatz builder with a matrix
+product per gate and a libm pass per angle array, and the nonparam barrier's formula
+on every row.
+
 The lockstep machinery is held to the code it replaced, bit for bit: the array
 Nelder-Mead (``estimate.lockstep_nelder_mead``) to one generator per descent and
 a driver that advances them one at a time, round by round and descent by
@@ -52,7 +58,7 @@ import numpy as np
 import pytest
 
 from conftest import random_classical_hmm
-from volhmm import analysis, chmm, operators, specfun
+from volhmm import analysis, chmm, operators, qhmm, specfun
 from volhmm.chmm import (
     INDEX_SUM,
     MULTISET,
@@ -1418,3 +1424,389 @@ def test_buffered_forward_equals_per_step_loop(kind, cap, keep_states, monkeypat
         assert states.dtype == want_states.dtype and states.tobytes() == want_states.tobytes()
     steps = operators.forward(model, obs, None, keep_states)[0]
     assert np.all(steps[[2, 4]][:, -1] == 0.0) and np.all(steps[[0, 1, 3, 5]] > 0.0)
+
+
+# -- the objective's fixed costs against the code they replaced ----------------------------
+#
+# Each ``parent_*`` function below is the code the faster version replaced, copied as it
+# was: the forward pass with its generator gather and per-step copy of the step
+# probabilities, the ansatz builder with its per-gate matrix products and its libm pass
+# per angle array, and the nonparam barrier's full formula on every row. The new code
+# must give the same bytes, signed zeros and NaNs included.
+
+
+def parent_gathered(step_ops, obs, batched):
+    rows, n_steps = obs.shape
+    op_bytes = step_ops.itemsize * step_ops.shape[-2] * step_ops.shape[-1]
+    per_block = max(1, min(rows, operators.GATHER_BYTES // op_bytes))
+    steps = max(1, operators.GATHER_BYTES // (per_block * op_bytes))
+    for r0 in range(0, rows, per_block):
+        block = slice(r0, r0 + per_block)
+        which = (np.arange(rows)[block],) if batched else ()
+        yield block, parent_steps(step_ops, obs[block], which, steps)
+
+
+def parent_steps(step_ops, obs, which, steps):
+    for t0 in range(0, obs.shape[1], steps):
+        yield from step_ops[(obs[:, t0 : t0 + steps].T, *which)]
+
+
+def parent_forward(model, obs, x=None, keep_states=False):
+    obs = np.asarray(obs, dtype=np.int64)
+    if obs.ndim != 2:
+        obs = obs.reshape(-1)
+    if obs.size and (obs.min() < 0 or obs.max() >= model.n_obs):
+        raise ValidationError(f"symbols out of range [0, {model.n_obs})")
+    batched = model.ops.ndim == 4
+    x = np.asarray(model.x0 if x is None else x).reshape(-1, model.out.size)
+    if obs.ndim == 2 and not batched and len(x) == 1 < len(obs):
+        x = np.broadcast_to(x, (len(obs), x.shape[1]))
+    rows, dim = x.shape
+    n_steps = obs.shape[-1]
+    step_ops = np.concatenate([model.ops, (model.ops @ model.out)[..., None]], axis=-1)
+    if batched:
+        step_ops = step_ops.swapaxes(0, 1)
+    if batched or obs.ndim == 2:
+        x = x[:, None, :]
+    if obs.ndim == 2:
+        blocks = parent_gathered(step_ops, obs, batched)
+    else:
+        blocks = [(slice(None), map(step_ops.__getitem__, obs.tolist()))]
+    probs = np.empty((n_steps, rows))
+    dtype = np.result_type(x, step_ops)
+    states = np.empty((n_steps, rows, dim), dtype) if keep_states else None
+    last = np.empty((rows, dim), dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for block, per_step in blocks:
+            xb, pb = x[block], probs[:, block]
+            sb = states[:, block] if keep_states else None
+            y = np.empty(xb.shape[:-1] + (dim + 1,), dtype)
+            buf = np.empty(xb.shape, dtype)
+            y_next, p = y[..., :-1], y[..., -1:].real
+            p_row = y.reshape(-1, dim + 1)[:, -1].real
+            for t, ops in enumerate(per_step):
+                np.matmul(xb, ops, out=y)
+                xb = np.divide(y_next, p, out=buf)
+                pb[t] = p_row
+                if keep_states:
+                    sb[t] = buf.reshape(-1, dim)
+            last[block] = xb.reshape(-1, dim)
+    steps = np.ascontiguousarray(probs.T)
+    alive = steps > operators.MIN_STEP_PROB
+    if not alive.all():
+        dead = ~np.logical_and.accumulate(alive, axis=1)
+        steps[dead] = 0.0
+        last[dead[:, -1]] = 0.0
+        if keep_states:
+            states[dead.T] = 0.0
+    return steps, (states if keep_states else last)
+
+
+def forward_cases():
+    """(name, model, obs, x) of every kind of pass: one string for every row, (B, T)
+    strings, a single model with B start rows, and batches with a row that dies."""
+    rng = np.random.default_rng(61)
+    classical = operators.stack(
+        [random_classical_hmm(rng, n_states=4, n_obs=3, k=2).operators() for _ in range(5)])
+    spec = AnsatzSpec(1, 2, reps=2)
+    quantum = qhmm_operators(spec, rng.uniform(0.0, 2.0 * math.pi, (5, spec.n_params)),
+                             rng.uniform(0.0, 2.0 * math.pi, (5, 1)))
+    cases = []
+    for name, model, n_obs in (("classical", classical, 3), ("quantum", quantum, 4)):
+        obs = rng.integers(0, n_obs, (5, 40))
+        obs[1, :25] = np.where(obs[1, :25] == 1, 0, obs[1, :25])
+        obs[1, 25] = 1
+        single = operators.OperatorModel(model.x0[0], model.ops[0], model.out)
+        ops = model.ops.copy()
+        ops[1, 1] = 0.0  # row 1 dies at step 25
+        dead = operators.OperatorModel(model.x0, ops, model.out)
+        starts = np.repeat(model.x0[:1], 5, axis=0)
+        cases += [(f"{name}-shared", model, obs[0], None), (f"{name}-strings", model, obs, None),
+                  (f"{name}-one-model-strings", single, obs, None),
+                  (f"{name}-start-rows", single, obs[2], starts),
+                  (f"{name}-start-rows-strings", single, obs, starts),
+                  (f"{name}-dead-row", dead, obs, None),
+                  (f"{name}-dead-row-shared", dead, obs[1], None)]
+    return cases
+
+
+@pytest.mark.parametrize("case", forward_cases(), ids=lambda case: case[0])
+@pytest.mark.parametrize("keep_states", [False, True])
+@pytest.mark.parametrize("cap", [None, 3, 40])
+def test_forward_equals_parent_forward(case, keep_states, cap, monkeypatch):
+    """Every kind of pass, whole and in blocks of 3 and 40 operators, has the parent's
+    bytes; a row that dies has zero steps and states from its first impossible step on."""
+    name, model, obs, x = case
+    if cap is not None:  # operators gathered cap at a time, products kept cap // 2 rows at a time
+        op_bytes = model.step_ops.itemsize * model.step_ops.shape[-2] * model.step_ops.shape[-1]
+        monkeypatch.setattr(operators, "GATHER_BYTES", cap * op_bytes)
+        monkeypatch.setattr(operators, "SLAB_BYTES", cap // 2 * op_bytes // model.out.size)
+    want_steps, want_states = parent_forward(model, obs, x, keep_states)
+    for check in (True, False):
+        steps, states = operators.forward(model, obs, x, keep_states, check=check)
+        assert steps.flags.c_contiguous and steps.tobytes() == want_steps.tobytes()
+        assert states.dtype == want_states.dtype and states.tobytes() == want_states.tobytes()
+    if name.endswith("dead-row"):
+        assert np.all(steps[1, 25:] == 0.0) and np.all(steps[1, :25] > 0.0)
+        assert np.all(steps[[0, 2, 3, 4]] > 0.0)
+
+
+def test_forward_with_kept_slabs_equals_parent_forward():
+    """Passes that keep their product slabs in one dict give the parent's bytes, pass after
+    pass; what a pass returns is its own, and the dict holds at most SLABS_KEPT shapes."""
+    cases = forward_cases()
+    want = [parent_forward(model, obs, x, keep) for _, model, obs, x in cases
+            for keep in (False, True)]
+    slabs = {}
+    for _ in range(3):
+        got = [operators.forward(model, obs, x, keep, slabs=slabs) for _, model, obs, x in cases
+               for keep in (False, True)]
+        for (steps, states), (want_steps, want_states) in zip(got, want):
+            assert steps.tobytes() == want_steps.tobytes()
+            assert states.tobytes() == want_states.tobytes()
+        assert 0 < len(slabs) <= operators.SLABS_KEPT
+        for slab, probs, buf, views in slabs.values():
+            assert slab.nbytes <= operators.SLAB_BYTES and len(views) == len(slab)
+            assert not any(np.shares_memory(slab, a) or np.shares_memory(buf, a)
+                           for pair in got for a in pair)
+
+
+def test_forward_checks_symbols_unless_told_not_to():
+    model = random_classical_hmm(np.random.default_rng(2), n_states=3, n_obs=3, k=1).operators()
+    with pytest.raises(ValidationError, match="out of range"):
+        operators.forward(model, [0, 3, 1])
+    with pytest.raises(ValidationError, match="out of range"):
+        operators.forward(model, [[0, -1]], model.x0[None])
+    steps, _ = operators.forward(model, [0, 2, 1], check=False)
+    assert steps.tobytes() == parent_forward(model, [0, 2, 1])[0].tobytes()
+
+
+def test_stepped_models_equal_concatenated_step_ops():
+    """Both builders write their operators into the step form; it equals the
+    concatenation the cached property forms from the operators."""
+    rng = np.random.default_rng(62)
+    hmms = [random_classical_hmm(rng, n_states=4, n_obs=3, k=2) for _ in range(3)]
+    spec = AnsatzSpec(2, 1, reps=1, entanglement="linear")
+    theta, theta_init = rng.uniform(0.0, 6.0, (4, spec.n_params)), rng.uniform(0.0, 6.0, (4, 2))
+    models = [hmm.operators() for hmm in hmms] + [
+        qhmm_operators(spec, theta, theta_init),
+        build_qhmm(spec, theta[0], theta_init[0]).operators()]
+    for model in models:
+        plain = operators.OperatorModel(model.x0, np.ascontiguousarray(model.ops), model.out)
+        assert model.step_ops.tobytes() == plain.step_ops.tobytes()
+        assert np.shares_memory(model.ops, model.step_ops)
+
+
+def parent_ry_columns(angles):
+    half = np.asarray(angles, dtype=float) / 2.0
+    flat = half.ravel().tolist()
+    cos = np.array([math.cos(a) for a in flat]).reshape(half.shape)
+    sin = np.array([math.sin(a) for a in flat]).reshape(half.shape)
+    return cos, sin
+
+
+def parent_rz_ry(ry_angles, rz_angles):
+    cos, sin = parent_ry_columns(ry_angles)
+    ry = np.empty(cos.shape + (2, 2), dtype=complex)
+    ry[..., 0, 0], ry[..., 0, 1], ry[..., 1, 0], ry[..., 1, 1] = cos, -sin, sin, cos
+    rz = np.zeros_like(ry)
+    rz[..., 0, 0] = np.exp(-0.5j * rz_angles)
+    rz[..., 1, 1] = np.exp(0.5j * rz_angles)
+    return rz @ ry
+
+
+def parent_kron(a, b):
+    *batch, m, n = a.shape
+    p, q = b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*batch, m * p, n * q)
+
+
+def parent_unitary(spec, theta):
+    theta = np.asarray(theta, dtype=float)
+    n = spec.n_qubits
+    pairs = _entanglement_pairs(n, spec.entanglement)
+    inv_perm = np.argsort(_cnot_permutation(n, pairs, lambda q: _bit_position(spec, q)))
+    layers = theta.reshape(theta.shape[:-1] + (spec.reps + 1, 2, n))
+    order = list(range(spec.latent_qubits - 1, -1, -1)) + [
+        spec.latent_qubits + q for q in range(spec.observed_qubits - 1, -1, -1)]
+    gates = parent_rz_ry(layers[..., 0, :], layers[..., 1, :])
+    rotations = np.ones(gates.shape[:-3] + (1, 1), dtype=complex)
+    for q in order:
+        rotations = parent_kron(rotations, gates[..., q, :, :])
+    u = rotations[..., 0, :, :]
+    for r in range(1, spec.reps + 1):
+        u = u[..., inv_perm, :]
+        u = rotations[..., r, :, :] @ u
+    return u
+
+
+def parent_pure_state(spec, theta_init):
+    cos, sin = parent_ry_columns(theta_init)
+    column = np.stack([cos, sin], axis=-1).astype(complex)[..., None, :]
+    psi = np.ones(np.shape(theta_init)[:-1] + (1, 1), dtype=complex)
+    for q in range(spec.latent_qubits - 1, -1, -1):
+        psi = parent_kron(psi, column[..., q, :, :])
+    psi = psi[..., 0, :]
+    pairs = [(q, q + 1) for q in range(spec.latent_qubits - 1)]
+    perm = _cnot_permutation(spec.latent_qubits, pairs, lambda q: q)
+    out = np.zeros_like(psi)
+    out[..., perm] = psi
+    return out[..., :, None] * out.conj()[..., None, :]
+
+
+def parent_qhmm_operators(spec, theta, theta_init):
+    """The parent's operator form, with its step form from the cached property."""
+    kraus = kraus_from_unitary(parent_unitary(spec, theta), spec)
+    rho0 = parent_pure_state(spec, theta_init)
+    *batch, n, d, _ = kraus.shape
+    ops = np.einsum("...sac,...sbe->...sceab", kraus, kraus.conj())
+    return operators.OperatorModel(rho0.reshape(*batch, d * d),
+                                   ops.reshape(*batch, n, d * d, d * d), np.eye(d).ravel())
+
+
+QHMM_OPERATOR_SPECS = [AnsatzSpec(latent, observed, reps=reps, entanglement=entanglement)
+                       for latent, observed, reps in ((1, 2, 3), (2, 1, 2), (2, 2, 1))
+                       for entanglement in ("full", "linear")]
+
+
+@pytest.mark.parametrize("spec", QHMM_OPERATOR_SPECS, ids=str)
+@pytest.mark.parametrize("batch", [1, 8])
+def test_qhmm_operators_equal_parent_builder(spec, batch):
+    rng = np.random.default_rng(batch * spec.n_params)
+    theta = rng.uniform(0.0, 2.0 * math.pi, (batch, spec.n_params))
+    theta_init = rng.uniform(0.0, 2.0 * math.pi, (batch, spec.latent_qubits))
+    got = qhmm_operators(spec, theta, theta_init)
+    want = parent_qhmm_operators(spec, theta, theta_init)
+    for name in ("x0", "ops", "out", "step_ops"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for b in range(batch):  # and each row equals its lone model
+        one = build_qhmm(spec, theta[b], theta_init[b]).operators()
+        assert one.step_ops.tobytes() == got.step_ops[b].tobytes()
+
+
+@pytest.mark.parametrize("spec", QHMM_OPERATOR_SPECS[:2], ids=str)
+def test_qhmm_operators_near_zero_angles_equal_parent_builder(spec):
+    """Angles at and near zero, where a gate's matrix product decides the sign of a zero,
+    take the product; angles just past the threshold, pi and a NaN row take the
+    elementwise gates; each row has the parent's bytes."""
+    rng = np.random.default_rng(7)
+    specials = [0.0, -0.0, 1e-300, -5e-324, 1e-120, 1e-90, math.pi, -math.pi, 2.0 * math.pi]
+    theta = rng.uniform(0.0, 2.0 * math.pi, (len(specials) + 2, spec.n_params))
+    theta_init = rng.uniform(0.0, 2.0 * math.pi, (len(specials) + 2, spec.latent_qubits))
+    for b, angle in enumerate(specials):
+        theta[b, b % spec.n_params] = angle  # one special angle in a random row
+    theta[-2] = 0.0  # every angle zero
+    theta_init[-2] = 0.0
+    theta[-1, 3] = math.nan
+    for rows in ([b] for b in range(len(theta))):
+        got = qhmm_operators(spec, theta[rows], theta_init[rows])
+        want = parent_qhmm_operators(spec, theta[rows], theta_init[rows])
+        assert got.step_ops.tobytes() == want.step_ops.tobytes(), rows
+        assert got.x0.tobytes() == want.x0.tobytes(), rows
+    got = build_ansatz_unitary(spec, theta)
+    assert got.tobytes() == parent_unitary(spec, theta).tobytes()
+    assert initial_latent_state(spec, theta_init[:-1]).matrix.tobytes() == (
+        parent_pure_state(spec, theta_init[:-1]).tobytes())
+
+
+def test_qhmm_operators_check_completeness_on_the_step_form(monkeypatch):
+    """The step form's last columns sum to vec(I) exactly when sum_s K_s^dagger K_s = I;
+    a set that misses it by more than the tolerance fails, as ``QhmmModel`` does."""
+    spec = AnsatzSpec(1, 2, reps=1)
+    rng = np.random.default_rng(64)
+    theta, theta_init = rng.uniform(0.0, 6.0, (3, spec.n_params)), rng.uniform(0.0, 6.0, (3, 1))
+    model = qhmm_operators(spec, theta, theta_init)
+    assert np.abs(model.step_ops[..., -1].sum(axis=-2) - model.out).max() < 1e-14
+    unitary = qhmm._unitary
+    monkeypatch.setattr(qhmm, "_unitary", lambda *args: unitary(*args) * (1.0 + 1e-9))
+    with pytest.raises(ValidationError, match="sum K"):
+        qhmm_operators(spec, theta, theta_init)
+    kraus = kraus_from_unitary(build_ansatz_unitary(spec, theta[0]), spec)  # scaled too
+    with pytest.raises(ValidationError, match="sum K"):
+        QhmmModel(kraus, initial_latent_state(spec, theta_init[0]), spec, theta[0], theta_init[0])
+
+
+def parent_barrier(spec, theta):
+    theta = np.asarray(theta, dtype=float)
+    if spec.kind == "cir":
+        violation = np.clip(-theta, 0.0, None).sum(axis=-1)
+        violation = np.where(np.any(theta <= 0.0, axis=-1), np.maximum(violation, 1e-12),
+                             violation)
+    else:
+        n = spec.n_states
+        low = np.clip(-theta, 0.0, None).sum(axis=-1)
+        high = np.clip(theta - 1.0, 0.0, None).sum(axis=-1)
+        violation = low + high
+        outside = np.any(theta <= 0.0, axis=-1) | np.any(theta >= 1.0, axis=-1)
+        violation = np.where(outside, np.maximum(violation, 1e-12), violation)
+        sums = theta.reshape(theta.shape[:-1] + (n, n - 1)).sum(axis=-1)
+        row_excess = np.clip(sums - 1.0, 0.0, None).sum(axis=-1)
+        violation = np.where(np.any(sums >= 1.0, axis=-1),
+                             np.maximum(violation + row_excess, 1e-12), violation)
+    return np.where(violation == 0.0, 0.0, 1e8 * (1.0 + violation))[()]
+
+
+def barrier_rows(kind, rng):
+    """Feasible, boundary, infeasible, NaN and infinite parameter rows of a cir or a
+    nonparam-3 candidate."""
+    if kind == "cir":
+        rows = [[1.0, 0.1, 0.5], [2.2, 0.077, 1.1], [0.0, 0.1, 0.5], [-0.0, 0.1, 0.5],
+                [1.0, -0.2, 0.5], [-1.0, -2.0, -3.0], [5e-324, 1.0, 1.0], [math.nan, 1.0, 1.0],
+                [math.inf, 1.0, 1.0], [-math.inf, 1.0, 1.0]]
+        return np.array(rows + list(rng.uniform(-0.5, 2.0, (30, 3))))
+    feasible = rng.dirichlet(np.ones(3), size=(30, 3))[..., :2].reshape(30, 6)
+    rows = feasible.copy()
+    rows[1, 0] = 0.0  # boundary entries
+    rows[2, 3] = -0.0
+    rows[3, 5] = 1.0
+    rows[4, :2] = (0.5, 0.5)  # a row group summing to exactly 1
+    rows[5, :2] = (0.75, 0.5)  # a row group summing above 1, its entries inside
+    rows[6] = -rows[6]
+    rows[7, 2] = 1.5
+    rows[8, 4] = math.nan
+    rows[9, 1] = math.inf
+    rows[10, :2] = (math.inf, -math.inf)  # its row group sums to NaN
+    rows[11, 0] = 1.0 - 2.0 ** -53
+    rows[12] = rng.uniform(-0.5, 1.5, 6)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["cir", "nonparam"])
+def test_barrier_equals_parent_formula(kind):
+    scheme = build_observation_scheme(4, 1.0)
+    grid = SpotGrid(np.array([0.05, 0.1, 0.2]))
+    spec = ClassicalFitSpec(kind, 3, 2, scheme, grid=grid)
+    rows = barrier_rows(kind, np.random.default_rng(63))
+    with np.errstate(invalid="ignore"):  # a row group of inf and -inf sums to NaN
+        want = parent_barrier(spec, rows)
+        got = spec.barrier(rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for b in range(len(rows)):  # one row alone, and every split of the batch
+            one = spec.barrier(rows[b])
+            assert type(one) is type(parent_barrier(spec, rows[b])) is np.float64
+            assert np.array([one]).tobytes() == want[b : b + 1].tobytes()
+        for split in (1, 4, 17):
+            parts = [spec.barrier(rows[i : i + split]) for i in range(0, len(rows), split)]
+            assert np.concatenate(parts).tobytes() == want.tobytes()
+        # A (3, 4, dim) stack is valued as its 12 rows: the same floats, though a NaN
+        # row's sign bit may differ from the parent's pass over the 3-D array.
+        stacked = rows[:12].reshape(3, 4, -1)
+        got, want_stacked = spec.barrier(stacked), parent_barrier(spec, stacked)
+        nan = np.isnan(want_stacked)
+        assert got.shape == (3, 4) and np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want_stacked[~nan].tobytes()
+    assert (want == 0.0).sum() > 5 and (want >= 1e8).sum() > 5 and np.isnan(want).any()
+
+
+def test_symbol_objectives_check_the_data_once():
+    scheme = build_observation_scheme(4, 1.0)
+    grid = SpotGrid(np.array([0.05, 0.1, 0.2]))
+    classical = ClassicalFitSpec("nonparam", 3, 2, scheme, grid=grid)
+    quantum = QhmmFitSpec(AnsatzSpec(1, 2, reps=1))
+    for spec in (classical, quantum):
+        with pytest.raises(ValidationError, match="out of range"):
+            spec.objective(np.array([[0, 1, 4]]))
+        with pytest.raises(ValidationError, match="out of range"):
+            spec.objective(np.array([[0, -1, 2], [0, 1, 2]]))
+    returns = ClassicalFitSpec("nonparam", 3, 2, scheme, grid=grid, data_kind="returns")
+    returns.objective(np.array([[-3.0, 0.5, 9.0]]))  # returns are not symbols
