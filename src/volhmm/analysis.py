@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -176,7 +175,12 @@ def llr_experiment(
         _llr_chunk, dgp=dgp, spec_i=spec_i, spec_j=spec_j, n_steps=n_steps, cfg=cfg, seed=seed
     )
     samples = []
-    pool = ProcessPoolExecutor(max_workers=len(chunks)) if len(chunks) > 1 else None
+    pool = None
+    if len(chunks) > 1:
+        # imported here: a one-process run never loads concurrent.futures or multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=len(chunks))
     with pool or nullcontext():
         for chunk in (pool.map if pool else map)(task, chunks):
             for sample in chunk:

@@ -93,10 +93,13 @@ class EmissionMatrix:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValidationError("emission matrix must be 2-d")
-        if np.any(probs < -1e-15):
-            raise ValidationError("emission probabilities must be nonnegative")
+        lo = probs.min()  # nan when an entry is nan
+        if not lo >= -1e-15:
+            raise ValidationError(
+                f"emission probabilities must be finite and nonnegative, got {lo}"
+            )
         row_err = np.max(np.abs(probs.sum(axis=1) - 1.0))
-        if row_err > _ROW_SUM_TOL:
+        if not row_err <= _ROW_SUM_TOL:  # an infinite entry makes it nan or inf
             raise ValidationError(f"emission rows must sum to 1, max error {row_err}")
         object.__setattr__(self, "probs", _freeze(np.clip(probs, 0.0, 1.0)))
 
@@ -126,8 +129,10 @@ class ClassicalHmm:
             raise ValidationError("emission symbol dimension does not match the scheme")
         a = matrix_power(self.a_hf, self.table.k)
         x0 = stationary_distribution(a) if self.x0 is None else np.asarray(self.x0, dtype=float)
-        if x0.shape != (n,) or np.any(x0 < 0.0) or abs(x0.sum() - 1.0) > _ROW_SUM_TOL:
-            raise ValidationError("x0 must be a probability vector over the hidden states")
+        if x0.shape != (n,) or not (x0.min() >= 0.0 and abs(x0.sum() - 1.0) <= _ROW_SUM_TOL):
+            raise ValidationError(
+                f"x0 must be a probability vector over the hidden states, got {x0}"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "x0", _freeze(x0))
 
@@ -211,11 +216,14 @@ def _path_layout(n_states: int, k: int, mode: str):
     (n_paths, k) array of state-index sequences and group_ids maps each path to its Vbar
     column (both None in multiset mode, where nothing reads them after the build), reps
     holds each multiset column's sorted path (None for index-sum), and first_ids keys each
-    path by its first state and column, first_state * n_groups + column.
+    path by its first state and column, first_state * n_groups + column. The arrays are
+    read-only but for group_ids and first_ids, which ``_grouped`` passes to ``np.bincount``:
+    it copies a read-only index array on every call (0.5 MB at the preset).
 
     A multiset column is keyed by its sorted path read as one base-n_states integer, so the
-    columns rank in the lexicographic order of their sorted paths, and no (n_paths, k)
-    array is formed.
+    columns rank in the lexicographic order of their sorted paths: a key's column is the
+    count of distinct keys at or below it, read off one cumsum of a presence table over the
+    n_paths possible keys. No (n_paths, k) array and no sort of the keys is formed.
     """
     n_paths = n_states**k
     if n_paths > ENUMERATION_CAP:
@@ -238,19 +246,25 @@ def _path_layout(n_states: int, k: int, mode: str):
         for row in digits[1:]:
             keys *= n_states
             keys += row
-        column_keys, group_ids = np.unique(keys, return_inverse=True)
+        del digits
+        present = np.zeros(n_paths, dtype=bool)
+        present[keys] = True
+        rank = np.cumsum(present, dtype=index_dtype)  # 1 + column of each present key
+        group_ids = rank.take(keys).astype(np.int64)
+        group_ids -= 1
+        del keys, rank
         n_groups = math.comb(n_states + k - 1, k)
-        reps = _freeze(_digits(column_keys.astype(np.int64), n_states, k, np.int64).T)
-    group_ids = group_ids.astype(np.int64, copy=False)
+        reps = _freeze(_digits(np.flatnonzero(present), n_states, k, np.int64).T)
     member_counts = np.bincount(group_ids, minlength=n_groups)
-    first = np.repeat(np.arange(n_states) * n_groups, n_states ** (k - 1))
+    # path p starts at state p // n^(k-1), so its rows of n^(k-1) paths share one offset
+    first_ids = group_ids.reshape(n_states, -1) + (np.arange(n_states) * n_groups)[:, None]
     return (
         paths,
-        None if paths is None else _freeze(group_ids),
+        None if paths is None else group_ids,
         n_groups,
         _freeze(member_counts),
         reps,
-        _freeze(first + group_ids),
+        first_ids.reshape(-1),
     )
 
 
@@ -312,8 +326,8 @@ def _group_mass(a_hf: np.ndarray, k: int, mode: str) -> np.ndarray:
     """
     *batch, n, _ = a_hf.shape
     _, _, n_groups, _, _, first_ids = _path_layout(n, k, mode)
-    chain = _chain_products(a_hf, k)
-    h = _grouped(chain.reshape(-1, chain.shape[-1]), first_ids, n * n_groups)
+    # the chain products are freed before g is formed
+    h = _grouped(_chain_products(a_hf, k).reshape(-1, n**k), first_ids, n * n_groups)
     g = a_hf @ h.reshape(*batch, n, n_groups)
     g /= g.sum(axis=-1, keepdims=True)
     return g
@@ -333,9 +347,6 @@ def build_integrated_table(
     )
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def _bin_masses(vbar: np.ndarray, scheme: ObservationScheme) -> np.ndarray:
     """(..., n_bins) symbol distribution when the period return is N(0, vbar), per vbar value.
 
@@ -344,7 +355,8 @@ def _bin_masses(vbar: np.ndarray, scheme: ObservationScheme) -> np.ndarray:
     float as the scalar call.
     """
     z = scheme.edges / np.sqrt(vbar)[..., None]
-    cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(float)
+    flat = (-z / math.sqrt(2.0)).ravel().tolist()
+    cdf = 0.5 * np.fromiter(map(math.erfc, flat), float, len(flat)).reshape(z.shape)
     out = np.empty(vbar.shape + (scheme.n_bins,))
     out[..., 0] = cdf[..., 0]
     out[..., 1:-1] = np.diff(cdf, axis=-1)

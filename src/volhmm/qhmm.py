@@ -179,9 +179,16 @@ def qhmm_operators(spec: AnsatzSpec, theta, theta_init) -> operators.OperatorMod
     """Operator form of the models of a (B, n_params) batch of circuit angles and a
     (B, latent_qubits) batch of initial-state angles; row b equals
     ``build_qhmm(spec, theta[b], theta_init[b]).operators()`` bit for bit. The cos and
-    sin of both batches' Ry angles come from one libm pass."""
+    sin of both batches' Ry angles come from one libm pass. An infinite Ry angle, which
+    libm rejects, raises a ValidationError naming it; no other angle is checked here, so
+    a NaN angle or an infinite Rz angle gives NaN operators in its row."""
     layers, theta_init = _layers(spec, theta), _init_angles(spec, theta_init)
-    (cos, sin), (cos0, sin0) = _ry_columns(layers[..., 0, :], theta_init)
+    try:
+        (cos, sin), (cos0, sin0) = _ry_columns(layers[..., 0, :], theta_init)
+    except ValueError:  # math.cos of an infinite Ry angle: name it
+        _finite_angles("theta", theta)
+        _finite_angles("theta_init", theta_init)
+        raise
     kraus = kraus_from_unitary(_unitary(spec, cos, sin, layers[..., 1, :]), spec)
     model = _operator_form(kraus, _pure_state(spec, cos0, sin0))
     # Completeness read off the step form: M_s vec(I) = conj vec(K_s^dagger K_s), so the
@@ -207,6 +214,18 @@ def _ry_columns(*angles) -> list:
         out.append((cos[start:stop].reshape(h.shape), sin[start:stop].reshape(h.shape)))
         start = stop
     return out
+
+
+def _finite_angles(name: str, angles: np.ndarray) -> np.ndarray:
+    """angles as a float array; a ValidationError naming the first entry that is not finite."""
+    angles = np.asarray(angles, dtype=float)
+    bad = np.argwhere(~np.isfinite(angles))
+    if bad.size:
+        at = tuple(bad[0].tolist())
+        raise ValidationError(
+            f"{name}[{', '.join(map(str, at))}] is {angles[at]}: angles must be finite"
+        )
+    return angles
 
 
 def _rz_ry(cos, sin, rz_angles) -> np.ndarray:
@@ -302,6 +321,7 @@ def build_ansatz_unitary(spec: AnsatzSpec, theta) -> np.ndarray:
     theta (..., n_params) gives one unitary per parameter vector, (..., dim, dim).
     """
     layers = _layers(spec, theta)
+    _finite_angles("theta", theta)
     ((cos, sin),) = _ry_columns(layers[..., 0, :])
     return _unitary(spec, cos, sin, layers[..., 1, :])
 
@@ -323,7 +343,7 @@ def initial_latent_state(spec: AnsatzSpec, theta_init) -> DensityMatrix:
 
     theta_init (..., latent_qubits) gives a (..., d, d) stack of states.
     """
-    ((cos, sin),) = _ry_columns(_init_angles(spec, theta_init))
+    ((cos, sin),) = _ry_columns(_finite_angles("theta_init", _init_angles(spec, theta_init)))
     return DensityMatrix(matrix=_pure_state(spec, cos, sin))
 
 

@@ -92,9 +92,9 @@ def classical_from_dict(doc: dict) -> ClassicalHmm:
     a_hf = TransitionMatrix(probs=a_hf, dt=dt_hf)
     scheme = ObservationScheme(edges=edges)
     model = build_classical_hmm(grid, a_hf, k, scheme, mode=mode, x0=x0)
-    if emission.shape != model.emission.probs.shape or np.max(
+    if emission.shape != model.emission.probs.shape or not np.max(
         np.abs(emission - model.emission.probs)
-    ) > _AUDIT_TOL:
+    ) <= _AUDIT_TOL:  # a nan entry fails
         raise ValidationError("stored emission matrix does not match the rebuilt model")
     return model
 
@@ -127,7 +127,7 @@ def qhmm_from_dict(doc: dict) -> QhmmModel:
         reps=_integer, entanglement=_text,
     )
     model = build_qhmm(AnsatzSpec(latent, observed, reps, entanglement), theta, theta_init)
-    if kraus.shape != model.kraus.shape or np.max(np.abs(kraus - model.kraus)) > _AUDIT_TOL:
+    if kraus.shape != model.kraus.shape or not np.max(np.abs(kraus - model.kraus)) <= _AUDIT_TOL:
         raise ValidationError("stored Kraus operators do not match the rebuilt model")
     return model
 

@@ -96,8 +96,11 @@ class TransitionMatrix:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {probs.shape}")
-        if np.any(probs < -1e-15) or np.any(probs > 1.0 + 1e-12):
-            raise ValidationError("transition probabilities must lie in [0, 1]")
+        lo, hi = probs.min(), probs.max()  # nan when an entry is nan
+        if not (lo >= -1e-15 and hi <= 1.0 + 1e-12):
+            raise ValidationError(
+                f"transition probabilities must be finite and lie in [0, 1], got [{lo}, {hi}]"
+            )
         row_err = np.max(np.abs(probs.sum(axis=1) - 1.0))
         if row_err > _ROW_SUM_TOL:
             raise ValidationError(f"rows must sum to 1 within {_ROW_SUM_TOL}, max error {row_err}")

@@ -43,9 +43,11 @@ those scalar values; so ``reference_transition``, which reads
 ``noncentral_chi2_cdf``, rests on the scalar definitions too. The spot-grid
 quantiles, solved in lockstep, are held to one bracketed Newton loop per quantile.
 
-The substep-path layout (``chmm._path_layout``, built from integer keys) is held
-field by field to the enumeration it replaced: the n^k paths as Python tuples,
-grouped by a row-wise ``np.unique`` of the sorted paths. The chain-product and
+The substep-path layout (``chmm._path_layout``, built from integer keys ranked by
+a presence table) is held field by field to the enumeration it replaced: the n^k
+paths as Python tuples, grouped by a row-wise ``np.unique`` of the sorted paths.
+The bin masses (``chmm._bin_masses``, ``math.erfc`` over a list) are held byte for
+byte to the ``np.frompyfunc`` object-array map they replaced (``parent_bin_masses``). The chain-product and
 Vbar-table references enumerate their paths that way too, not through the code
 they check.
 """
@@ -496,8 +498,57 @@ def test_emission_uneven_edges_and_extreme_variances():
         assert np.array_equal(emission_given_vbar(v, scheme), reference_bin_masses(v, scheme))
 
 
+_parent_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def parent_bin_masses(vbar: np.ndarray, scheme: ObservationScheme) -> np.ndarray:
+    """``chmm._bin_masses`` with ``math.erfc`` mapped over a ``np.frompyfunc`` object array."""
+    z = scheme.edges / np.sqrt(vbar)[..., None]
+    cdf = 0.5 * _parent_erfc(-z / math.sqrt(2.0)).astype(float)
+    out = np.empty(vbar.shape + (scheme.n_bins,))
+    out[..., 0] = cdf[..., 0]
+    out[..., 1:-1] = np.diff(cdf, axis=-1)
+    out[..., -1] = 1.0 - cdf[..., -1]
+    return out
+
+
+def assert_bin_masses_equal_parent(vbar, scheme):
+    got = chmm._bin_masses(vbar, scheme)
+    want = parent_bin_masses(vbar, scheme)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("params,n_states,dt", CIR_CASES)
+@pytest.mark.parametrize("n_obs", [2, 4, 7])
+def test_bin_masses_equal_parent_on_cir_grids(params, n_states, dt, n_obs):
+    p = CirParams(*params)
+    values = cir_spot_grid(p, n_states).values
+    scheme = build_observation_scheme(n_obs, 4.0 * math.sqrt(p.beta))
+    for k, mode in ((1, MULTISET), (3, MULTISET), (4, INDEX_SUM)):
+        assert_bin_masses_equal_parent(chmm._vbar_values(values, k, mode), scheme)
+    stacked = np.stack([values, values * 1.5, values / 3.0])  # a batch of grids
+    assert_bin_masses_equal_parent(chmm._vbar_values(stacked, 2, MULTISET), scheme)
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0],  # one edge, at zero
+    [0.37],  # one edge, off zero
+    [-1e-3],
+    [-0.05, 0.0, 0.05],  # an edge at zero among others
+    [-0.9, -0.05, 0.0, 0.3, 2.0],
+    list(np.linspace(-0.2, 0.2, 9)),
+])
+def test_bin_masses_equal_parent_over_a_vbar_sweep(edges):
+    scheme = ObservationScheme(edges=np.array(edges))
+    vbar = np.logspace(-12, 3, 1500)
+    assert_bin_masses_equal_parent(vbar, scheme)
+    assert_bin_masses_equal_parent(vbar.reshape(3, 500), scheme)
+    assert_bin_masses_equal_parent(vbar[:1], scheme)
+
+
 @pytest.mark.parametrize(
-    "n,k", [(n, k) for n in (2, 3, 5) for k in (1, 2, 3, 4, 5)] + [(16, 4)]
+    "n,k", [(n, k) for n in (2, 3, 5) for k in (1, 2, 3, 4, 5)] + [(16, 4), (30, 2), (7, 5)]
 )
 @pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
 def test_path_layout_equals_tuple_enumeration(n, k, mode):
@@ -1688,7 +1739,8 @@ def test_qhmm_operators_equal_parent_builder(spec, batch):
 def test_qhmm_operators_near_zero_angles_equal_parent_builder(spec):
     """Angles at and near zero, where a gate's matrix product decides the sign of a zero,
     take the product; angles just past the threshold, pi and a NaN row take the
-    elementwise gates; each row has the parent's bytes."""
+    elementwise gates; each row has the parent's bytes. The unitary builder, which
+    rejects the NaN row, is compared on the other rows."""
     rng = np.random.default_rng(7)
     specials = [0.0, -0.0, 1e-300, -5e-324, 1e-120, 1e-90, math.pi, -math.pi, 2.0 * math.pi]
     theta = rng.uniform(0.0, 2.0 * math.pi, (len(specials) + 2, spec.n_params))
@@ -1703,10 +1755,12 @@ def test_qhmm_operators_near_zero_angles_equal_parent_builder(spec):
         want = parent_qhmm_operators(spec, theta[rows], theta_init[rows])
         assert got.step_ops.tobytes() == want.step_ops.tobytes(), rows
         assert got.x0.tobytes() == want.x0.tobytes(), rows
-    got = build_ansatz_unitary(spec, theta)
-    assert got.tobytes() == parent_unitary(spec, theta).tobytes()
+    got = build_ansatz_unitary(spec, theta[:-1])
+    assert got.tobytes() == parent_unitary(spec, theta[:-1]).tobytes()
     assert initial_latent_state(spec, theta_init[:-1]).matrix.tobytes() == (
         parent_pure_state(spec, theta_init[:-1]).tobytes())
+    with pytest.raises(ValidationError, match=r"theta\[10, 3\] is nan"):  # one-model builders
+        build_ansatz_unitary(spec, theta)
 
 
 def test_qhmm_operators_check_completeness_on_the_step_form(monkeypatch):

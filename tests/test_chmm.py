@@ -128,6 +128,10 @@ class TestIntegratedTable:
         # the (16^4, 4) int64 path array alone would take 2.1 MB; the layout holds 1.2 MB
         assert cold_layout_peak(lambda: _path_layout(16, 4, MULTISET)) <= 5_000_000
 
+    def test_cold_preset_layout_ranks_keys_without_sorting_them(self):
+        # np.unique's int64 argsort, cumsum and inverse of the 65,536 keys peaked at 2.7 MB
+        assert cold_layout_peak(lambda: _path_layout(16, 4, MULTISET)) <= 2_000_000
+
 
 class TestEmissionGivenVbar:
     def test_sign_bins_symmetric(self, rng):
@@ -191,6 +195,18 @@ class TestEmissionMatrix:
         # heavier spot states put (weakly) more mass in the edge bins
         edge_mass = emission.probs[:, 0] + emission.probs[:, -1]
         assert np.all(np.diff(edge_mass) > -1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, value):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        probs[1, 0] = value
+        with pytest.raises(ValidationError, match="emission"):
+            EmissionMatrix(probs=probs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_start_law_rejected(self, value):
+        with pytest.raises(ValidationError, match="x0 must be a probability vector"):
+            hmm_with_emission([[0.5, 0.5], [0.5, 0.5]], x0=[value, 0.5])
 
     def test_mode_invariance_on_affine_grid(self, rng):
         # with grid values affine in the state index both groupings induce the

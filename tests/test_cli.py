@@ -451,6 +451,34 @@ class TestMalformedModelFiles:
         assert self._hankel(tmp_path, doc) == 2
         assert "qhmm model: bad value for 'kraus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key,at", [("theta", 0), ("theta", 3), ("theta_init", 0)])
+    def test_qhmm_file_with_a_non_finite_angle(self, tmp_path, capsys, key, at, value):
+        doc = serialize.model_to_dict(random_qhmm(AnsatzSpec(1, 1, reps=1), 3))
+        doc[key][at] = value
+        assert self._hankel(tmp_path, doc) == 2
+        assert f"{key}[{at}] is {value}: angles must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key,entry,message", [
+        ("a_hf", (0, 1), "transition probabilities must be finite"),
+        ("emission", (1, 0), "stored emission matrix does not match"),
+        ("x0", (1,), "x0 must be a probability vector"),
+    ])
+    def test_classical_file_with_a_non_finite_entry(self, tmp_path, capsys, rng, key, entry,
+                                                    message, value):
+        from conftest import random_classical_hmm
+
+        doc = serialize.model_to_dict(random_classical_hmm(rng, n_states=2, n_obs=2, k=1))
+        row = doc[key]
+        for i in entry[:-1]:
+            row = row[i]
+        row[entry[-1]] = value
+        assert self._hankel(tmp_path, doc) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+
 
 class TestBoundsCommand:
     def test_report_ordering(self, tmp_path):
@@ -642,6 +670,34 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             serialize.load_model(path)
+
+
+POOL_MODULES_AFTER = textwrap.dedent("""
+    import sys
+    from volhmm.cli import main
+
+    def pool_modules():
+        return sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("concurrent", "multiprocessing"))
+
+    print(pool_modules())
+    assert main(sys.argv[1:]) == 0
+    print(pool_modules())
+""")
+
+
+def test_one_worker_runs_never_import_the_process_pool(tmp_path):
+    """A fresh ``import volhmm.cli``, and an llr run on one worker after it, leave
+    concurrent.futures and multiprocessing unloaded (about 2 MB of a process's memory)."""
+    cfg = TestLlrCommand()._llr_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(volhmm.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_MODULES_AFTER, "llr", "--config", str(cfg), "--out",
+         str(tmp_path / "r"), "--trials", "1", "--workers", "1"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 FAULTS_OF_TEN_OBJECTIVE_CALLS = textwrap.dedent("""

@@ -14,7 +14,9 @@ from volhmm.qhmm import (
     causal_break_test,
     initial_latent_state,
     kraus_from_unitary,
+    build_qhmm,
     partial_trace,
+    qhmm_operators,
     qhmm_sequence_logprob,
     qhmm_sequence_probability,
     qhmm_simulate,
@@ -289,3 +291,45 @@ class TestDensityMatrixValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityMatrix(matrix=np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestNonFiniteAngles:
+    """An infinite or NaN angle is rejected by the one-model builders with a ValidationError
+    naming it; the batched builder names an infinite Ry angle, the one libm rejects."""
+
+    SPEC = AnsatzSpec(1, 2, reps=3)  # angles 0-2 are layer 0's Ry, 3-5 its Rz
+
+    def angles(self, at=None, value=None):
+        theta = np.full(self.SPEC.n_params, 0.3)
+        if at is not None:
+            theta[at] = value
+        return theta
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    def test_circuit_angle(self, at, value):
+        theta = self.angles(at, value)
+        for build in (lambda: build_qhmm(self.SPEC, theta, [0.1]),
+                      lambda: build_ansatz_unitary(self.SPEC, theta)):
+            with pytest.raises(ValidationError, match=rf"theta\[{at}\] is {value}: angles"):
+                build()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_initial_state_angle(self, value):
+        for build in (lambda: build_qhmm(self.SPEC, self.angles(), [value]),
+                      lambda: initial_latent_state(self.SPEC, [value])):
+            with pytest.raises(ValidationError, match=rf"theta_init\[0\] is {value}: angles"):
+                build()
+
+    def test_stacked_angles_are_located(self):
+        theta = np.stack([self.angles(), self.angles(9, math.nan)])
+        with pytest.raises(ValidationError, match=r"theta\[1, 9\] is nan"):
+            build_ansatz_unitary(self.SPEC, theta)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_batched_builder_names_an_infinite_ry_angle(self, value):
+        theta = np.stack([self.angles(), self.angles(7, value)])
+        with pytest.raises(ValidationError, match=rf"theta\[1, 7\] is {value}: angles"):
+            qhmm_operators(self.SPEC, theta, np.full((2, 1), 0.1))
+        with pytest.raises(ValidationError, match=rf"theta_init\[0, 0\] is {value}: angles"):
+            qhmm_operators(self.SPEC, theta[:1], np.array([[value]]))

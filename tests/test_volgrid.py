@@ -105,6 +105,15 @@ class TestSpotGrid:
         assert grid.values == pytest.approx(SP500_GRID_16, rel=1e-8)
 
 
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, value):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        probs[0, 1] = value
+        with pytest.raises(ValidationError, match="transition probabilities must be finite"):
+            TransitionMatrix(probs=probs)
+
+
 class TestCirTransitionMatrix:
     @pytest.mark.parametrize("params", [(1.0, 0.1, 0.01), (0.5, 0.05, 0.01)])
     def test_small_sigma_builds_on_the_preset_grid(self, params):
