@@ -263,7 +263,11 @@ def numerical_rank(matrix) -> int:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    return rank_of_singular_values(np.linalg.svd(matrix, compute_uv=False))
+
+
+def rank_of_singular_values(sv) -> int:
+    """``numerical_rank`` of a matrix from its singular values, largest first."""
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))

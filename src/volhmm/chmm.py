@@ -31,6 +31,7 @@ import numpy as np
 
 from . import operators
 from .errors import EnumerationCapError, ValidationError, ZeroLikelihoodError
+from .seeds import streams
 from .specfun import BLOCK_BYTES
 from .volgrid import (
     _ROW_SUM_TOL,
@@ -62,12 +63,12 @@ class IntegratedVolTable:
     def __post_init__(self):
         vbar = np.asarray(self.vbar_values, dtype=float)
         g = np.asarray(self.g, dtype=float)
-        if np.any(vbar <= 0.0):
-            raise ValidationError("integrated-variance values must be positive")
+        if not np.all((vbar > 0.0) & (vbar < math.inf)):  # false on nan too
+            raise ValidationError("integrated-variance values must be finite and positive")
         if g.ndim != 2 or g.shape[1] != vbar.size:
             raise ValidationError("g must be (n_states, n_vbar)")
-        row_err = np.max(np.abs(g.sum(axis=1) - 1.0))
-        if row_err > _ROW_SUM_TOL:
+        row_err = np.max(np.abs(g.sum(axis=1) - 1.0))  # nan or inf when an entry is not finite
+        if not row_err <= _ROW_SUM_TOL:
             raise ValidationError(f"rows of g must sum to 1, max error {row_err}")
         if self.mode not in _MODES:
             raise ValidationError(f"mode must be one of {_MODES}, got {self.mode!r}")
@@ -543,7 +544,8 @@ def simulate(hmm: ClassicalHmm, n_periods: int, seed):
 def simulate_many(hmm: ClassicalHmm, n_periods: int, seeds):
     """``simulate`` of each seed: the four arrays with a leading row per seed, (B, n_periods).
 
-    Seed b's generator draws 1 + n_periods k uniforms, then n_periods standard normals.
+    Seed b's generator (``seeds.streams``, the block's states seeded in one pass) draws
+    1 + n_periods k uniforms, then n_periods standard normals.
     The first uniform picks the start state from x0, one per substep picks the next
     state from its transition row; a draw goes to the first state whose cumulative
     probability exceeds it (the last state, past the last sum). The return is
@@ -567,10 +569,9 @@ def simulate_many(hmm: ClassicalHmm, n_periods: int, seeds):
         block = seeds[b0 : b0 + per_block]
         rows = slice(b0, b0 + len(block))
         uniforms = np.empty((len(block), 1 + n_sub))
-        for i, seed in enumerate(block):
-            rng = np.random.default_rng(seed)
-            rng.random(out=uniforms[i])
-            rng.standard_normal(out=normals[b0 + i])
+        for row, normal_row, rng in zip(uniforms, normals[rows], streams(block)):
+            rng.random(out=row)
+            rng.standard_normal(out=normal_row)
         start = np.searchsorted(cum_x0, uniforms[:, 0], side="right")
         path = _walk(ranked, start, uniforms[:, 1:])
         spot_states[rows] = path[:, k - 1 :: k]

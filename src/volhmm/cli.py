@@ -469,7 +469,7 @@ def cmd_hankel(args) -> int:
         raise ValidationError(f"--depth must be >= 1, got {args.depth}")
     hankel = analysis.hankel_of_model(model, args.depth)
     sv = np.linalg.svd(hankel.entries, compute_uv=False)
-    rank = analysis.numerical_rank(hankel.entries)
+    rank = analysis.rank_of_singular_values(sv)
     doc = {
         "model_type": "classical" if isinstance(model, chmm.ClassicalHmm) else "qhmm",
         "depth": args.depth,

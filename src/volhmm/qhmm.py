@@ -38,6 +38,7 @@ import numpy as np
 
 from . import operators
 from .errors import ValidationError
+from .seeds import streams
 
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -443,8 +444,11 @@ def qhmm_simulate_many(model: QhmmModel, n_steps: int, seeds) -> np.ndarray:
     n_steps uniforms of seeds[b]."""
     if n_steps < 1:
         raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    uniforms = np.array([np.random.default_rng(seed).random(n_steps) for seed in seeds])
-    return operators.sample(model.operators(), uniforms.reshape(-1, n_steps))
+    seeds = list(seeds)
+    uniforms = np.empty((len(seeds), n_steps))
+    for row, rng in zip(uniforms, streams(seeds)):
+        rng.random(out=row)
+    return operators.sample(model.operators(), uniforms)
 
 
 @dataclass

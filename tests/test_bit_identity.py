@@ -900,8 +900,7 @@ def test_simulate_chains_with_tied_sums(monkeypatch):
         assert_draws_equal(hmm, 40, [0, 1, 2])
     # draws equal to a cumulative sum go past it
     sums = np.unique(np.cumsum(a_hf, axis=1)[:, :-1])
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed, make=np.random.default_rng: PushedUniforms(make, seed, sums))
+    push_uniforms(monkeypatch, sums)
     assert_draws_equal(hmm, 40, [0, 1, 2])
     one = build_classical_hmm(SpotGrid(np.array([0.1])), TransitionMatrix(np.ones((1, 1)), 1.0),
                               1, scheme)
@@ -924,6 +923,18 @@ class PushedUniforms:
         return getattr(self.rng, name)
 
 
+def push_uniforms(monkeypatch, values):
+    """Give ``simulate_many`` (through its seeds.streams) and ``reference_simulate``
+    (through np.random.default_rng) the same PushedUniforms of each seed."""
+    make = np.random.default_rng
+
+    def pushed(seed):
+        return PushedUniforms(make, seed, values)
+
+    monkeypatch.setattr(np.random, "default_rng", pushed)
+    monkeypatch.setattr(chmm, "streams", lambda seeds: map(pushed, seeds))
+
+
 @pytest.mark.parametrize("scale", [1.0 - 2e-11, 1.0 + 2e-11])
 def test_simulate_draws_past_the_last_cumulative_sum(scale, monkeypatch, rng):
     n, k = 3, 2
@@ -932,10 +943,8 @@ def test_simulate_draws_past_the_last_cumulative_sum(scale, monkeypatch, rng):
     x0 = rng.dirichlet(np.ones(n)) * scale
     hmm = build_classical_hmm(grid, a_hf, k, build_observation_scheme(4, 1.0), x0=x0)
     assert np.all((np.cumsum(a_hf.probs, axis=1)[:, -1] < 1.0 - 1e-12) == (scale < 1.0))
-    make = np.random.default_rng
     # 1 - 1e-12 lies past any cumulative row that ends below it, before any that ends above
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: PushedUniforms(make, seed, [1.0 - 1e-12]))
+    push_uniforms(monkeypatch, [1.0 - 1e-12])
     assert_draws_equal(hmm, 20, [1, 2, 3])
     # period t ends on uniform k (t + 1); those at multiples of 3 go to the last state
     assert np.all(reference_simulate(hmm, 20, 1)[0][2::3] == n - 1)

@@ -109,6 +109,19 @@ class TestIntegratedTable:
         hmm = random_classical_hmm(rng, n_states=3, k=3)
         assert hmm.table.g.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        g = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="finite and positive"):
+            IntegratedVolTable(vbar_values=[bad, 0.1], g=g, k=1, mode=MULTISET)
+        g[0, 0] = bad
+        with pytest.raises(ValidationError, match="sum to 1"):
+            IntegratedVolTable(vbar_values=[0.05, 0.1], g=g, k=1, mode=MULTISET)
+        # the example that built before: nan in both
+        with pytest.raises(ValidationError):
+            IntegratedVolTable(vbar_values=[math.nan, 0.1], g=[[math.nan, 0.5], [0.5, 0.5]],
+                               k=1, mode=MULTISET)
+
     def test_enumeration_cap(self):
         grid = SpotGrid(values=np.linspace(0.1, 1.0, 30))
         with pytest.raises(EnumerationCapError):
