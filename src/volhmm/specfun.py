@@ -5,18 +5,25 @@ law of the variance process), its quantiles (spot-state grid placement), the
 noncentral chi-squared law with possibly non-integer degrees of freedom (the
 one-step transition kernel), and the standard normal CDF (return binning).
 
-Everything here is pure and deterministic. The noncentral chi-squared CDF is
+Everything here is pure and deterministic. The noncentral chi-squared law is
 the Poisson mixture
 
     F(x; d, lam) = sum_j  e^{-lam/2} (lam/2)^j / j!  *  P(d/2 + j, x/2)
 
-with P the regularized lower incomplete gamma; the series is summed outward
-from the Poisson mode in log space and truncated once the unaccumulated
-Poisson mass drops below ``POISSON_TAIL_TOL``, which bounds the discarded CDF
-mass by the same amount. The density uses the matching mixture of central
-chi-squared densities (term-by-term identical to the Bessel-series form of the
-kernel density), also evaluated in log space so large noncentrality cannot
-overflow.
+with P the regularized lower incomplete gamma. ``noncentral_chi2_cdf_grid`` sums
+it in Ding's positive-term form (Appl. Statist. 41(2), 1992): since
+P(d/2 + j, x/2) is the tail from j of the terms t_k = (x/2)^(d/2+k) e^(-x/2) /
+Gamma(d/2+k+1), F = sum_k t_k V(k) with V the Poisson CDF, and 1 - F is a
+positive sum too. The t_k of every point form one table that every law shares,
+and the Poisson weights of every law a second; both are Poisson probabilities in
+Loader's saddle-point form, and one ``np.einsum`` contracts them. The table
+spans every law's window of mass 1 - POISSON_TAIL_TOL or more and the terms of
+every point down to 2^-53 of the largest; the scalar CDF is the one-law,
+one-point case, and the CIR transition matrix in ``volgrid`` the one-law-per-row
+case. The density sums the matching mixture of central chi-squared densities
+(term-by-term the Bessel-series form of the kernel density) over the law's
+Poisson terms, walked outward from the mode in log space until the mass left
+is below ``POISSON_TAIL_TOL``.
 
 P(a, x) is computed for whole arrays of (a, x) pairs: the ascending series
 (x < a + 1) in chunks of iterations, with ``np.add.accumulate`` and
@@ -26,14 +33,8 @@ fraction (x >= a + 1) by the modified Lentz method, one pair at a time (DiDonato
 the floats of a scalar loop, and stops at its own first negligible term. The
 prefactor exp(-x + a ln x - lgamma(a)) is formed with ``math`` functions:
 ``lgamma`` once per shape, ``log`` once per point, ``exp`` once per pair. The
-scalar P(a, x) is the one-pair case.
-
-The Poisson terms (which j are visited, in what order, with what weights)
-depend on the noncentrality alone, never on x. ``noncentral_chi2_cdf_grid``
-walks the terms of every law first, evaluates P(d/2 + j, x/2) once for every
-visited shape and every point, and then sums each law's mixture in its walk
-order; the scalar CDF is its one-law, one-point case, and the CIR transition
-matrix in ``volgrid`` its one-law-per-row case.
+scalar P(a, x) is the one-pair case. Gamma quantiles are Halley steps on it from
+DiDonato & Morris's first approximation, all of a grid's quantiles in lockstep.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 
-# Arrays of one chunk of an array pass (a series chunk, a mixture block) and, in
+# Arrays of one chunk of an array pass (a series chunk) and, in
 # chmm, the chain products of one block of a batched build; weights and ids of
 # one bincount; the Gaussian kernel of one block of returns; the substep maps of
 # one block of a batched draw.
@@ -74,7 +75,6 @@ POISSON_TAIL_TOL = 1e-14
 _POISSON_MAX_TERMS = 200_000
 _QUANTILE_TOL = 1e-12
 _QUANTILE_MAX_ITER = 200
-_BRACKET_BATCH = 4  # bracket ends (and their midpoints) per gamma_cdf call while bracketing
 
 
 @dataclass(frozen=True)
@@ -253,82 +253,77 @@ def gamma_cdf(x, law: GammaLaw):
     return reg_inc_gamma_lower(law.shape, law.rate * x_arr)
 
 
-def gamma_quantile(p, law: GammaLaw):
-    """Inverse Gamma CDF by bracketed Newton iteration on the regularized incomplete gamma.
+def _gamma_quantile_start(a: float, p: np.ndarray) -> np.ndarray:
+    """DiDonato & Morris's first approximations to the root z of P(a, z) = p (ACM TOMS 12(4),
+    1986): for a > 1 their Eq. 31, a Cornish-Fisher expansion in s, the normal quantile of p
+    (Abramowitz & Stegun 26.2.22), with Eq. 21's small-z inversion of the series where Eq. 31
+    falls below 0.15 (a + 1); for a <= 1, Eq. 21, 22 or 23 by b = (1 - p) Gamma(a), as they
+    choose."""
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = np.exp((np.log(p) + math.lgamma(a + 1.0)) / a)
+        eq21 = u / (1.0 - u / (a + 1.0))
+        if a > 1.0:
+            t = np.sqrt(-2.0 * np.log(np.minimum(p, q)))
+            s = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+            s = np.where(p < 0.5, -s, s)
+            ra = math.sqrt(a)
+            w = (a + s * ra + (s * s - 1.0) / 3.0 + (s**3 - 7.0 * s) / (36.0 * ra)
+                 - (3.0 * s**4 + 7.0 * s * s - 16.0) / (810.0 * a)
+                 + (9.0 * s**5 + 256.0 * s**3 - 433.0 * s) / (38880.0 * a * ra))
+            return np.where(w < 0.15 * (a + 1.0), eq21, w)
+        b = q * math.gamma(a)
+        t = np.exp(-0.5772156649015329 - b)  # Euler's constant
+        eq22 = t * np.exp(t * np.exp(t))
+        y = -np.log(b)
+        v = y - (1.0 - a) * np.log(y)
+        eq23 = y - (1.0 - a) * np.log(v) - np.log1p((1.0 - a) / (1.0 + v))
+    return np.where((b > 0.6) | ((b >= 0.45) & (a >= 0.3)), eq21,
+                    np.where((a < 0.3) & (b >= 0.35), eq22, eq23))
 
-    p is a probability or a 1-D array of them. The quantiles are solved in lockstep:
-    each round makes one ``gamma_cdf`` call on the points of the quantiles still
-    running, then steps each of them as if it ran alone. The bracket [lo, hi] starts
-    at hi = the mean, doubled (lo = the previous hi, or 0) until F(hi) >= p; the
-    doubling points are the same for every p, so they are evaluated a few per call,
-    up to the largest p. Newton starts at the bracket's midpoint. Each evaluation at
-    x moves lo (F(x) <= p) or hi to x; a Newton step strictly inside the bracket is
-    taken, otherwise the bracket is bisected. A quantile is returned once
-    |F(x) - p| <= 1e-12 and either the bracket or the Newton step is at most 1e-12 x.
-    The second rule ends the search once Newton has converged: from below, lo = x
-    and a vanishing step no longer lands strictly inside the bracket, so the first
-    rule alone would bisect some forty more times without moving the answer.
+
+def gamma_quantile(p, law: GammaLaw):
+    """Inverse Gamma CDF by Halley steps from DiDonato & Morris's start, safeguarded by a bracket.
+
+    p is a probability or a 1-D array of them. The quantiles are solved in lockstep: each
+    round makes one ``gamma_cdf`` call on the points of the quantiles still running and
+    steps each of them as if it ran alone, so a quantile gets the same floats alone or in an
+    array. From x, with f = F(x) - p and the density g, the Halley step is
+    (f / g) / (1 - (f / g) ((a - 1) / x - rate) / 2). Each evaluation moves the bracket's
+    lower end (f <= 0) or its upper end to x; a step that leaves the open bracket is replaced
+    by its midpoint, or by 2x while no upper end is known. A quantile is returned as x minus
+    its step once the step is at most 1e-12 x; Halley converges cubically, so that last step
+    leaves the root to the rounding of F. A 16-state spot grid takes three or four calls.
     """
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     outside = ~((ps > 0.0) & (ps < 1.0))
     if outside.any():
         raise ValueError(f"gamma_quantile requires p in (0, 1), got {ps[outside][0]}")
-    # Bracket k is [ends[k], ends[k + 1]]. Its midpoint is the first Newton point of the
-    # quantiles it brackets, so it is evaluated in the same call as its upper end.
-    ends, end_cdfs, mid_cdfs = [0.0], [], []
-    hi = law.mean
-    while not end_cdfs or end_cdfs[-1] < ps.max():
-        if len(end_cdfs) >= _INCGAMMA_MAX_ITER:
-            raise NonConvergenceError(f"could not bracket quantile p={ps.max()} for {law}")
-        his = hi * 2.0 ** np.arange(_BRACKET_BATCH)  # hi doubled k times, exactly
-        los = np.concatenate([ends[-1:], his[:-1]])
-        values = gamma_cdf(np.concatenate([his, 0.5 * (los + his)]), law).tolist()
-        ends += his.tolist()
-        end_cdfs += values[:_BRACKET_BATCH]
-        mid_cdfs += values[_BRACKET_BATCH:]
-        hi = 2.0 * ends[-1]
-    first = np.argmax(np.array(end_cdfs)[:, None] >= ps, axis=0).tolist()
-    # (p, lo, hi, x) of each quantile still running, and F at its x
-    running = [
-        (q, ends[k], ends[k + 1], 0.5 * (ends[k] + ends[k + 1]))
-        for q, k in zip(ps.tolist(), first)
-    ]
-    cdf = [mid_cdfs[k] for k in first]
-    ids = list(range(ps.size))
-    out = np.empty(ps.size)
     a, rate = law.shape, law.rate
+    x = _gamma_quantile_start(a, ps) / rate
+    x = np.where((x > 0.0) & (x < math.inf), x, law.mean)  # Eq. 21 underflows at tiny shapes
+    lo, hi = np.zeros(ps.size), np.full(ps.size, math.inf)
+    ids = np.arange(ps.size)
+    out = np.empty(ps.size)
     log_pdf_const = a * math.log(rate) - math.lgamma(a)
     for _ in range(_QUANTILE_MAX_ITER):
-        still, still_ids = [], []
-        for i, (q, lo, hi, x), fx in zip(ids, running, cdf):
-            f = fx - q
-            if f > 0.0:
-                hi = x
-            else:
-                lo = x
-            close = abs(f) <= _QUANTILE_TOL
-            if close and hi - lo <= 1e-12 * max(x, 1e-300):
-                out[i] = x
-                continue
-            deriv = math.exp(log_pdf_const + (a - 1.0) * math.log(x) - rate * x) if x > 0.0 else 0.0
-            if deriv > 0.0:
-                step = f / deriv
-                if close and abs(step) <= 1e-12 * x:
-                    out[i] = x
-                    continue
-                x_new = x - step
-                x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
-            else:
-                x = 0.5 * (lo + hi)
-            still.append((q, lo, hi, x))
-            still_ids.append(i)
-        running, ids = still, still_ids
-        if not ids:
+        f = gamma_cdf(x, law) - ps[ids]
+        below = f <= 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        with np.errstate(all="ignore"):  # a density that underflows gives no step: the bracket steps
+            ratio = f / np.exp(log_pdf_const + (a - 1.0) * np.log(x) - rate * x)
+            step = ratio / (1.0 - 0.5 * ratio * ((a - 1.0) / x - rate))
+        x_new = x - step
+        done = np.abs(step) <= _QUANTILE_TOL * x
+        out[ids[done]] = x_new[done]
+        if done.all():
             return float(out[0]) if np.ndim(p) == 0 else out
-        cdf = gamma_cdf(np.array([x for _, _, _, x in running]), law).tolist()
-    q, lo, hi, _ = running[0]
+        run = ~done
+        ids, x, x_new, lo, hi = ids[run], x[run], x_new[run], lo[run], hi[run]
+        x = np.where((lo < x_new) & (x_new < hi), x_new, np.where(hi < math.inf, 0.5 * (lo + hi), 2.0 * x))
     raise NonConvergenceError(
-        f"gamma_quantile did not converge for p={q}, {law}; last bracket [{lo}, {hi}]"
+        f"gamma_quantile did not converge for p={ps[ids[0]]}, {law}; last bracket [{lo[0]}, {hi[0]}]"
     )
 
 
@@ -381,41 +376,95 @@ def poisson_mixture_terms(half_lam: float):
     )
 
 
-def noncentral_chi2_cdf_grid(x, dof: float, noncentralities):
-    """CDF of the noncentral chi-squared laws (dof, lam) at the points x > 0.
+def _poisson_pmf(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """e^{-lam} lam^a / Gamma(a + 1) for a sorted 1-D array a >= 0 and a column lam >= 0.
 
-    Returns (cdf, tails): cdf[r, m] is F(x[m]; dof, noncentralities[r]) and tails[r]
-    the Poisson tail bound of law r. The Poisson terms of every law are walked first;
-    P(dof/2 + j, x/2) is then evaluated once for every shape some law visits and
-    every point, and each law's mixture is summed over its terms in walk order, a
-    block of terms at a time (at most BLOCK_BYTES of products) with one sequential
-    accumulation, so every entry gets the floats of a term-by-term scalar loop.
+    Up to a = 15 it is the product of lam^a, e^{-lam} and 1 / Gamma(a + 1). Above, it is
+    Loader's saddle-point form exp(-stirlerr(a) - bd0) / sqrt(2 pi a), with
+    bd0 = a log1p((a - lam) / lam) - (a - lam) and the five-term Stirling series for
+    stirlerr (Loader, "Fast and accurate computation of binomial probabilities", 2000): no
+    exponent is formed from terms of size a ln lam, so the error stays a few ulps where
+    exp(a ln lam - lam - lgamma(a + 1)) loses a ln lam ulps.
     """
-    half_dof = 0.5 * dof
-    half_x = 0.5 * np.asarray(x, dtype=float)
-    walks = [poisson_mixture_terms(0.5 * lam) for lam in noncentralities]
-    term_js, term_ws = zip(*[term for terms, _ in walks for term in terms])
-    js, shape_ids = np.unique(term_js, return_inverse=True)
-    table = reg_inc_gamma_lower(half_dof + js[:, None], half_x[None, :])
-    # Row r's terms fill the first len(terms) slots; the padding has weight 0 and adds
-    # +0.0 to a non-negative total.
-    counts = np.array([len(terms) for terms, _ in walks])
-    filled = np.arange(counts.max()) < counts[:, None]
-    term_shape = np.zeros(filled.shape, dtype=np.intp)
-    term_shape[filled] = shape_ids
-    weights = np.zeros(filled.shape)
-    weights[filled] = term_ws
-    length = filled.shape[1]
-    totals = np.zeros((len(walks), half_x.size))
-    # the gathered columns, the products and their accumulation
-    span = max(1, BLOCK_BYTES // (3 * 8 * max(1, totals.size)) - 1)
-    for t0 in range(0, length, span):
-        t1 = min(t0 + span, length)
-        block = np.empty((len(walks), t1 - t0 + 1, half_x.size))
-        block[:, 0] = totals
-        np.multiply(weights[:, t0:t1, None], table[term_shape[:, t0:t1]], out=block[:, 1:])
-        totals = np.add.accumulate(block, axis=1)[:, -1]
-    return np.minimum(1.0, np.maximum(0.0, totals)), [tail for _, tail in walks]
+    out = np.empty(np.broadcast_shapes(a.shape, lam.shape))
+    split = int(np.searchsorted(a, 15.0, side="right"))
+    small, big = a[:split], a[split:]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        gammas = [math.gamma(v + 1.0) for v in small.tolist()]
+        out[..., :split] = lam**small * np.exp(-lam) / gammas
+        nn = 1.0 / (big * big)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / big
+        d = big - lam
+        out[..., split:] = np.exp(-stirlerr - (big * np.log1p(d / lam) - d)) / np.sqrt(2.0 * math.pi * big)
+    return out
+
+
+def noncentral_chi2_cdf_grid(x, dof: float, noncentralities):
+    """CDF and survival function of the noncentral chi-squared laws (dof, lam) at the points x.
+
+    Returns (cdf, sf, tails): cdf[r, m] and sf[r, m] are F and 1 - F of law r at x[m], and
+    tails[r] the Poisson mass of law r outside the table. With h = dof/2, y = x/2,
+    mu = lam/2 and t_k(y) = y^(h+k) e^-y / Gamma(h+k+1), Ding's form over the table's
+    k0 <= k < K is F = sum_k t_k(y) V(k) and 1 - F = Q(h + k0, y) W + sum_k t_k(y) U(k),
+    where V(k), U(k) and W are a law's Poisson mass at j <= k, at k < j < K and in all of
+    [k0, K), each summed in order from its own end, so every term is positive. The table
+    holds each law's window mu +- d, which by Bernstein's bound exp(-d^2 / (2 (mu + d/3)))
+    leaves out at most POISSON_TAIL_TOL of its mass, and goes on until the tail of t, by its
+    geometric or Gaussian bound, is below 2^-53 of t at the last window end. A point whose
+    mode lies past every window adds P(h + K, y) W to F, and its 1 - F counts only the
+    table's Poisson mass. Q(h + k0, y) is 1 - sum_k t_k(y), or the continued fraction where
+    that is below 1e-3 or the point lies past every window. The contraction is one
+    ``np.einsum``, which calls no BLAS. Raises NonConvergenceError where a window holds a
+    point's mode and the series from there would outrun the incomplete-gamma cap (where the
+    old per-pair series failed), or where the table would exceed _POISSON_MAX_TERMS.
+    """
+    h = 0.5 * dof
+    y = 0.5 * np.asarray(x, dtype=float)
+    mu = 0.5 * np.asarray(noncentralities, dtype=float)
+    log_cut = math.log(2.0 / POISSON_TAIL_TOL)  # each side of a window leaves out e^-log_cut
+    d = log_cut / 3.0 + np.sqrt(log_cut * log_cut / 9.0 + 2.0 * mu * log_cut)
+    lo, hi = np.maximum(0.0, np.floor(mu - d)), np.ceil(mu + d)
+    mode = np.maximum(0.0, np.ceil(y - h - 1.0))
+    tail = math.log(2.0**53) + 0.5 * np.log(2.0 * math.pi * (y + 1.0)) + 1.0
+    n_gauss = tail + np.sqrt(tail * tail + 2.0 * y * tail)
+    # Where a window holds a point's mode, the series from there runs until its terms, which
+    # fall like exp(-n^2 / (2y)), are below 2^-53 of their sum, about sqrt(pi y / 2) of the first.
+    held = ((lo[:, None] <= mode) & (mode <= hi[:, None])).any(axis=0)
+    need = np.sqrt(2.0 * y * np.maximum(1.0, math.log(2.0**53) - 0.5 * np.log(0.5 * math.pi * (y + 1.0))))
+    for a, v, n in zip((h + mode)[held].tolist(), y[held].tolist(), need[held].tolist()):
+        if n > _incgamma_max_iter(a):
+            raise NonConvergenceError(
+                f"incomplete gamma series did not converge for a={a}, x={v}: "
+                f"{math.ceil(n)} terms past the mode, more than the cap"
+            )
+    past = mode > hi.max()  # the point's terms past the table enter F as P(h + stop, y)
+    rho = y / (h + hi.max() + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_geom = np.where(rho < 1.0, np.log(2.0**-53 * (1.0 - rho) / rho) / np.log(rho), np.inf)
+    k0 = lo.min()
+    stop = hi.max() + np.ceil(np.where(past, 0.0, np.fmin(n_gauss, n_geom))).max() + 1.0
+    if stop - k0 > _POISSON_MAX_TERMS:
+        raise NonConvergenceError(
+            f"Poisson mixture weights need more than {_POISSON_MAX_TERMS} terms for half "
+            f"noncentralities up to {mu.max()} at points up to {y.max()}"
+        )
+    k = np.arange(k0, stop)
+    t = _poisson_pmf(h + k, y[:, None])
+    w = _poisson_pmf(k, mu[:, None])
+    below = np.cumsum(w, axis=1)
+    above = np.zeros(w.shape)  # the table's mass above k
+    np.cumsum(w[:, :0:-1], axis=1, out=above[:, -2::-1])
+    lower, upper = np.split(np.einsum("rk,mk->rm", np.concatenate([below, above]), t), 2)
+    t_mass = t.sum(axis=1)
+    q0 = 1.0 - t_mass  # Q(h + k0, y)
+    cf = ((q0 < 1e-3) | past) & (y >= h + k0 + 1.0)
+    if cf.any():  # the prefactor y^(h+k0) e^-y / Gamma(h+k0) is (h + k0) t_k0(y)
+        a0 = h + k0
+        q0[cf] = a0 * t[cf, 0] * [_upper_gamma_cf(a0, v) for v in y[cf].tolist()]
+    mass = below[:, -1]
+    lower += mass[:, None] * np.where(past, np.maximum(0.0, 1.0 - q0 - t_mass), 0.0)
+    sf = mass[:, None] * np.maximum(q0, 0.0) + upper
+    return np.minimum(1.0, lower), np.minimum(1.0, sf), np.maximum(0.0, 1.0 - mass)
 
 
 def noncentral_chi2_cdf_with_bound(x: float, law: NoncentralChi2Law):
@@ -424,8 +473,8 @@ def noncentral_chi2_cdf_with_bound(x: float, law: NoncentralChi2Law):
         raise ValueError(f"noncentral_chi2_cdf requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0, 0.0
-    cdf, tails = noncentral_chi2_cdf_grid([x], law.dof, [law.noncentrality])
-    return float(cdf[0, 0]), tails[0]
+    cdf, _, tails = noncentral_chi2_cdf_grid([x], law.dof, [law.noncentrality])
+    return float(cdf[0, 0]), float(tails[0])
 
 
 def noncentral_chi2_cdf(x: float, law: NoncentralChi2Law) -> float:

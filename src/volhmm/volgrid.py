@@ -3,11 +3,11 @@
 The variance diffusion dV = alpha (beta - V) dt + sigma sqrt(V) dW is
 discretized onto a finite grid: spot states sit at quantiles of the ergodic
 Gamma law (shape 2 alpha beta / sigma^2, rate 2 alpha / sigma^2), and one-step
-transition probabilities are CDF differences of the scaled noncentral
-chi-squared kernel evaluated at the midpoints between neighboring grid values,
-with the outermost midpoints pushed to +-infinity so each row sums to one
-exactly. A fully parameterized (non-parametric) alternative fills each row
-from n_L - 1 free entries plus the complement.
+transition probabilities are the masses of the scaled noncentral chi-squared
+kernel between the midpoints of neighboring grid values, with the outermost
+midpoints pushed to +-infinity so each row sums to one. A fully parameterized
+(non-parametric) alternative fills each row from n_L - 1 free entries plus the
+complement.
 
 Returns are discretized by an ordered bin scheme whose two edge bins are
 unbounded; interior bins are equal-width by default.
@@ -162,16 +162,15 @@ def cir_spot_grid(p: CirParams, n_states: int) -> SpotGrid:
 def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> TransitionMatrix:
     """One-step transition matrix of the discretized variance diffusion.
 
-    Row i, column j is F(2c m_{j}) - F(2c m_{j-1}) where F is the noncentral
-    chi-squared CDF with dof 4ab/s^2 and noncentrality 2c V_i e^{-a dt},
-    c = 2a / ((1 - e^{-a dt}) s^2), and m_j are midpoints between neighboring
-    grid values (+-infinity at the ends, so rows sum to exactly one).
-
-    The CDF rows come from one ``specfun.noncentral_chi2_cdf_grid`` call: the Poisson
-    terms of every row are walked first, the incomplete-gamma values P(dof/2 + j, c m)
-    of every visited shape and every midpoint are computed in one array pass, and
-    each row sums its mixture in its own walk order. Each entry gets the floats of
-    ``noncentral_chi2_cdf`` at that midpoint. Raises ValidationError where
+    Row i, column j is the mass of the noncentral chi-squared law with dof 4ab/s^2 and
+    noncentrality 2c V_i e^{-a dt}, c = 2a / ((1 - e^{-a dt}) s^2), between 2c m_{j-1} and
+    2c m_j, where m_j are midpoints between neighboring grid values (+-infinity at the
+    ends). The CDF F and the survival function S = 1 - F of every row at every midpoint come
+    from one ``specfun.noncentral_chi2_cdf_grid`` call, each a sum of positive terms. A
+    column whose upper end has F <= S is F(m_j) - F(m_{j-1}), one whose lower end has F > S
+    is S(m_{j-1}) - S(m_j), and the column between is 1 - F(m_{j-1}) - S(m_j); so no mass
+    is a difference of values near one, the last column is S(m_last) itself, and a row sums
+    to one up to the rounding of those differences. Raises ValidationError where
     s^2 (1 - e^{-a dt}), c or dof/2 is not finite and positive.
     """
     if not (dt > 0.0):
@@ -184,17 +183,19 @@ def cir_transition_matrix(p: CirParams, grid: SpotGrid, dt: float) -> Transition
     _finite_positive("the half dof 2ab/s^2", 0.5 * dof, p)
     values = grid.values
     n = values.size
-    midpoints = 0.5 * (values[:-1] + values[1:])
-    cdf, _ = noncentral_chi2_cdf_grid(
-        2.0 * c * midpoints, dof, [2.0 * c * float(v) * decay for v in values]
-    )
-    probs = np.empty((n, n))
     if n == 1:
-        probs[0, 0] = 1.0
-    else:
-        probs[:, 0] = cdf[:, 0]
-        probs[:, 1:-1] = np.diff(cdf, axis=1)
-        probs[:, -1] = 1.0 - cdf[:, -1]
+        return TransitionMatrix(probs=np.ones((1, 1)), dt=dt)
+    midpoints = 0.5 * (values[:-1] + values[1:])
+    cdf, sf, _ = noncentral_chi2_cdf_grid(2.0 * c * midpoints, dof, 2.0 * c * values * decay)
+    below, above = np.zeros((2, n, n + 1))  # F and S at every column edge, +-infinity included
+    below[:, 1:-1], below[:, -1] = cdf, 1.0
+    above[:, 1:-1], above[:, 0] = sf, 1.0
+    lower = below <= above
+    probs = np.where(
+        lower[:, 1:],
+        below[:, 1:] - below[:, :-1],
+        np.where(lower[:, :-1], 1.0 - below[:, :-1] - above[:, 1:], above[:, :-1] - above[:, 1:]),
+    )
     return TransitionMatrix(probs=probs, dt=dt)
 
 

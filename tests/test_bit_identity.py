@@ -1,7 +1,6 @@
 """The vectorised model builders equal their scalar definitions.
 
 Each reference below is the straightforward scalar form of a builder: the
-transition matrix as per-midpoint ``noncentral_chi2_cdf`` differences, the
 emission matrix as stacked per-Vbar ``gaussian_cdf`` bin masses, the chain
 products of the substep paths as a gather over the enumerated paths, and the
 quantum ansatz as a per-model chain of 2x2 gates and ``np.kron`` products. These
@@ -38,10 +37,13 @@ allocates its product and state at every step.
 
 The incomplete gamma P(a, x), computed for whole arrays of pairs, is held to the
 scalar loops it replaced (the ascending series and the Lentz continued fraction,
-one pair at a time), and the noncentral chi-squared CDF to a term-by-term sum of
-those scalar values; so ``reference_transition``, which reads
-``noncentral_chi2_cdf``, rests on the scalar definitions too. The spot-grid
-quantiles, solved in lockstep, are held to one bracketed Newton loop per quantile.
+one pair at a time). The transition matrix and the spot grid were re-baselined when
+the matrix became Ding's positive-term sum and the grid Halley's root: they are held
+to mpmath (``mp_ncx2_rows``, positive sums at 32 digits, and ``mpmath.findroot``),
+and the code they replaced stays as the bar they must not fall below: the CDF grid
+summed over each law's Poisson walk (``parent_ncx2_cdf_grid``, itself held to the
+term-by-term scalar sum ``reference_ncx2_cdf``) with 1 - F in the last column, and
+one bracketed Newton loop per quantile (``reference_gamma_quantile``).
 
 The substep-path layout (``chmm._path_layout``, built from integer keys ranked by
 a presence table) is held field by field to the enumeration it replaced: the n^k
@@ -52,6 +54,7 @@ Vbar-table references enumerate their paths that way too, not through the code
 they check.
 """
 
+import functools
 import itertools
 import math
 
@@ -228,22 +231,96 @@ def cir_incomplete_gamma_pairs(p, n_states, dt):
     return (half_dof + np.array(js, dtype=float))[:, None], (0.5 * (2.0 * c * midpoints))[None, :]
 
 
-def reference_transition(p, grid, dt):
+def parent_ncx2_cdf_grid(x, dof, noncentralities):
+    """The noncentral chi-squared CDF grid the transition matrix was built from before Ding's
+    form: every law's Poisson walk, P(dof/2 + j, x/2) for every visited shape and point, and
+    each law's mixture summed in walk order; each entry is ``reference_ncx2_cdf`` bit for bit."""
+    half_x = 0.5 * np.asarray(x, dtype=float)
+    walks = [poisson_mixture_terms(0.5 * lam) for lam in noncentralities]
+    term_js, term_ws = zip(*[term for terms, _ in walks for term in terms])
+    js, shape_ids = np.unique(term_js, return_inverse=True)
+    table = reg_inc_gamma_lower(0.5 * dof + js[:, None], half_x[None, :])
+    counts = np.array([len(terms) for terms, _ in walks])
+    filled = np.arange(counts.max()) < counts[:, None]
+    term_shape = np.zeros(filled.shape, dtype=np.intp)
+    term_shape[filled] = shape_ids
+    weights = np.zeros(filled.shape)
+    weights[filled] = term_ws
+    block = np.empty((len(walks), filled.shape[1] + 1, half_x.size))
+    block[:, 0] = 0.0
+    np.multiply(weights[:, :, None], table[term_shape], out=block[:, 1:])
+    return np.minimum(1.0, np.maximum(0.0, np.add.accumulate(block, axis=1)[:, -1]))
+
+
+def cir_laws(p, grid_values, dt):
+    """(points, dof, noncentralities) of a CIR transition matrix, as ``cir_transition_matrix``
+    forms them."""
     s2 = p.sigma * p.sigma
     decay = math.exp(-p.alpha * dt)
     c = 2.0 * p.alpha / ((1.0 - decay) * s2)
-    dof = 4.0 * p.alpha * p.beta / s2
-    values = grid.values
-    n = values.size
-    midpoints = 0.5 * (values[:-1] + values[1:])
+    midpoints = 0.5 * (grid_values[:-1] + grid_values[1:])
+    return 2.0 * c * midpoints, 4.0 * p.alpha * p.beta / s2, 2.0 * c * grid_values * decay
+
+
+def parent_transition(p, grid, dt):
+    """The transition matrix as CDF differences with 1 - F in the last column, the form it had
+    before Ding's."""
+    cdf = parent_ncx2_cdf_grid(*cir_laws(p, grid.values, dt))
+    return np.diff(cdf, axis=1, prepend=0.0, append=1.0)
+
+
+def mp_ncx2_rows(x, dof, noncentralities, dps=32):
+    """(F, S) as mpmath numbers at ``dps`` digits: F[r][m] and S[r][m] = 1 - F[r][m] of law r at
+    x[m], each a positive sum: with h = dof/2, y = x/2, t_k = y^(h+k) e^-y / Gamma(h+k+1) and w_j
+    the Poisson(lam/2) weights, F = sum_k t_k sum_{j<=k} w_j, and S = Q(h, y) +
+    sum_k t_k sum_{j>k} w_j (P(h + j, y) = sum_{k>=j} t_k). The sums run 40 standard deviations
+    past the larger of y and lam/2."""
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(0.5 * dof)
+        ys = [mpmath.mpf(0.5 * v) for v in np.asarray(x).tolist()]
+        mus = [mpmath.mpf(0.5 * v) for v in np.asarray(noncentralities).tolist()]
+        top = float(max(ys + mus))
+        size = int(top + 40.0 * math.sqrt(top + 1.0) + 60.0)
+        ts, qs = [], []
+        for y in ys:
+            t = [mpmath.exp(h * mpmath.log(y) - y - mpmath.loggamma(h + 1))]
+            for k in range(1, size):
+                t.append(t[-1] * y / (h + k))
+            ts.append(t)
+            qs.append(mpmath.gammainc(h, y, mpmath.inf, regularized=True))
+        cdf, sf = [], []
+        for mu in mus:
+            w = [mpmath.exp(-mu)]
+            for j in range(1, size):
+                w.append(w[-1] * mu / j)
+            below = list(itertools.accumulate(w))
+            above = list(itertools.accumulate(reversed(w[1:])))[::-1] + [mpmath.mpf(0)]
+            cdf.append([mpmath.fdot(t, below) for t in ts])
+            sf.append([q + mpmath.fdot(t, above) for t, q in zip(ts, qs)])
+    return cdf, sf
+
+
+def mp_transition(cdf, sf):
+    """A transition matrix from ``mp_ncx2_rows`` output, each entry the difference of the two
+    neighbouring values of F or of S, whichever are smaller."""
+    n = len(cdf)
     probs = np.empty((n, n))
-    for i in range(n):
-        law = NoncentralChi2Law(dof=dof, noncentrality=2.0 * c * values[i] * decay)
-        cdf = np.array([noncentral_chi2_cdf(2.0 * c * m, law) for m in midpoints])
-        probs[i, 0] = cdf[0]
-        probs[i, 1:-1] = np.diff(cdf)
-        probs[i, -1] = 1.0 - cdf[-1]
-    return TransitionMatrix(probs=probs, dt=dt)
+    for r, (f, s) in enumerate(zip(cdf, sf)):
+        f, s = [mpmath.mpf(0)] + f + [mpmath.mpf(1)], [mpmath.mpf(1)] + s + [mpmath.mpf(0)]
+        for j in range(n):
+            probs[r, j] = float(f[j + 1] - f[j] if f[j + 1] < s[j] else s[j] - s[j + 1])
+    return probs
+
+
+@functools.cache
+def mp_cir_case(i):
+    """(grid values, F, S, matrix) of CIR_CASES[i] by ``mp_ncx2_rows`` on the grid
+    ``cir_spot_grid`` gives."""
+    params, n_states, dt = CIR_CASES[i]
+    p = CirParams(*params)
+    values = cir_spot_grid(p, n_states).values
+    cdf, sf = mp_ncx2_rows(*cir_laws(p, values, dt))
+    return values, cdf, sf, mp_transition(cdf, sf)
 
 
 def reference_bin_masses(vbar, scheme):
@@ -393,12 +470,24 @@ def _cir_cases():
 CIR_CASES = _cir_cases()
 
 
+# The next three tests keep the names they had when the matrix, the CDF and the grid were
+# pinned to their scalar loops bit for bit. Since Ding's form and the Halley solver they are
+# held to mpmath, with the old code (parent_transition, reference_ncx2_cdf,
+# reference_gamma_quantile) as the bar they must not fall below.
 @pytest.mark.parametrize("params,n_states,dt", CIR_CASES)
 def test_transition_matrix_equals_scalar_cdf_rows(params, n_states, dt):
-    p = CirParams(*params)
-    grid = cir_spot_grid(p, n_states)
-    built = cir_transition_matrix(p, grid, dt)
-    assert np.array_equal(built.probs, reference_transition(p, grid, dt).probs)
+    values, _, _, want = mp_cir_case(CIR_CASES.index((params, n_states, dt)))
+    p, grid = CirParams(*params), SpotGrid(values)
+    built = cir_transition_matrix(p, grid, dt).probs
+    big = want > 1e-10
+    assert np.all(np.abs(built - want)[big] <= 1e-12 * want[big])
+    # No entry is farther from mpmath than the old matrix's by more than four ulps of one.
+    old_err = np.abs(parent_transition(p, grid, dt) - want)
+    assert np.all(np.abs(built - want) <= old_err + 4.0 * np.finfo(float).eps)
+    # The last column is the survival function's own positive sum, so even its far tails
+    # keep their relative accuracy (the old 1 - F read rounding noise there).
+    tail = want[:, -1] > 1e-300
+    assert np.all(np.abs(built[tail, -1] - want[tail, -1]) <= 1e-12 * want[tail, -1])
 
 
 @pytest.mark.parametrize("params,n_states,dt", CIR_CASES)
@@ -440,16 +529,22 @@ def test_incomplete_gamma_edge_pairs_equal_scalar_loops(a, x):
 
 @pytest.mark.parametrize("params,n_states,dt", CIR_CASES[::3] + CIR_CASES[-4:])
 def test_noncentral_chi2_cdf_equals_term_by_term_scalar_sum(params, n_states, dt):
-    p = CirParams(*params)
-    grid = cir_spot_grid(p, n_states)
-    s2 = p.sigma * p.sigma
-    decay = math.exp(-p.alpha * dt)
-    c = 2.0 * p.alpha / ((1.0 - decay) * s2)
-    midpoints = 0.5 * (grid.values[:-1] + grid.values[1:])
-    for v in grid.values[:: max(1, n_states // 4)]:
-        law = NoncentralChi2Law(dof=4.0 * p.alpha * p.beta / s2, noncentrality=2.0 * c * v * decay)
-        for m in midpoints:
-            assert noncentral_chi2_cdf(2.0 * c * m, law) == reference_ncx2_cdf(2.0 * c * m, law)
+    values, cdf_mp, _, _ = mp_cir_case(CIR_CASES.index((params, n_states, dt)))
+    x, dof, lams = cir_laws(CirParams(*params), values, dt)
+    parent = parent_ncx2_cdf_grid(x, dof, lams)
+    cdf = specfun.noncentral_chi2_cdf_grid(x, dof, lams)[0]
+    for r in range(0, n_states, max(1, n_states // 4)):
+        law = NoncentralChi2Law(dof=dof, noncentrality=lams[r])
+        for m, point in enumerate(x.tolist()):
+            assert parent[r, m] == reference_ncx2_cdf(point, law)
+            one = noncentral_chi2_cdf(point, law)
+            assert np.float64(one).tobytes() == specfun.noncentral_chi2_cdf_grid(
+                [point], dof, [lams[r]])[0][0, 0].tobytes()
+            want = float(cdf_mp[r][m])
+            # the table leaves out at most POISSON_TAIL_TOL of a law's Poisson mass, far from
+            # these points: no value here moves by 1e-27
+            assert abs(one - want) <= 1e-13 * want + 1e-27
+            assert abs(cdf[r, m] - want) <= 1e-13 * want + 1e-27
 
 
 QUANTILE_LAWS = [GammaLaw(0.28, 40.0 / 11.0)] + [
@@ -460,9 +555,25 @@ QUANTILE_LAWS = [GammaLaw(0.28, 40.0 / 11.0)] + [
 @pytest.mark.parametrize("law", QUANTILE_LAWS)
 def test_lockstep_quantiles_equal_one_newton_loop_each(law):
     ps = np.arange(1, 17) / 17
-    want = [reference_gamma_quantile(p, law) for p in ps.tolist()]
-    assert np.array_equal(gamma_quantile(ps, law), want)
-    assert [gamma_quantile(p, law) for p in ps.tolist()] == want
+    got = gamma_quantile(ps, law)
+    assert [gamma_quantile(p, law) for p in ps.tolist()] == got.tolist()
+    old = np.array([reference_gamma_quantile(p, law) for p in ps.tolist()])
+    with mpmath.workdps(40):
+        a, rate = mpmath.mpf(law.shape), mpmath.mpf(law.rate)
+        want = np.array([
+            float(mpmath.findroot(
+                lambda z, p=p: mpmath.gammainc(a, 0, z, regularized=True) - p,
+                (z0 * rate * (1 - mpmath.mpf(1e-9)), z0 * rate * (1 + mpmath.mpf(1e-9))),
+                solver="anderson",
+            ) / rate)
+            for p, z0 in zip(ps.tolist(), old.tolist())
+        ])
+    err = np.abs(got - want) / want
+    # The roots of gamma_cdf, whose prefactor exp(-x + a ln x - lgamma(a)) carries ~1e-15 of
+    # rounding; a quantile amplifies it by about 1/a at small shapes and by the rounding of
+    # a ln x at large ones.
+    assert err.max() <= (1e-14 if 0.1 <= law.shape <= 100.0 else 3e-14)
+    assert err.max() <= (np.abs(old - want) / want).max()
 
 
 def test_transition_matrix_single_state_row():
@@ -589,7 +700,11 @@ def assert_table_near_enumeration(a_hf, k, mode):
     g = build_integrated_table(TransitionMatrix(a_hf, 1.0), SpotGrid(np.arange(1.0, len(a_hf) + 1)),
                                k, mode).g
     want = reference_group_mass(a_hf, k, mode)
-    assert np.allclose(g, want, rtol=1e-13, atol=0.0)
+    # Subnormal entries are rounded on a grid of 5e-324, so they are held to a few of its
+    # steps; every normal entry to 1e-13 relative.
+    normal = want >= np.finfo(float).tiny
+    assert np.allclose(g[normal], want[normal], rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(g - want)[~normal] <= 4 * np.finfo(float).smallest_subnormal)
     assert np.max(np.abs(g.sum(axis=1) - 1.0)) <= 1e-15
 
 

@@ -206,6 +206,21 @@ class TestNoncentralChi2Cdf:
             )
             assert abs(full - value) <= bound + 1e-13
 
+    @pytest.mark.parametrize("x,dof,lam", [(400.0, 1.0, 100.0), (300.0, 3.0, 50.0), (1e7, 1.0, 100.0)])
+    def test_points_past_the_poisson_window(self, x, dof, lam):
+        # the t terms of x lie past the law's window: they enter as one P(h + K, y)
+        started = time.perf_counter()
+        value = noncentral_chi2_cdf(x, NoncentralChi2Law(dof, lam))
+        assert time.perf_counter() - started < 1.0
+        assert value == pytest.approx(stats.ncx2.cdf(x, dof, lam), rel=1e-15)
+
+    def test_huge_noncentrality_fails_cleanly(self):
+        # a Poisson window of some 2e8 terms: refused before any table is built
+        started = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="Poisson mixture"):
+            noncentral_chi2_cdf(1.0, NoncentralChi2Law(1.0, 1e14))
+        assert time.perf_counter() - started < 1.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             noncentral_chi2_cdf(-1.0, NoncentralChi2Law(1.0, 1.0))

@@ -133,6 +133,46 @@ class TestCirTransitionMatrix:
         ref = np.diff(np.hstack([np.zeros((16, 1)), cdf, np.ones((16, 1))]), axis=1)
         assert np.max(np.abs(mat.probs - ref)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "params,n_states,dt",
+        [((0.09633838229660216, 0.3934671293779621, 0.020784497693745907), 2, 0.010938808243964714),
+         ((34.03268422745899, 0.2174747442852289, 0.11059982605253901), 8, 0.0016957546411827135)],
+    )
+    def test_midpoints_between_windows_build_at_large_scale(self, params, n_states, dt):
+        # half noncentralities of 2e4 to 2e5 whose Poisson windows hold no midpoint's mode:
+        # the incomplete-gamma cap does not apply there, as the old per-pair series passed
+        from scipy import stats
+
+        p = CirParams(*params)
+        grid = cir_spot_grid(p, n_states)
+        mat = cir_transition_matrix(p, grid, dt)
+        s2 = p.sigma**2
+        decay = math.exp(-p.alpha * dt)
+        c = 2.0 * p.alpha / ((1.0 - decay) * s2)
+        mids = 0.5 * (grid.values[:-1] + grid.values[1:])
+        dof = 4.0 * p.alpha * p.beta / s2
+        cdf = stats.ncx2.cdf(2.0 * c * mids[None, :], dof, (2.0 * c * decay * grid.values)[:, None])
+        ref = np.diff(cdf, axis=1, prepend=0.0, append=1.0)
+        assert np.max(np.abs(mat.probs - ref)) < 1e-12
+
+    @pytest.mark.parametrize("params,dt", [((0.3, 0.1, 0.3), 2e-3), ((0.3, 0.1, 0.5), 3e-3)])
+    def test_upper_tail_column_against_scipy_sf(self, params, dt):
+        # near-sticky rows: the top column holds upper tails down to 1e-228
+        from scipy import stats
+
+        p = CirParams(*params)
+        grid = cir_spot_grid(p, 8)
+        s2 = p.sigma**2
+        decay = math.exp(-p.alpha * dt)
+        c = 2.0 * p.alpha / ((1.0 - decay) * s2)
+        top = 0.5 * (grid.values[-2] + grid.values[-1])
+        want = stats.ncx2.sf(2.0 * c * top, 4.0 * p.alpha * p.beta / s2, 2.0 * c * grid.values * decay)
+        got = cir_transition_matrix(p, grid, dt).probs[:, -1]
+        assert want[4] > 1e-160 and want[0] < 1e-200
+        normal = want > 1e-300  # scipy reads 0 below
+        assert np.allclose(got[normal], want[normal], rtol=1e-11, atol=0.0)
+        assert np.all(got[~normal] < 1e-250)
+
     def test_decay_of_one_rejected(self):
         # alpha dt below the rounding of exp: 1 - e^{-a dt} is 0 and c would divide by it
         with pytest.raises(ValidationError, match="e\\^\\{-a dt\\}"):
