@@ -32,7 +32,7 @@ from .errors import NumericalError, ValidationError
 from .estimate import FitConfig, PenaltyConstants, penalty_lambda
 from .operators import forward, leaves, log_likelihood, log_prob, vectors
 from .qhmm import QhmmModel, qhmm_simulate_many
-from .seeds import derive_seed
+from .seeds import derive_seed, derive_seeds
 
 _EXACT_KL_CAP = 1_000_000
 _HANKEL_CAP = 10_000
@@ -71,11 +71,11 @@ def kl_monte_carlo(dgp, candidate, trials: int, n_steps: int, seed):
     """Monte-Carlo KL estimate and its standard error from simulated sequences.
 
     Trial t's sequence is drawn from the seed derive_seed(seed, "kl-mc", t). The trials
-    are drawn and scored a block at a time (one batched draw, one forward pass per model),
-    a block's strings within BLOCK_BYTES. A sequence the candidate gives probability zero
-    makes the divergence infinite: the result is then (inf, nan), as ``kl_exact_small``
-    gives inf; one the DGP gives probability zero raises ZeroLikelihoodError. The first
-    such trial decides.
+    are drawn and scored a block at a time (the block's seeds from one ``derive_seeds``,
+    one batched draw, one forward pass per model), a block's strings within BLOCK_BYTES.
+    A sequence the candidate gives probability zero makes the divergence infinite: the
+    result is then (inf, nan), as ``kl_exact_small`` gives inf; one the DGP gives
+    probability zero raises ZeroLikelihoodError. The first such trial decides.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
@@ -86,7 +86,7 @@ def kl_monte_carlo(dgp, candidate, trials: int, n_steps: int, seed):
     per_block = max(1, BLOCK_BYTES // (8 * n_steps))
     for t0 in range(0, trials, per_block):
         block = range(t0, min(t0 + per_block, trials))
-        seqs = model_simulate_symbols(dgp, n_steps, [derive_seed(seed, "kl-mc", t) for t in block])
+        seqs = model_simulate_symbols(dgp, n_steps, derive_seeds(seed, "kl-mc", indices=block))
         logq = log_prob(forward(ops_q, seqs)[0])
         logp = log_prob(forward(ops_p, seqs)[0])
         impossible = np.flatnonzero((logq == -math.inf) | (logp == -math.inf))
@@ -116,7 +116,7 @@ def _llr_chunk(trials, dgp, spec_i, spec_j, n_steps, cfg, seed) -> list:
     A trial whose fit of spec_i fails is not fitted with spec_j. A failed fit is recorded
     on its own trial, not raised.
     """
-    seeds = [derive_seed(seed, "llr-data", t) for t in trials]
+    seeds = derive_seeds(seed, "llr-data", indices=trials)
     datas = dict(zip(trials, simulate_many(dgp, n_steps, seeds)[3]))
     logliks = {t: [] for t in trials}
     failures = {}

@@ -487,16 +487,24 @@ class _FitDriver:
         the NumericalError that ended its fit.
 
         Data set f is fitted with ``cfgs[f]``, so its result is the one ``fit`` gives it
-        alone. Every data set and theta0 are checked before any evaluation. Each round
-        makes one objective call for the descents of all the fits.
+        alone. Every data set and theta0 (its shape, and every entry finite) are checked
+        before any evaluation. Each round makes one objective call for the descents of all
+        the fits.
         """
         datas = [self._checked(data) for data in datas]
         if len({data.shape for data in datas}) > 1:
             raise ValidationError("data sets fitted together must have one length")
-        if theta0 is not None and np.shape(theta0) != (self.free_params,):
-            raise ValidationError(
-                f"theta0 must have {self.free_params} entries, got shape {np.shape(theta0)}"
-            )
+        if theta0 is not None:
+            if np.shape(theta0) != (self.free_params,):
+                raise ValidationError(
+                    f"theta0 must have {self.free_params} entries, got shape {np.shape(theta0)}"
+                )
+            values = np.asarray(theta0, dtype=float)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValidationError(
+                    f"theta0[{bad[0]}] is {values[bad[0]]}: entries must be finite"
+                )
         if not datas:
             return []
         starts = [self.starts(data, cfg, theta0) for data, cfg in zip(datas, cfgs)]

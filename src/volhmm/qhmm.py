@@ -180,9 +180,10 @@ def qhmm_operators(spec: AnsatzSpec, theta, theta_init) -> operators.OperatorMod
     """Operator form of the models of a (B, n_params) batch of circuit angles and a
     (B, latent_qubits) batch of initial-state angles; row b equals
     ``build_qhmm(spec, theta[b], theta_init[b]).operators()`` bit for bit. The cos and
-    sin of both batches' Ry angles come from one libm pass. An infinite Ry angle, which
-    libm rejects, raises a ValidationError naming it; no other angle is checked here, so
-    a NaN angle or an infinite Rz angle gives NaN operators in its row."""
+    sin of both batches' Ry angles come from one libm pass. An angle that is not finite
+    raises a ValidationError naming it: an infinite Ry angle where libm rejects it, any
+    other where its NaN operators fail the completeness check. The angles are looked at
+    only on those failure paths."""
     layers, theta_init = _layers(spec, theta), _init_angles(spec, theta_init)
     try:
         (cos, sin), (cos0, sin0) = _ry_columns(layers[..., 0, :], theta_init)
@@ -195,7 +196,9 @@ def qhmm_operators(spec: AnsatzSpec, theta, theta_init) -> operators.OperatorMod
     # Completeness read off the step form: M_s vec(I) = conj vec(K_s^dagger K_s), so the
     # last columns sum to vec(I) over the symbols.
     completeness = model.step_ops[..., -1].sum(axis=-2)
-    if np.max(np.abs(completeness - model.out), initial=0.0) > _COMPLETENESS_TOL:
+    if not np.max(np.abs(completeness - model.out), initial=0.0) <= _COMPLETENESS_TOL:  # nan too
+        _finite_angles("theta", theta)
+        _finite_angles("theta_init", theta_init)
         raise ValidationError("Kraus operators do not satisfy sum K^dagger K = I")
     return model
 

@@ -4,7 +4,9 @@ All randomness in experiments and CLI commands flows from one root seed. Child
 seeds are derived by hashing "root|part|part|..." with SHA-256 and taking the
 first 8 bytes, so results are reproducible across runs, platforms, and worker
 counts. Parts are purpose tags and trial indices, e.g.
-derive_seed(seed, "llr-data", trial).
+derive_seed(seed, "llr-data", trial). ``derive_seeds(seed, "llr-data", indices=trials)``
+gives the same seeds for a block of trials: the key prefix "root|part|...|" they share
+is hashed once, and the hash state is copied and finished with each index.
 
 ``streams(seeds)`` yields, seed by seed, a generator whose draws are bit for bit
 those of ``np.random.default_rng(seed)``: it is in the same PCG64 state. It
@@ -16,7 +18,8 @@ relies on two fixed algorithms, as numpy implements them:
   word, and eight output words hashed out of the pool (``generate_state(4,
   np.uint64)``, two words to a uint64, low word first). The hash constants do
   not depend on the seed, so they are computed once, and every seed of a call
-  is mixed at once as a (4, B) uint32 array.
+  is mixed at once as a (4, B) uint32 array, whose output words become Python
+  ints in one ``tolist`` call.
 - PCG64 seeding (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
   Statistically Good Algorithms for Random Number Generation", HMC-CS-2014-0905,
   ``pcg_setseq_128_srandom_r``): with initstate and initseq the first and
@@ -36,11 +39,29 @@ import hashlib
 import numpy as np
 
 
+def _key(root: int, parts) -> str:
+    return "|".join([str(int(root))] + [str(p) for p in parts])
+
+
 def derive_seed(root: int, *parts) -> int:
     """64-bit child seed for (root, *parts); stable across processes."""
-    key = "|".join([str(int(root))] + [str(p) for p in parts])
-    digest = hashlib.sha256(key.encode("ascii")).digest()
+    digest = hashlib.sha256(_key(root, parts).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def derive_seeds(root: int, *parts, indices) -> list:
+    """``derive_seed(root, *parts, i)`` for each i in indices, as a list of ints.
+
+    The shared prefix "root|part|...|" is hashed once; each index finishes a copy of
+    that hash state, and the first 8 bytes of every digest are read as big-endian
+    uint64 in one pass."""
+    prefix = hashlib.sha256((_key(root, parts) + "|").encode("ascii"))
+    heads = bytearray()
+    for i in indices:
+        h = prefix.copy()
+        h.update(str(i).encode("ascii"))
+        heads += h.digest()[:8]
+    return np.frombuffer(heads, dtype=">u8").tolist()
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -114,14 +135,14 @@ def streams(seeds):
     ``np.random.default_rng(seed)`` itself.
     """
     seeds = list(seeds)
-    columns = iter(_seed_words([s for s in seeds if _is_plain(s)]).T)
+    columns = iter(_seed_words([s for s in seeds if _is_plain(s)]).T.tolist())  # ints, one call
     gen = np.random.Generator(np.random.PCG64(0))  # its seed is overwritten by every reset
     return (_reset(gen, next(columns)) if _is_plain(s) else np.random.default_rng(s) for s in seeds)
 
 
-def _reset(gen, words):
-    """gen in the PCG64 state that a seed with these SeedSequence words starts in."""
-    w = words.tolist()  # two to a uint64, low word first
+def _reset(gen, w):
+    """gen in the PCG64 state that a seed with these SeedSequence words (a list of 8
+    ints, two to a uint64, low word first) starts in."""
     initstate = w[0] << 64 | w[1] << 96 | w[2] | w[3] << 32
     initseq = w[4] << 64 | w[5] << 96 | w[6] | w[7] << 32
     inc = (initseq << 1 | 1) & _MASK128

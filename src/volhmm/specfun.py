@@ -482,29 +482,41 @@ def noncentral_chi2_cdf(x: float, law: NoncentralChi2Law) -> float:
     return noncentral_chi2_cdf_with_bound(x, law)[0]
 
 
-def _central_chi2_log_pdf(x: float, half_dof: float) -> float:
-    return (
-        (half_dof - 1.0) * math.log(x)
-        - 0.5 * x
-        - half_dof * math.log(2.0)
-        - math.lgamma(half_dof)
-    )
-
-
 def noncentral_chi2_pdf(x: float, law: NoncentralChi2Law) -> float:
     """Density of the noncentral chi-squared law at x > 0.
 
-    The Poisson mixture of central chi-squared densities is exactly the
-    Bessel-series expansion of the kernel density; each term is formed in log
-    space, so large noncentrality or degrees of freedom cannot overflow.
+    With h = dof/2, y = x/2 and mu = lam/2 it is sum_j w_j c_j, a sum of positive terms:
+    w_j = e^-mu mu^j / j! and c_j = y^(h+j-1) e^-y / (2 Gamma(h+j)), the central
+    chi-squared density of dof + 2j degrees of freedom at x. Both factors come from
+    ``_poisson_pmf``, in Loader's form: c_j is half its value at (h + j - 1, y), or where
+    h + j < 1 (j = 0 at dof < 2) h/y times half its value at (h, y). The terms are
+    log-concave in j; the sum runs over a window about their mode, the root of
+    (j + 1)(h + j) = mu y, about ten standard deviations of their spread each side, doubled
+    until each end term that is not j = 0 is below 2^-60 of the sum. A window of
+    _POISSON_MAX_TERMS terms or more raises NonConvergenceError.
     """
-    if not (x > 0.0):
-        raise ValueError(f"noncentral_chi2_pdf requires x > 0, got {x}")
-    terms, _ = poisson_mixture_terms(0.5 * law.noncentrality)
-    total = 0.0
-    for j, w in terms:
-        total += w * math.exp(_central_chi2_log_pdf(x, 0.5 * law.dof + j))
-    return max(0.0, total)
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"noncentral_chi2_pdf requires finite x > 0, got {x}")
+    h, y, mu = 0.5 * law.dof, 0.5 * x, 0.5 * law.noncentrality
+    mode = max(0, math.ceil(0.5 * (math.sqrt((h - 1.0) ** 2 + 4.0 * mu * y) - h - 1.0)))
+    width = math.ceil(10.0 / math.sqrt(1.0 / (mode + 1.0) + 1.0 / (h + mode))) + 10
+    while 2 * width < _POISSON_MAX_TERMS:
+        j = np.arange(max(0, mode - width), mode + width + 1, dtype=float)
+        a = h + j - 1.0
+        c = np.empty(j.size)
+        first = int(a[0] < 0.0)
+        if first:  # y^(h-1) e^-y / Gamma(h) = (h / y) y^h e^-y / Gamma(h + 1)
+            c[0] = h / y * _poisson_pmf(np.array([h]), np.array(y))[0]
+        c[first:] = _poisson_pmf(a[first:], np.array(y))
+        terms = _poisson_pmf(j, np.array(mu)) * c
+        total = terms.sum()
+        ends = terms[-1] if j[0] == 0.0 else max(terms[0], terms[-1])
+        if not ends > 2.0**-60 * total:
+            return 0.5 * total
+        width *= 2
+    raise NonConvergenceError(
+        f"noncentral_chi2_pdf needs more than {_POISSON_MAX_TERMS} terms at x={x}, {law}"
+    )
 
 
 def gaussian_cdf(z: float) -> float:

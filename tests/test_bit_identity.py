@@ -986,18 +986,57 @@ def assert_draws_equal(hmm, n_periods, seeds):
             assert np.array_equal(lone, want) and np.array_equal(rows[b], want)
 
 
+WALK_SIDES = ("few", "below", "at")
+
+
+def walk_rows(n_states, side):
+    """A block's row count on one side of ``_walk``'s choice: "few" rows double,
+    "below" is the most rows that still double, "at" the fewest that step."""
+    first_step = -(-chmm._STEP_MIN_ENTRIES // n_states)
+    return {"few": min(3, first_step - 1), "below": first_step - 1, "at": first_step}[side]
+
+
+def block_seeds(seeds, n_rows):
+    """seeds, then 1000, 1001, ... up to n_rows seeds."""
+    return list(seeds) + list(range(1000, 1000 + n_rows - len(seeds)))
+
+
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("mode", [MULTISET, INDEX_SUM])
 def test_simulate_equals_per_seed_walk(k, mode, rng):
     hmm = random_classical_hmm(rng, n_states=5, n_obs=4, k=k, mode=mode)
-    assert_draws_equal(hmm, 37, [0, 1, 2**63 + 5, 77, 12345])
-    assert_draws_equal(hmm, 1, [3, 4])
+    for side in WALK_SIDES:
+        assert_draws_equal(hmm, 37, block_seeds([0, 1, 2**63 + 5, 77, 12345], walk_rows(5, side)))
+        assert_draws_equal(hmm, 1, block_seeds([3, 4], walk_rows(5, side)))
+
+
+@pytest.mark.parametrize("n_states", [1, 3, 16])
+def test_walks_agree(n_states, monkeypatch, rng):
+    """Stepping and doubling give the same states on the same draws, ties included."""
+    cum_rows = np.cumsum(rng.dirichlet(np.ones(n_states), size=n_states), axis=1)
+    cum_rows[:, -1] = np.inf
+    ranked = chmm._ranked_maps(cum_rows)
+    uniforms = rng.random((9, 57))
+    sums = ranked[0]
+    uniforms[:, ::4] = rng.choice(np.append(sums[sums < 1.0], 0.0), size=uniforms[:, ::4].shape)
+    start = rng.integers(0, n_states, 9)
+    walks = []
+    for threshold in (0, math.inf):  # every block steps, then every block doubles
+        monkeypatch.setattr(chmm, "_STEP_MIN_ENTRIES", threshold)
+        walks.append(chmm._walk(ranked, start, uniforms))
+    assert np.array_equal(*walks)
 
 
 def test_simulate_preset_in_walk_spans(monkeypatch):
     scheme = build_observation_scheme(4, 4.0 * math.sqrt(0.077))
     preset = ClassicalFitSpec("cir", 16, 4, scheme).model(np.array([2.2, 0.077, 1.1]))
     assert_draws_equal(preset, 500, [7])
+    for side in ("below", "at"):
+        assert_draws_equal(preset, 30, block_seeds([7], walk_rows(16, side)))
+    # blocks of 8 rows: 20 rows go as two stepped blocks and a doubled block of 4
+    assert walk_rows(16, "at") <= 8 and walk_rows(16, "below") >= 4
+    monkeypatch.setattr(chmm, "BLOCK_BYTES", 8 * 16 * 120 * 8)
+    assert_draws_equal(preset, 30, block_seeds([7], 20))
     # a block cap of 40 substep maps: rows go one at a time, in spans of 40 substeps
     monkeypatch.setattr(chmm, "BLOCK_BYTES", 40 * 16 * 8)
     assert_draws_equal(preset, 30, [7, 8, 9])
@@ -1009,17 +1048,21 @@ def test_simulate_chains_with_tied_sums(monkeypatch):
                      [0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.75, 0.25]])
     scheme = build_observation_scheme(3, 1.0)
     grid = SpotGrid(np.array([0.05, 0.2, 0.4, 0.6]))
+    blocks = [block_seeds([0, 1, 2], walk_rows(4, side)) for side in WALK_SIDES]
     for k in (1, 3):
         hmm = build_classical_hmm(grid, TransitionMatrix(a_hf, 1.0 / k), k, scheme,
                                   x0=np.array([0.5, 0.0, 0.5, 0.0]))
-        assert_draws_equal(hmm, 40, [0, 1, 2])
+        for seeds in blocks:
+            assert_draws_equal(hmm, 40, seeds)
     # draws equal to a cumulative sum go past it
     sums = np.unique(np.cumsum(a_hf, axis=1)[:, :-1])
     push_uniforms(monkeypatch, sums)
-    assert_draws_equal(hmm, 40, [0, 1, 2])
+    for seeds in blocks:
+        assert_draws_equal(hmm, 40, seeds)
     one = build_classical_hmm(SpotGrid(np.array([0.1])), TransitionMatrix(np.ones((1, 1)), 1.0),
                               1, scheme)
-    assert_draws_equal(one, 5, [4, 5])
+    for side in WALK_SIDES:
+        assert_draws_equal(one, 5, block_seeds([4, 5], walk_rows(1, side)))
 
 
 class PushedUniforms:
@@ -1060,7 +1103,8 @@ def test_simulate_draws_past_the_last_cumulative_sum(scale, monkeypatch, rng):
     assert np.all((np.cumsum(a_hf.probs, axis=1)[:, -1] < 1.0 - 1e-12) == (scale < 1.0))
     # 1 - 1e-12 lies past any cumulative row that ends below it, before any that ends above
     push_uniforms(monkeypatch, [1.0 - 1e-12])
-    assert_draws_equal(hmm, 20, [1, 2, 3])
+    for side in WALK_SIDES:
+        assert_draws_equal(hmm, 20, block_seeds([1, 2, 3], walk_rows(n, side)))
     # period t ends on uniform k (t + 1); those at multiples of 3 go to the last state
     assert np.all(reference_simulate(hmm, 20, 1)[0][2::3] == n - 1)
 
@@ -1862,9 +1906,9 @@ def test_qhmm_operators_equal_parent_builder(spec, batch):
 @pytest.mark.parametrize("spec", QHMM_OPERATOR_SPECS[:2], ids=str)
 def test_qhmm_operators_near_zero_angles_equal_parent_builder(spec):
     """Angles at and near zero, where a gate's matrix product decides the sign of a zero,
-    take the product; angles just past the threshold, pi and a NaN row take the
-    elementwise gates; each row has the parent's bytes. The unitary builder, which
-    rejects the NaN row, is compared on the other rows."""
+    take the product; angles just past the threshold and pi take the elementwise gates;
+    each row has the parent's bytes. A NaN row, whose NaN operators fail the completeness
+    check, is rejected naming its angle, as the unitary builder rejects it."""
     rng = np.random.default_rng(7)
     specials = [0.0, -0.0, 1e-300, -5e-324, 1e-120, 1e-90, math.pi, -math.pi, 2.0 * math.pi]
     theta = rng.uniform(0.0, 2.0 * math.pi, (len(specials) + 2, spec.n_params))
@@ -1874,11 +1918,13 @@ def test_qhmm_operators_near_zero_angles_equal_parent_builder(spec):
     theta[-2] = 0.0  # every angle zero
     theta_init[-2] = 0.0
     theta[-1, 3] = math.nan
-    for rows in ([b] for b in range(len(theta))):
+    for rows in ([b] for b in range(len(theta) - 1)):
         got = qhmm_operators(spec, theta[rows], theta_init[rows])
         want = parent_qhmm_operators(spec, theta[rows], theta_init[rows])
         assert got.step_ops.tobytes() == want.step_ops.tobytes(), rows
         assert got.x0.tobytes() == want.x0.tobytes(), rows
+    with pytest.raises(ValidationError, match=r"theta\[0, 3\] is nan"):
+        qhmm_operators(spec, theta[-1:], theta_init[-1:])
     got = build_ansatz_unitary(spec, theta[:-1])
     assert got.tobytes() == parent_unitary(spec, theta[:-1]).tobytes()
     assert initial_latent_state(spec, theta_init[:-1]).matrix.tobytes() == (

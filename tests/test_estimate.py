@@ -163,6 +163,22 @@ class TestFitClassical:
         with pytest.raises(ValidationError, match="theta0 must have"):
             make().fit(np.array([0, 1, 2, 3]), FitConfig(max_iter=5, restarts=1), theta0=theta0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda: cir(4), lambda: nonparam(3), lambda: QhmmFitSpec(AnsatzSpec(1, 2, reps=1)),
+    ], ids=["cir", "nonparam", "qhmm"])
+    def test_non_finite_theta0_rejected_before_any_evaluation(self, make, value, monkeypatch):
+        def descent(*args):
+            raise AssertionError("the objective was evaluated")
+
+        monkeypatch.setattr(estimate, "lockstep_nelder_mead", descent)
+        spec = make()
+        for at in (0, spec.free_params - 1):
+            theta0 = np.full(spec.free_params, 0.3)
+            theta0[at] = value
+            with pytest.raises(ValidationError, match=rf"theta0\[{at}\] is {value}: entries"):
+                spec.fit(np.array([0, 1, 2, 3]), FitConfig(max_iter=5, restarts=2), theta0=theta0)
+
 
 class TestFitQhmm:
     def test_parameter_count_with_init(self):

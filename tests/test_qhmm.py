@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from volhmm import operators
+from volhmm import operators, qhmm
 from volhmm.errors import ValidationError, ZeroLikelihoodError
 from volhmm.qhmm import (
     AnsatzSpec,
@@ -325,6 +325,22 @@ class TestNonFiniteAngles:
         theta = np.stack([self.angles(), self.angles(9, math.nan)])
         with pytest.raises(ValidationError, match=r"theta\[1, 9\] is nan"):
             build_ansatz_unitary(self.SPEC, theta)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 4, 9])
+    def test_batched_builder_names_an_angle_its_operators_fail_on(self, at, value):
+        """A NaN angle, or an infinite Rz angle, gives NaN operators, which fail the
+        completeness check: the angle is named there (an infinite Ry angle, at 0, is named
+        where libm rejects it)."""
+        theta = np.stack([self.angles(), self.angles(at, value)])
+        with pytest.raises(ValidationError, match=rf"theta\[1, {at}\] is {value}: angles"):
+            qhmm_operators(self.SPEC, theta, np.full((2, 1), 0.1))
+
+    def test_batched_builder_rejects_operators_that_are_not_complete(self, monkeypatch):
+        """Finite angles whose operators fail the check still raise the completeness error."""
+        monkeypatch.setattr(qhmm, "_COMPLETENESS_TOL", -1.0)
+        with pytest.raises(ValidationError, match="sum K\\^dagger K = I"):
+            qhmm_operators(self.SPEC, self.angles()[None], np.full((1, 1), 0.1))
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_batched_builder_names_an_infinite_ry_angle(self, value):

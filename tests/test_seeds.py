@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volhmm.seeds import derive_seed, streams
+from volhmm.seeds import derive_seed, derive_seeds, streams
 
 
 def draws(rng):
@@ -50,3 +50,18 @@ def test_interleaved_calls_share_no_state():
         assert rng_a.random(5).tobytes() == want_a.random(5).tobytes()
         assert draws(rng_b) == draws(want_b)
         assert draws(rng_a) == draws(want_a)
+
+
+@pytest.mark.parametrize("root", [0, 2**64 - 1])
+@pytest.mark.parametrize(
+    "parts", [(), ("kl-mc",), ("llr-data",), ("llr-fit", 3, "cir"), ("a|b", -1)]
+)
+def test_derive_seeds_equal_derive_seed_per_index(root, parts):
+    got = derive_seeds(root, *parts, indices=range(2000))
+    assert got == [derive_seed(root, *parts, i) for i in range(2000)]
+    assert all(type(seed) is int for seed in got)
+    # any iterable of indices, in its order, and none
+    picked = [1999, 7, np.int64(40), 7]
+    want = [derive_seed(root, *parts, i) for i in picked]
+    assert derive_seeds(root, *parts, indices=picked) == want
+    assert derive_seeds(root, *parts, indices=[]) == []

@@ -312,6 +312,36 @@ class TestNoncentralChi2Pdf:
         with pytest.raises(ValueError):
             noncentral_chi2_pdf(0.0, NoncentralChi2Law(1.0, 1.0))
 
+    @pytest.mark.parametrize("lam, rtol", [
+        (1e-3, 5e-14), (0.7, 5e-14), (30.0, 5e-14), (2e3, 5e-14),
+        # Loader's bd0 is formed as a difference of terms near j - mu, up to 5e3 here
+        (4e4, 5e-13), (4e5, 5e-13), (8e5, 5e-13),
+    ])
+    def test_against_mpmath_bessel_form(self, lam, rtol):
+        """Within rtol of mpmath 1.3.0's Bessel form (40 digits), dof below and above 2, at
+        the mean and 1, 3, 6 and 10 standard deviations off it, and near zero. The
+        mixture walked in log space about the weights' mode, not the terms', read 1.6e-12
+        (lam = 1e-3) to 0.81 (lam = 8e5) relative off on these points, worst in the tails."""
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        for dof in (0.5, 1.0, 1.7, 2.0, 3.0, 7.5, 60.0):
+            mean, sd = dof + lam, math.sqrt(2.0 * (dof + 2.0 * lam))
+            points = [mean + z * sd for z in (-3, -1, 0, 1, 3, 6, 10)] + [1e-3, 0.3]
+            for x in (v for v in points if v > 0.0):
+                xm, k, lm = mp.mpf(x), mp.mpf(dof), mp.mpf(lam)
+                want = 0.5 * mp.exp(-(xm + lm) / 2) * (xm / lm) ** (k / 4 - 0.5) * mp.besseli(
+                    k / 2 - 1, mp.sqrt(lm * xm))
+                if want > 1e-300:
+                    got = noncentral_chi2_pdf(x, NoncentralChi2Law(dof, lam))
+                    assert abs(got - want) <= rtol * want, (dof, x)
+
+    def test_non_finite_point_and_window_cap(self):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            noncentral_chi2_pdf(math.inf, NoncentralChi2Law(1.0, 1.0))
+        with pytest.raises(NonConvergenceError, match="terms"):
+            noncentral_chi2_pdf(1e20, NoncentralChi2Law(1.0, 1e20))
+
 
 class TestGaussianCdf:
     def test_center(self):
